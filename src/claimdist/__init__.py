@@ -69,10 +69,7 @@ from .transport import (
     TransportPlan,
     ground_cost,
     lc_rwmd_batch,
-    rank_against_query,
-    relaxed_one_sided,
     rwmd_distance,
-    rwmd_similarity,
     wmd_exact,
 )
 
@@ -119,12 +116,9 @@ __all__ = [
     "median_iqr",
     "moving_average",
     "normalize_and_tokenize",
-    "rank_against_query",
-    "relaxed_one_sided",
     "remove_stopwords",
     "run_experiment",
     "rwmd_distance",
-    "rwmd_similarity",
     "similarity_matrix",
     "split_sentences",
     "vector_of",

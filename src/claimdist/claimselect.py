@@ -45,7 +45,11 @@ _ABBREVIATIONS = (
     "vol.",
 )
 
-_SENTENCE_END = re.compile(r"[.?!]")
+# Sentence punctuation followed by whitespace; the group captures the first
+# character after the whitespace.
+_SENTENCE_END = re.compile(r"[.?!](?=\s+(\S))")
+# _guarded looks at the longest abbreviation plus the character before it.
+_GUARD_WINDOW = max(map(len, _ABBREVIATIONS)) + 1
 
 
 @dataclass(frozen=True)
@@ -102,15 +106,11 @@ def split_sentences(
         return []
     breaks: list[int] = []
     for match in _SENTENCE_END.finditer(text):
-        end = match.end()
-        rest = text[end:]
-        lstripped = rest.lstrip()
-        if not lstripped or len(lstripped) == len(rest):
-            continue  # end of text, or no whitespace after the punctuation
-        nxt = lstripped[0]
+        nxt = match.group(1)
         if not (nxt.isupper() or nxt.isdigit()):
             continue
-        if _guarded(text[:end].lower()):
+        end = match.end()
+        if _guarded(text[max(0, end - _GUARD_WINDOW) : end].lower()):
             continue
         breaks.append(end)
 

@@ -17,7 +17,6 @@ from .claimselect import DEFAULT_CUE_WORDS, fit_lda, lda_select, ma_select, spli
 from .errors import ConfigError, DataError, InternalInvariantError
 from .embeddings import load_embeddings
 from .pipeline import (
-    MANIFEST_VARIANTS,
     REPORT_FORMATS,
     bench_scaling,
     emit_report,
@@ -25,7 +24,7 @@ from .pipeline import (
     run_experiment,
 )
 from .textprep import build_nbow, default_stopwords, load_stopwords, normalize_and_tokenize, remove_stopwords
-from .transport import SYMMETRIC_MAX, rwmd_distance
+from .transport import RWMD_VARIANTS, SYMMETRIC_MAX, rwmd_distance
 
 
 class _UsageError(Exception):
@@ -170,7 +169,7 @@ def build_parser() -> _Parser:
     p.add_argument("candidate_file")
     p.add_argument("--embeddings", required=True, help="word-vector file (text format)")
     p.add_argument("--expected-dim", type=int, default=None)
-    p.add_argument("--variant", choices=MANIFEST_VARIANTS, default=SYMMETRIC_MAX)
+    p.add_argument("--variant", choices=RWMD_VARIANTS, default=SYMMETRIC_MAX)
     p.add_argument("--stopwords", default=None)
     p.set_defaults(fn=_cmd_dist)
 

@@ -10,6 +10,7 @@ and every query operation is pure, so concurrent readers are safe.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Sequence
@@ -75,8 +76,9 @@ def load_embeddings(
 
     Duplicate tokens keep their first occurrence; all-zero vectors are
     dropped. Both events are logged and counted on the returned table.
-    Inconsistent dimensions or non-numeric fields raise
-    :class:`EmbeddingParseError` carrying the offending line number.
+    Inconsistent dimensions, non-numeric or non-finite fields and bytes
+    that are not UTF-8 raise :class:`EmbeddingParseError` carrying the
+    offending line number.
     """
     if hasattr(source, "read"):
         name = getattr(source, "name", "<stream>")
@@ -94,7 +96,10 @@ def load_embeddings(
         n_dup = 0
         n_zero = 0
         for lineno, raw in enumerate(stream, start=1):
-            line = raw.decode("utf-8").rstrip("\r\n")
+            try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                raise EmbeddingParseError(f"not valid UTF-8: {exc}", lineno) from None
             if not line.strip():
                 continue
             fields = line.split()
@@ -124,6 +129,10 @@ def load_embeddings(
                 log.warning("%s: duplicate token %r on line %d ignored", name, token, lineno)
                 continue
             norm = float(np.linalg.norm(vec))
+            if not math.isfinite(norm):
+                raise EmbeddingParseError(
+                    f"non-finite value or norm in row for {token!r}", lineno
+                )
             if norm == 0.0:
                 n_zero += 1
                 log.warning("%s: all-zero vector for %r on line %d dropped", name, token, lineno)

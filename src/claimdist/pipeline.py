@@ -47,13 +47,12 @@ from .textprep import (
 )
 from .transport import (
     DEFAULT_ORACLE_LIMIT,
-    ONE_SIDED_QUERY,
+    RWMD_VARIANTS,
     SYMMETRIC_MAX,
     lc_rwmd_batch,
     wmd_exact,
 )
 
-MANIFEST_VARIANTS = (SYMMETRIC_MAX, ONE_SIDED_QUERY)
 REPORT_FORMATS = ("text", "csv", "json")
 DEFAULT_SEED = 42
 
@@ -105,10 +104,39 @@ class CorpusManifest:
     seed: int
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigError(f"manifest {where} is missing required key {key!r}")
-    return mapping[key]
+_REQUIRED = object()
+_NUMBER = (int, float)
+_LABEL = (str, int)
+_TYPE_NAMES = {
+    dict: "an object",
+    list: "a list",
+    str: "a string",
+    int: "an integer",
+    _NUMBER: "a number",
+    _LABEL: "a string or an integer",
+}
+
+
+def _typed(value, kind, path: str):
+    # bool is a subclass of int, but JSON true/false is never a count
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(
+            f"manifest {path} must be {_TYPE_NAMES[kind]}, got {json.dumps(value)}"
+        )
+    return value
+
+
+def _field(mapping: dict, key: str, where: str, kind, default=_REQUIRED):
+    """``mapping[key]`` checked to be of JSON type ``kind``.
+
+    A missing key yields ``default``, and so does an explicit null when
+    the default is None; a missing key without a default is an error.
+    """
+    if key not in mapping or (mapping[key] is None and default is None):
+        if default is _REQUIRED:
+            raise ConfigError(f"manifest {where or 'top level'} is missing required key {key!r}")
+        return default
+    return _typed(mapping[key], kind, f"{where}.{key}" if where else key)
 
 
 def _reject_unknown(mapping: dict, allowed: set[str], where: str):
@@ -118,24 +146,27 @@ def _reject_unknown(mapping: dict, allowed: set[str], where: str):
 
 
 def _parse_selector(raw: dict) -> SelectorConfig:
+    where = "query.selector"
     _reject_unknown(
         raw,
         {"method", "top_k", "n_topics", "alpha", "beta", "iterations", "window", "cue_words"},
-        "query.selector",
+        where,
     )
-    method = _require(raw, "method", "query.selector")
+    method = _field(raw, "method", where, str)
     if method not in ("lda", "ma"):
         raise ConfigError(f"selector method must be 'lda' or 'ma', got {method!r}")
-    cues = raw.get("cue_words")
+    cues = _field(raw, "cue_words", where, list, None)
     return SelectorConfig(
         method=method,
-        top_k=int(raw.get("top_k", 10)),
-        n_topics=int(raw.get("n_topics", 5)),
-        alpha=float(raw.get("alpha", 0.1)),
-        beta=float(raw.get("beta", 0.01)),
-        iterations=int(raw.get("iterations", 500)),
-        window=int(raw.get("window", 3)),
-        cue_words=tuple(cues) if cues is not None else None,
+        top_k=_field(raw, "top_k", where, int, 10),
+        n_topics=_field(raw, "n_topics", where, int, 5),
+        alpha=float(_field(raw, "alpha", where, _NUMBER, 0.1)),
+        beta=float(_field(raw, "beta", where, _NUMBER, 0.01)),
+        iterations=_field(raw, "iterations", where, int, 500),
+        window=_field(raw, "window", where, int, 3),
+        cue_words=None
+        if cues is None
+        else tuple(_typed(c, str, f"{where}.cue_words[{i}]") for i, c in enumerate(cues)),
     )
 
 
@@ -158,49 +189,50 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     _reject_unknown(raw, {"query", "documents", "embedding", "options"}, "top level")
     base = path.parent
 
-    query = _require(raw, "query", "top level")
+    query = _field(raw, "query", "", dict)
     _reject_unknown(query, {"id", "path", "selector"}, "query")
-    query_id = str(_require(query, "id", "query"))
-    query_path = base / _require(query, "path", "query")
-    selector = _parse_selector(query["selector"]) if query.get("selector") else None
+    query_id = str(_field(query, "id", "query", _LABEL))
+    query_path = base / _field(query, "path", "query", str)
+    selector_raw = _field(query, "selector", "query", dict, None)
+    selector = _parse_selector(selector_raw) if selector_raw else None
 
-    documents_raw = _require(raw, "documents", "top level")
-    if not isinstance(documents_raw, list) or not documents_raw:
+    documents_raw = _field(raw, "documents", "", list)
+    if not documents_raw:
         raise ConfigError("manifest 'documents' must be a nonempty list")
     documents: list[ManifestDocument] = []
     seen: set[tuple[str, str]] = set()
     for i, entry in enumerate(documents_raw):
-        _reject_unknown(entry, {"id", "group", "path"}, f"documents[{i}]")
-        doc_id = str(_require(entry, "id", f"documents[{i}]"))
-        group = str(_require(entry, "group", f"documents[{i}]")).strip()
+        where = f"documents[{i}]"
+        _reject_unknown(_typed(entry, dict, where), {"id", "group", "path"}, where)
+        doc_id = str(_field(entry, "id", where, _LABEL))
+        group = str(_field(entry, "group", where, _LABEL)).strip()
         if not group:
             raise ConfigError(f"document {doc_id!r} has an empty group label")
         key = (group, doc_id)
         if key in seen:
             raise ConfigError(f"duplicate document id {doc_id!r} in group {group!r}")
         seen.add(key)
-        documents.append(ManifestDocument(id=doc_id, group=group, path=base / entry["path"]))
+        path = base / _field(entry, "path", where, str)
+        documents.append(ManifestDocument(id=doc_id, group=group, path=path))
 
-    embedding = _require(raw, "embedding", "top level")
+    embedding = _field(raw, "embedding", "", dict)
     _reject_unknown(embedding, {"path", "expected_dim"}, "embedding")
-    embedding_path = base / _require(embedding, "path", "embedding")
-    expected_dim = embedding.get("expected_dim")
-    if expected_dim is not None:
-        expected_dim = int(expected_dim)
-        if expected_dim < 1:
-            raise ConfigError("embedding.expected_dim must be a positive integer")
+    embedding_path = base / _field(embedding, "path", "embedding", str)
+    expected_dim = _field(embedding, "expected_dim", "embedding", int, None)
+    if expected_dim is not None and expected_dim < 1:
+        raise ConfigError("embedding.expected_dim must be a positive integer")
 
-    options = raw.get("options", {})
+    options = _field(raw, "options", "", dict, {})
     _reject_unknown(options, {"variant", "stopwords", "seed"}, "options")
-    variant = options.get("variant", SYMMETRIC_MAX)
-    if variant not in MANIFEST_VARIANTS:
+    variant = _field(options, "variant", "options", str, SYMMETRIC_MAX)
+    if variant not in RWMD_VARIANTS:
         raise ConfigError(
-            f"options.variant must be one of {MANIFEST_VARIANTS}, got {variant!r}"
+            f"options.variant must be one of {RWMD_VARIANTS}, got {variant!r}"
         )
-    stopwords_path = options.get("stopwords")
+    stopwords_path = _field(options, "stopwords", "options", str, None)
     if stopwords_path is not None:
         stopwords_path = base / stopwords_path
-    seed = int(options.get("seed", DEFAULT_SEED))
+    seed = _field(options, "seed", "options", int, DEFAULT_SEED)
 
     manifest = CorpusManifest(
         query_id=query_id,

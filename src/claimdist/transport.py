@@ -4,15 +4,17 @@ The ground cost between two words is ``1 - clamp(cos, 0, 1)``, so all
 costs live in [0, 1] and a cosine of zero already carries full unit
 cost. The relaxed distance lets every source word ship its whole mass
 to its cheapest counterpart; the symmetric-max variant takes the larger
-of the two one-sided relaxations. An exact solver over the transport
-polytope is kept alongside as a verification oracle for small
-instances, and a batched evaluation path scores whole corpora with
-vocabulary-wide scans instead of per-pair dense matrices.
+of the two one-sided relaxations. One batched kernel computes the
+relaxation, for a whole corpus or a single pair, with vocabulary-wide
+scans instead of per-pair dense matrices. An exact solver over the
+transport polytope is kept alongside as a verification oracle for small
+instances.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,12 +26,16 @@ from .textprep import NBow
 
 SYMMETRIC_MAX = "symmetric-max"
 ONE_SIDED_QUERY = "one-sided-query"
-ONE_SIDED_CANDIDATE = "one-sided-candidate"
 EXACT = "exact"
 
-RWMD_VARIANTS = (SYMMETRIC_MAX, ONE_SIDED_QUERY, ONE_SIDED_CANDIDATE)
+RWMD_VARIANTS = (SYMMETRIC_MAX, ONE_SIDED_QUERY)
 
 DEFAULT_ORACLE_LIMIT = 64
+
+# Byte budget for one block of raw cosines in lc_rwmd_batch; the rows per
+# block follow from the query length, so peak memory stays flat as the
+# query grows.
+_BLOCK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -42,7 +48,10 @@ class DistanceResult:
 
     @classmethod
     def from_distance(cls, distance: float, variant: str) -> "DistanceResult":
-        d = min(1.0, max(0.0, float(distance)))
+        d = float(distance)
+        if not math.isfinite(d):
+            raise InternalInvariantError(f"non-finite {variant} distance {d!r}")
+        d = min(1.0, max(0.0, d))
         return cls(distance=d, similarity=1.0 - d, variant=variant)
 
 
@@ -67,31 +76,6 @@ def ground_cost(similarities: np.ndarray) -> np.ndarray:
     return 1.0 - np.clip(np.asarray(similarities, dtype=np.float64), 0.0, 1.0)
 
 
-def relaxed_one_sided(source: NBow, cost: np.ndarray, direction: str = "rows") -> float:
-    """One-sided relaxed transport cost.
-
-    With ``direction="rows"`` the source document indexes the rows of
-    ``cost`` and each source word ships all its mass to the cheapest
-    column; ``"columns"`` is the transposed reading.
-    """
-    cost = np.asarray(cost, dtype=np.float64)
-    if direction == "rows":
-        if cost.shape[0] != len(source):
-            raise ValueError(
-                f"cost has {cost.shape[0]} rows for a {len(source)}-word source"
-            )
-        mins = cost.min(axis=1)
-    elif direction == "columns":
-        if cost.shape[1] != len(source):
-            raise ValueError(
-                f"cost has {cost.shape[1]} columns for a {len(source)}-word source"
-            )
-        mins = cost.min(axis=0)
-    else:
-        raise ValueError(f"direction must be 'rows' or 'columns', got {direction!r}")
-    return float(source.weights @ mins)
-
-
 def rwmd_distance(
     a: NBow,
     b: NBow,
@@ -101,29 +85,10 @@ def rwmd_distance(
     """Relaxed distance between two documents.
 
     ``symmetric-max`` returns max of the two one-sided relaxations;
-    ``one-sided-query`` relaxes only a -> b, ``one-sided-candidate``
-    only b -> a.
+    ``one-sided-query`` relaxes only a -> b. This is
+    :func:`lc_rwmd_batch` with ``b`` as the only candidate.
     """
-    if variant not in RWMD_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {RWMD_VARIANTS}")
-    cost = ground_cost(similarity_matrix(table, a.words, b.words))
-    if variant == ONE_SIDED_QUERY:
-        d = relaxed_one_sided(a, cost, "rows")
-    elif variant == ONE_SIDED_CANDIDATE:
-        d = relaxed_one_sided(b, cost, "columns")
-    else:
-        d = max(relaxed_one_sided(a, cost, "rows"), relaxed_one_sided(b, cost, "columns"))
-    return DistanceResult.from_distance(d, variant)
-
-
-def rwmd_similarity(
-    a: NBow,
-    b: NBow,
-    table: EmbeddingTable,
-    variant: str = SYMMETRIC_MAX,
-) -> float:
-    """Similarity complement ``1 - rwmd_distance`` on the 0-1 scale."""
-    return rwmd_distance(a, b, table, variant).similarity
+    return lc_rwmd_batch(a, [b], table, variant)[0]
 
 
 def _min_cost_transport(
@@ -271,15 +236,17 @@ def lc_rwmd_batch(
     candidates: Sequence[NBow | None],
     table: EmbeddingTable,
     variant: str = SYMMETRIC_MAX,
-    block_size: int = 8192,
 ) -> list[DistanceResult | None]:
     """Score many candidates against one query in linear-style passes.
 
     Instead of building a dense cost matrix per pair, the union of all
     candidate vocabularies is scanned once in blocks: a single pass
-    yields, for every union word, its cheapest transport cost into the
-    query, and running per-candidate minima give the reverse direction.
-    Results match per-pair :func:`rwmd_distance` within 1e-9.
+    yields, for every union word, its most similar query word, and
+    running per-candidate maxima give the reverse direction. The ground
+    cost is monotone decreasing in the cosine, so the cheapest
+    counterpart is the most similar one and ``min(1 - clip(s))`` equals
+    ``1 - clip(max(s))`` exactly; the cost transform runs once, on the
+    reduced vectors.
 
     ``None`` entries stand for candidates that could not be embedded;
     they pass through as ``None`` instead of failing the whole batch.
@@ -304,60 +271,30 @@ def lc_rwmd_batch(
 
     union_idx = table.row_indices(list(union_words))
     q_norm = _normalized_rows(table, table.row_indices(query.words))
-    k = len(query)
+    rows = max(1, _BLOCK_BYTES // (8 * len(query)))
 
-    cheapest_to_query = np.empty(len(union))
-    per_query_word_min = np.full((len(candidates), k), np.inf)
-    for start in range(0, len(union), block_size):
-        stop = min(len(union), start + block_size)
-        block = _normalized_rows(table, union_idx[start:stop])
-        cost = 1.0 - np.clip(block @ q_norm.T, 0.0, 1.0)
-        cheapest_to_query[start:stop] = cost.min(axis=1)
-        for ci, pos in enumerate(positions):
+    best_into_query = np.empty(len(union))
+    best_per_query_word = np.full((len(candidates), len(query)), -np.inf)
+    for start in range(0, len(union), rows):
+        stop = min(len(union), start + rows)
+        sims = _normalized_rows(table, union_idx[start:stop]) @ q_norm.T
+        sims.max(axis=1, out=best_into_query[start:stop])
+        for best, pos in zip(best_per_query_word, positions):
             if pos is None:
                 continue
             local = pos[(pos >= start) & (pos < stop)] - start
             if local.size:
-                np.minimum(
-                    per_query_word_min[ci], cost[local].min(axis=0),
-                    out=per_query_word_min[ci],
-                )
+                np.maximum(best, sims[local].max(axis=0), out=best)
 
+    to_query_cost = ground_cost(best_into_query)
+    from_query_cost = ground_cost(best_per_query_word)
     results: list[DistanceResult | None] = []
-    for cand, pos, qmin in zip(candidates, positions, per_query_word_min):
+    for cand, pos, q_cost in zip(candidates, positions, from_query_cost):
         if cand is None:
             results.append(None)
             continue
-        to_query = float(cand.weights @ cheapest_to_query[pos])
-        from_query = float(query.weights @ qmin)
-        if variant == ONE_SIDED_QUERY:
-            d = from_query
-        elif variant == ONE_SIDED_CANDIDATE:
-            d = to_query
-        else:
-            d = max(from_query, to_query)
+        d = float(query.weights @ q_cost)
+        if variant == SYMMETRIC_MAX:
+            d = max(d, float(cand.weights @ to_query_cost[pos]))
         results.append(DistanceResult.from_distance(d, variant))
     return results
-
-
-def rank_against_query(
-    query: NBow,
-    candidates: Sequence[tuple[str, NBow | None]],
-    table: EmbeddingTable,
-    variant: str = SYMMETRIC_MAX,
-) -> tuple[list[tuple[str, float]], list[str]]:
-    """Candidates ordered by similarity to the query, descending.
-
-    Ties break by ascending document id so rankings are deterministic.
-    Candidates that could not be embedded are returned separately as a
-    skip list rather than aborting the ranking.
-    """
-    ids = [doc_id for doc_id, _ in candidates]
-    nbows = [nbow for _, nbow in candidates]
-    scored = lc_rwmd_batch(query, nbows, table, variant)
-    ranked = [
-        (doc_id, res.similarity) for doc_id, res in zip(ids, scored) if res is not None
-    ]
-    ranked.sort(key=lambda item: (-item[1], item[0]))
-    skipped = [doc_id for doc_id, res in zip(ids, scored) if res is None]
-    return ranked, skipped

@@ -30,6 +30,24 @@ def random_nbow(rng, vocab, n_words) -> NBow:
     return NBow(words=words, weights=weights / weights.sum())
 
 
+def dense_rwmd(a: NBow, b: NBow, table: EmbeddingTable, variant="symmetric-max") -> float:
+    """Reference per-pair relaxed distance from a full dense cost matrix.
+
+    Written independently of the package kernel so tests can compare
+    the kernel against it.
+    """
+
+    def unit_rows(words):
+        rows = table.matrix[[table.vocabulary[w] for w in words]]
+        return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+    cost = 1.0 - np.clip(unit_rows(a.words) @ unit_rows(b.words).T, 0.0, 1.0)
+    from_a = float(a.weights @ cost.min(axis=1))
+    if variant == "one-sided-query":
+        return from_a
+    return max(from_a, float(b.weights @ cost.min(axis=0)))
+
+
 @pytest.fixture
 def ortho_table() -> EmbeddingTable:
     return make_table(["w0", "w1", "w2", "w3"], np.eye(4))

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,21 @@ class TestSplitSentences:
     def test_tokens_normalized_and_filtered(self):
         out = split_sentences("The H-Index works.", stopwords={"the"})
         assert out[0].tokens == ("h", "index", "works")
+
+    def test_large_text_in_linear_time(self):
+        # Every sentence pair has a guarded "Fig." break candidate; a splitter
+        # that copies the whole prefix at each candidate is quadratic and
+        # takes tens of seconds on this input.
+        text = " ".join(
+            f"Sentence {i} cites Smith et al. and Fig. {i}. It ends here."
+            for i in range(15_000)
+        )
+        t0 = time.perf_counter()
+        out = split_sentences(text)
+        elapsed = time.perf_counter() - t0
+        assert len(out) == 30_000
+        assert out[1].text == "It ends here."
+        assert elapsed < 5.0, f"split took {elapsed:.1f}s"
 
 
 class TestFitLda:

@@ -39,6 +39,21 @@ class TestRunCommand:
         assert rc == 1
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            ({"query": {"selector": {"method": "ma", "top_k": "ten"}}}, "query.selector.top_k"),
+            ({"options": None}, "options must be an object"),
+            ({"documents": ["oops"]}, "documents[0] must be an object"),
+        ],
+        ids=["top_k", "options", "documents"],
+    )
+    def test_mistyped_manifest_exit_1(self, tmp_path, capsys, extra, message):
+        path = write_corpus(tmp_path, manifest_extra=extra)
+        rc, _, err = run_cli(capsys, "run", str(path))
+        assert rc == 1
+        assert message in err
+
     def test_data_error_exit_2(self, tmp_path, capsys):
         path = write_corpus(tmp_path)
         (tmp_path / "docs" / "query.txt").write_text("zzzz qqqq")
@@ -97,6 +112,22 @@ class TestDistCommand:
         rc, _, err = run_cli(capsys, "dist", doc_path, doc_path, "--embeddings", str(bad))
         assert rc == 2
         assert "line 2" in err
+
+    @pytest.mark.parametrize(
+        "table, line",
+        [(b"a nan 1\nb 1 0\nc 0 1\n", "line 1"), (b"a 1 0\nb\xff 0 1\nc 0 1\n", "line 2")],
+        ids=["nan", "not-utf8"],
+    )
+    def test_unusable_vector_rows_exit_2(self, tmp_path, capsys, table, line):
+        (tmp_path / "emb.txt").write_bytes(table)
+        (tmp_path / "q.txt").write_text("a c")
+        (tmp_path / "c.txt").write_text("c")
+        rc, out, err = run_cli(
+            capsys, "dist", str(tmp_path / "q.txt"), str(tmp_path / "c.txt"),
+            "--embeddings", str(tmp_path / "emb.txt"),
+        )
+        assert (rc, out) == (2, "")
+        assert line in err
 
 
 class TestExtractCommand:

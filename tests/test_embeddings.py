@@ -41,6 +41,19 @@ class TestLoadEmbeddings:
         with pytest.raises(EmbeddingParseError, match="line 3"):
             load_from_text("a 1 2\nb 3 4\nc 1 2 3\n")
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [("a nan 1\nb 1 0\nc 0 1\n", "line 1"), ("a 1 0\nb inf 1\n", "line 2")],
+        ids=["nan", "inf"],
+    )
+    def test_non_finite_row_names_line(self, text, line):
+        with pytest.raises(EmbeddingParseError, match=line):
+            load_from_text(text)
+
+    def test_non_utf8_byte_names_line(self):
+        with pytest.raises(EmbeddingParseError, match="line 2.*UTF-8"):
+            load_embeddings(io.BytesIO(b"a 1 0\nb\xff 0 1\n"))
+
     def test_empty_input_is_error(self):
         with pytest.raises(EmbeddingParseError):
             load_from_text("")

@@ -3,18 +3,17 @@ import pytest
 
 from claimdist import (
     DistanceResult,
+    InternalInvariantError,
     NBow,
     OracleSizeError,
     ground_cost,
     lc_rwmd_batch,
-    rank_against_query,
-    relaxed_one_sided,
     rwmd_distance,
-    rwmd_similarity,
     wmd_exact,
 )
+from claimdist import transport
 
-from conftest import random_nbow, random_unit_table
+from conftest import dense_rwmd, random_nbow, random_unit_table
 
 
 def nbow(words, weights):
@@ -46,27 +45,11 @@ class TestGroundCost:
         assert c.min() >= 0.0 and c.max() <= 1.0
 
 
-class TestRelaxedOneSided:
-    def test_single_forced_move(self):
-        a = nbow(["x"], [1.0])
-        assert relaxed_one_sided(a, np.array([[0.4]]), "rows") == pytest.approx(0.4)
-
-    def test_hand_2x2_both_directions(self):
-        cost = np.array([[0.1, 0.2], [0.3, 0.4]])
-        a = nbow(["a", "b"], [0.5, 0.5])
-        b = nbow(["c", "d"], [0.5, 0.5])
-        assert relaxed_one_sided(a, cost, "rows") == pytest.approx(0.2)
-        assert relaxed_one_sided(b, cost, "columns") == pytest.approx(0.15)
-
-    def test_zero_cost_diagonal(self):
-        a = nbow(["x", "y"], [0.6, 0.4])
-        cost = np.array([[0.0, 0.9], [0.9, 0.0]])
-        assert relaxed_one_sided(a, cost, "rows") == 0.0
-
-    def test_dimension_mismatch(self):
-        a = nbow(["x"], [1.0])
-        with pytest.raises(ValueError):
-            relaxed_one_sided(a, np.zeros((2, 2)), "rows")
+class TestDistanceResult:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_distance_is_an_invariant_error(self, bad):
+        with pytest.raises(InternalInvariantError):
+            DistanceResult.from_distance(bad, "symmetric-max")
 
 
 class TestRwmdDistance:
@@ -101,8 +84,8 @@ class TestRwmdDistance:
 
     def test_similarity_value(self, pair_2x2):
         a, b, table = pair_2x2
-        assert rwmd_similarity(a, b, table) == pytest.approx(0.8, abs=1e-9)
-        assert rwmd_similarity(a, a, table) == pytest.approx(1.0)
+        assert rwmd_distance(a, b, table).similarity == pytest.approx(0.8, abs=1e-9)
+        assert rwmd_distance(a, a, table).similarity == pytest.approx(1.0)
 
 
 class TestWmdExact:
@@ -164,46 +147,20 @@ class TestLcRwmdBatch:
         cands = [random_nbow(rng, vocab, int(rng.integers(2, 9))) for _ in range(10)]
         batch = lc_rwmd_batch(q, cands, table, variant)
         for cand, got in zip(cands, batch):
-            ref = rwmd_distance(q, cand, table, variant)
-            assert abs(got.distance - ref.distance) <= 1e-9
+            assert abs(got.distance - dense_rwmd(q, cand, table, variant)) <= 1e-9
 
-    def test_small_block_size_equivalent(self):
+    def test_small_block_size_equivalent(self, monkeypatch):
         rng = np.random.default_rng(22)
         table = random_unit_table(rng, 40, 4)
         vocab = [f"w{i}" for i in range(40)]
         q = random_nbow(rng, vocab, 8)
         cands = [random_nbow(rng, vocab, 10) for _ in range(6)]
-        full = lc_rwmd_batch(q, cands, table, block_size=8192)
-        tiny = lc_rwmd_batch(q, cands, table, block_size=3)
-        for x, y in zip(full, tiny):
-            assert abs(x.distance - y.distance) <= 1e-12
-
-
-class TestRankAgainstQuery:
-    def test_verbatim_copy_ranks_first(self, gram_table):
-        q = nbow(["a", "b"], [0.5, 0.5])
-        other = nbow(["c", "d"], [0.5, 0.5])
-        ranked, skipped = rank_against_query(q, [("far", other), ("copy", q)], gram_table)
-        assert ranked[0] == ("copy", pytest.approx(1.0))
-        assert skipped == []
-
-    def test_empty_candidates(self, gram_table):
-        q = nbow(["a"], [1.0])
-        assert rank_against_query(q, [], gram_table) == ([], [])
-
-    def test_tie_break_ascending_id(self, gram_table):
-        q = nbow(["a"], [1.0])
-        c = nbow(["c"], [1.0])
-        ranked, _ = rank_against_query(q, [("2", c), ("1", c)], gram_table)
-        assert [doc_id for doc_id, _ in ranked] == ["1", "2"]
-
-    def test_skip_list(self, gram_table):
-        q = nbow(["a"], [1.0])
-        ranked, skipped = rank_against_query(
-            q, [("ok", nbow(["c"], [1.0])), ("bad", None)], gram_table
-        )
-        assert [doc_id for doc_id, _ in ranked] == ["ok"]
-        assert skipped == ["bad"]
+        full = lc_rwmd_batch(q, cands, table)
+        for rows in (1, 3):
+            monkeypatch.setattr(transport, "_BLOCK_BYTES", rows * 8 * len(q))
+            tiny = lc_rwmd_batch(q, cands, table)
+            for x, y in zip(full, tiny):
+                assert abs(x.distance - y.distance) <= 1e-12
 
 
 class TestExactSolverAgainstLpOracle:

@@ -52,6 +52,23 @@ class TestDistanceResult:
             DistanceResult.from_distance(bad, "symmetric-max")
 
 
+class TestRelaxedOneSided:
+    """Each word ships all its mass to its cheapest counterpart."""
+
+    def test_hand_2x2_both_directions(self, pair_2x2):
+        a, b, table = pair_2x2
+        (from_a,) = lc_rwmd_batch(a, [b], table, "one-sided-query")
+        (from_b,) = lc_rwmd_batch(b, [a], table, "one-sided-query")
+        assert from_a.distance == pytest.approx(0.2, abs=1e-9)
+        assert from_b.distance == pytest.approx(0.15, abs=1e-9)
+        (both,) = lc_rwmd_batch(a, [b], table, "symmetric-max")
+        assert both.distance == max(from_a.distance, from_b.distance)
+
+    def test_zero_cost_diagonal(self, ortho_table):
+        a = nbow(["w0", "w1"], [0.6, 0.4])
+        assert lc_rwmd_batch(a, [a], ortho_table, "one-sided-query")[0].distance == 0.0
+
+
 class TestRwmdDistance:
     def test_symmetric_max_on_2x2(self, pair_2x2):
         a, b, table = pair_2x2
@@ -161,6 +178,37 @@ class TestLcRwmdBatch:
             tiny = lc_rwmd_batch(q, cands, table)
             for x, y in zip(full, tiny):
                 assert abs(x.distance - y.distance) <= 1e-12
+
+
+class TestRankAgainstQuery:
+    """Ranking candidates by kernel similarity, with unscoreable ones skipped."""
+
+    @staticmethod
+    def rank(query, candidates, table):
+        scores = lc_rwmd_batch(query, [doc for _, doc in candidates], table)
+        ranked = [(i, r.similarity) for (i, _), r in zip(candidates, scores) if r is not None]
+        skipped = [i for (i, _), r in zip(candidates, scores) if r is None]
+        return sorted(ranked, key=lambda x: (-x[1], x[0])), skipped
+
+    def test_verbatim_copy_ranks_first(self, gram_table):
+        q = nbow(["a", "b"], [0.5, 0.5])
+        other = nbow(["c", "d"], [0.5, 0.5])
+        ranked, skipped = self.rank(q, [("far", other), ("copy", q)], gram_table)
+        assert ranked[0] == ("copy", pytest.approx(1.0))
+        assert ranked[1][1] < ranked[0][1]
+        assert skipped == []
+
+    def test_empty_candidates(self, gram_table):
+        q = nbow(["a"], [1.0])
+        assert self.rank(q, [], gram_table) == ([], [])
+
+    def test_skip_list(self, gram_table):
+        q = nbow(["a"], [1.0])
+        ranked, skipped = self.rank(
+            q, [("ok", nbow(["c"], [1.0])), ("bad", None)], gram_table
+        )
+        assert [doc_id for doc_id, _ in ranked] == ["ok"]
+        assert skipped == ["bad"]
 
 
 class TestExactSolverAgainstLpOracle:

@@ -13,17 +13,20 @@ import sys
 import traceback
 
 from . import __version__
-from .claimselect import DEFAULT_CUE_WORDS, fit_lda, lda_select, ma_select, split_sentences
 from .errors import ConfigError, DataError, InternalInvariantError
 from .embeddings import load_embeddings
 from .pipeline import (
     REPORT_FORMATS,
+    SELECTOR_METHODS,
+    SelectorConfig,
     bench_scaling,
     emit_report,
     load_manifest,
+    read_text,
     run_experiment,
+    select_claims,
 )
-from .textprep import build_nbow, default_stopwords, load_stopwords, normalize_and_tokenize, remove_stopwords
+from .textprep import build_nbow, normalize_and_tokenize, remove_stopwords, stopwords_from
 from .transport import RWMD_VARIANTS, SYMMETRIC_MAX, rwmd_distance
 
 
@@ -36,16 +39,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read_doc_tokens(path: str, stopwords) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return remove_stopwords(normalize_and_tokenize(text), stopwords.words)
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return int(text)
 
 
-def _stopwords_from(args) -> object:
-    if getattr(args, "stopwords", None):
-        return load_stopwords(args.stopwords)
-    return default_stopwords()
+def _int_list(text: str) -> list[int]:
+    return [int(s) for s in text.split(",") if s.strip()]
+
+
+def _read_doc_tokens(path: str, label: str, stopwords) -> list[str]:
+    return remove_stopwords(normalize_and_tokenize(read_text(path, label)), stopwords.words)
 
 
 def _write_out(data: bytes, out: str | None):
@@ -61,24 +66,17 @@ def _print_json(obj):
 
 
 def _cmd_run(args) -> int:
-    manifest = load_manifest(args.manifest)
-    report = run_experiment(manifest)
-    _write_out(emit_report(report, args.format), args.out)
-    return 0
-
-
-def _cmd_rank(args) -> int:
-    manifest = load_manifest(args.manifest)
-    report = run_experiment(manifest)
-    _write_out(emit_report(report, args.format, include_significance=False), args.out)
+    report = run_experiment(load_manifest(args.manifest))
+    significance = args.command == "run"
+    _write_out(emit_report(report, args.format, include_significance=significance), args.out)
     return 0
 
 
 def _cmd_dist(args) -> int:
     table = load_embeddings(args.embeddings, args.expected_dim)
-    stopwords = _stopwords_from(args)
-    a = build_nbow(_read_doc_tokens(args.query_file, stopwords), table)
-    b = build_nbow(_read_doc_tokens(args.candidate_file, stopwords), table)
+    stopwords = stopwords_from(args.stopwords)
+    a = build_nbow(_read_doc_tokens(args.query_file, "query file", stopwords), table)
+    b = build_nbow(_read_doc_tokens(args.candidate_file, "candidate file", stopwords), table)
     res = rwmd_distance(a, b, table, args.variant)
     _print_json(
         {"distance": res.distance, "similarity": res.similarity, "variant": res.variant}
@@ -87,26 +85,17 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stopwords = _stopwords_from(args)
-    sentences = split_sentences(text, stopwords.words)
-    if args.selector == "lda":
-        model = fit_lda(
-            sentences,
-            n_topics=args.k,
-            alpha=args.alpha,
-            beta=args.beta,
-            iterations=args.iters,
-            seed=args.seed,
-        )
-        cues = frozenset(args.cues.split(",")) if args.cues else DEFAULT_CUE_WORDS
-        selected = lda_select(model, sentences, cue_words=cues, top_k=args.top_k)
-    else:
-        if not args.embeddings:
-            raise _UsageError("--embeddings is required with --selector ma")
-        table = load_embeddings(args.embeddings)
-        selected = ma_select(sentences, table, window=args.window, top_k=args.top_k)
+    cfg = SelectorConfig(
+        method=args.selector, top_k=args.top_k, n_topics=args.k, alpha=args.alpha,
+        beta=args.beta, iterations=args.iters, window=args.window,
+        cue_words=tuple(args.cues.split(",")) if args.cues else None,
+    )
+    text = read_text(args.file, "input file")
+    stopwords = stopwords_from(args.stopwords)
+    if cfg.method == "ma" and not args.embeddings:
+        raise _UsageError("--embeddings is required with --selector ma")
+    table = load_embeddings(args.embeddings) if cfg.method == "ma" else None
+    selected = select_claims(text, cfg, stopwords, table, args.seed)
     _print_json(
         [{"index": s.index, "score": s.score, "text": s.text} for s in selected]
     )
@@ -114,11 +103,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_preprocess(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    stopwords = _stopwords_from(args)
-    tokens = normalize_and_tokenize(text)
-    filtered = remove_stopwords(tokens, stopwords.words)
+    tokens = normalize_and_tokenize(read_text(args.file, "input file"))
+    filtered = remove_stopwords(tokens, stopwords_from(args.stopwords).words)
     doc = {"tokens": tokens, "filtered_tokens": filtered, "nbow": None}
     if args.embeddings:
         table = load_embeddings(args.embeddings)
@@ -142,8 +128,7 @@ def _cmd_embeddings_info(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    _write_out(bench_scaling(sizes, args.pairs, args.seed), args.out)
+    _write_out(bench_scaling(args.sizes, args.pairs, args.seed), args.out)
     return 0
 
 
@@ -162,20 +147,20 @@ def build_parser() -> _Parser:
     p.add_argument("manifest")
     p.add_argument("--format", choices=REPORT_FORMATS, default="text")
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_rank)
+    p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("dist", help="distance between two text files")
     p.add_argument("query_file")
     p.add_argument("candidate_file")
     p.add_argument("--embeddings", required=True, help="word-vector file (text format)")
-    p.add_argument("--expected-dim", type=int, default=None)
+    p.add_argument("--expected-dim", type=_positive_int, default=None)
     p.add_argument("--variant", choices=RWMD_VARIANTS, default=SYMMETRIC_MAX)
     p.add_argument("--stopwords", default=None)
     p.set_defaults(fn=_cmd_dist)
 
     p = sub.add_parser("extract", help="select knowledge-claim sentences from a document")
     p.add_argument("file")
-    p.add_argument("--selector", choices=("lda", "ma"), required=True)
+    p.add_argument("--selector", choices=SELECTOR_METHODS, required=True)
     p.add_argument("--top-k", type=int, default=5)
     p.add_argument("--k", type=int, default=5, help="topic count (lda)")
     p.add_argument("--alpha", type=float, default=0.1)
@@ -201,7 +186,7 @@ def build_parser() -> _Parser:
     pi.set_defaults(fn=_cmd_embeddings_info)
 
     p = sub.add_parser("bench", help="scaling benchmark: exact solver vs batched relaxation")
-    p.add_argument("--sizes", default="8,16,32,64")
+    p.add_argument("--sizes", type=_int_list, default="8,16,32,64")
     p.add_argument("--pairs", type=int, default=5)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", default=None)

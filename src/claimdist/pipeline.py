@@ -16,6 +16,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
@@ -27,6 +28,7 @@ import numpy as np
 from . import __version__
 from .claimselect import (
     DEFAULT_CUE_WORDS,
+    SentenceRecord,
     fit_lda,
     lda_select,
     ma_select,
@@ -40,10 +42,9 @@ from .textprep import (
     StopwordList,
     TokenizedDoc,
     build_nbow,
-    default_stopwords,
-    load_stopwords,
     normalize_and_tokenize,
     remove_stopwords,
+    stopwords_from,
 )
 from .transport import (
     DEFAULT_ORACLE_LIMIT,
@@ -54,12 +55,13 @@ from .transport import (
 )
 
 REPORT_FORMATS = ("text", "csv", "json")
+SELECTOR_METHODS = ("lda", "ma")
 DEFAULT_SEED = 42
 
 
 @dataclass(frozen=True)
 class SelectorConfig:
-    """Knowledge-claim selector settings for the query document."""
+    """Knowledge-claim selector settings; out-of-range values raise ConfigError."""
 
     method: str                 # "lda" | "ma"
     top_k: int = 10
@@ -69,6 +71,20 @@ class SelectorConfig:
     iterations: int = 500
     window: int = 3
     cue_words: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        if self.method not in SELECTOR_METHODS:
+            raise ConfigError(f"selector method must be 'lda' or 'ma', got {self.method!r}")
+        for name, ok, rule in (
+            ("top_k", self.top_k >= 1, ">= 1"),
+            ("n_topics", self.n_topics >= 1, ">= 1"),
+            ("iterations", self.iterations >= 1, ">= 1"),
+            ("window", self.window >= 1 and self.window % 2 == 1, "an odd integer >= 1"),
+            ("alpha", math.isfinite(self.alpha) and self.alpha > 0, "finite and > 0"),
+            ("beta", math.isfinite(self.beta) and self.beta > 0, "finite and > 0"),
+        ):
+            if not ok:
+                raise ConfigError(f"selector {name} must be {rule}, got {getattr(self, name)!r}")
 
     def to_provenance(self) -> dict:
         if self.method == "lda":
@@ -145,29 +161,23 @@ def _reject_unknown(mapping: dict, allowed: set[str], where: str):
         raise ConfigError(f"manifest {where} has unknown key(s): {sorted(unknown)}")
 
 
+_SELECTOR_INTS = ("top_k", "n_topics", "iterations", "window")
+
+
 def _parse_selector(raw: dict) -> SelectorConfig:
+    """Type-check the keys present; defaults and ranges belong to SelectorConfig."""
     where = "query.selector"
-    _reject_unknown(
-        raw,
-        {"method", "top_k", "n_topics", "alpha", "beta", "iterations", "window", "cue_words"},
-        where,
-    )
-    method = _field(raw, "method", where, str)
-    if method not in ("lda", "ma"):
-        raise ConfigError(f"selector method must be 'lda' or 'ma', got {method!r}")
+    _reject_unknown(raw, {"method", "alpha", "beta", "cue_words", *_SELECTOR_INTS}, where)
+    settings = {k: _typed(raw[k], int, f"{where}.{k}") for k in _SELECTOR_INTS if k in raw}
+    for key in ("alpha", "beta"):
+        if key in raw:
+            settings[key] = float(_typed(raw[key], _NUMBER, f"{where}.{key}"))
     cues = _field(raw, "cue_words", where, list, None)
-    return SelectorConfig(
-        method=method,
-        top_k=_field(raw, "top_k", where, int, 10),
-        n_topics=_field(raw, "n_topics", where, int, 5),
-        alpha=float(_field(raw, "alpha", where, _NUMBER, 0.1)),
-        beta=float(_field(raw, "beta", where, _NUMBER, 0.01)),
-        iterations=_field(raw, "iterations", where, int, 500),
-        window=_field(raw, "window", where, int, 3),
-        cue_words=None
-        if cues is None
-        else tuple(_typed(c, str, f"{where}.cue_words[{i}]") for i, c in enumerate(cues)),
-    )
+    if cues is not None:
+        settings["cue_words"] = tuple(
+            _typed(c, str, f"{where}.cue_words[{i}]") for i, c in enumerate(cues)
+        )
+    return SelectorConfig(method=_field(raw, "method", where, str), **settings)
 
 
 def load_manifest(path: str | Path) -> CorpusManifest:
@@ -265,29 +275,26 @@ class LoadedCorpus:
     stopwords: StopwordList
 
 
-def _read_text(path: Path, doc_id: str) -> str:
+def read_text(path: str | Path, label: str) -> str:
+    """UTF-8 text of ``path``; errors (ConfigError, DataError) start with ``label``."""
     try:
-        return path.read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"document {doc_id!r}: cannot read {path}: {exc}") from None
+        raise ConfigError(f"{label}: cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise DataError(f"document {doc_id!r}: {path} is not valid UTF-8: {exc}") from None
+        raise DataError(f"{label}: {path} is not valid UTF-8: {exc}") from None
 
 
 def load_corpus(manifest: CorpusManifest) -> LoadedCorpus:
     """Read and preprocess every manifest document."""
-    stopwords = (
-        load_stopwords(manifest.stopwords_path)
-        if manifest.stopwords_path is not None
-        else default_stopwords()
-    )
-    query_text = _read_text(manifest.query_path, manifest.query_id)
+    stopwords = stopwords_from(manifest.stopwords_path)
+    query_text = read_text(manifest.query_path, f"query {manifest.query_id!r}")
     query_tokens = remove_stopwords(normalize_and_tokenize(query_text), stopwords.words)
     query = TokenizedDoc(id=manifest.query_id, group="query", tokens=tuple(query_tokens))
 
     groups: dict[str, list[TokenizedDoc]] = {}
     for doc in manifest.documents:
-        text = _read_text(doc.path, doc.id)
+        text = read_text(doc.path, f"document {doc.id!r}")
         tokens = remove_stopwords(normalize_and_tokenize(text), stopwords.words)
         groups.setdefault(doc.group, []).append(
             TokenizedDoc(id=doc.id, group=doc.group, tokens=tuple(tokens))
@@ -361,6 +368,32 @@ def _file_sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def select_claims(
+    text: str, cfg: SelectorConfig, stopwords: StopwordList, table: EmbeddingTable | None, seed: int
+) -> list[SentenceRecord]:
+    """The claim sentences of ``text``, best first, chosen by ``cfg.method``.
+
+    ``table`` is used only by the moving-average selector and ``seed``
+    only by the topic model.
+    """
+    sentences = split_sentences(text, stopwords.words)
+    if not sentences:
+        raise EmptyDocumentError("text has no sentences")
+    if cfg.method == "ma":
+        return ma_select(sentences, table, window=cfg.window, top_k=cfg.top_k)
+    model = fit_lda(
+        sentences,
+        n_topics=cfg.n_topics,
+        alpha=cfg.alpha,
+        beta=cfg.beta,
+        iterations=cfg.iterations,
+        seed=seed,
+    )
+    return lda_select(
+        model, sentences, cue_words=cfg.cue_words or DEFAULT_CUE_WORDS, top_k=cfg.top_k
+    )
+
+
 def _select_query_tokens(
     manifest: CorpusManifest,
     corpus: LoadedCorpus,
@@ -369,25 +402,8 @@ def _select_query_tokens(
     cfg = manifest.selector
     if cfg is None:
         return list(corpus.query.tokens)
-    sentences = split_sentences(corpus.query_text, corpus.stopwords.words)
-    if not sentences:
-        raise EmptyDocumentError(f"query {manifest.query_id!r} has no sentences")
-    if cfg.method == "lda":
-        model = fit_lda(
-            sentences,
-            n_topics=cfg.n_topics,
-            alpha=cfg.alpha,
-            beta=cfg.beta,
-            iterations=cfg.iterations,
-            seed=manifest.seed,
-        )
-        selected = lda_select(
-            model, sentences, cue_words=cfg.cue_words or DEFAULT_CUE_WORDS, top_k=cfg.top_k
-        )
-    else:
-        selected = ma_select(sentences, table, window=cfg.window, top_k=cfg.top_k)
-    selected = sorted(selected, key=lambda s: s.index)
-    return [t for s in selected for t in s.tokens]
+    selected = select_claims(corpus.query_text, cfg, corpus.stopwords, table, manifest.seed)
+    return [t for s in sorted(selected, key=lambda s: s.index) for t in s.tokens]
 
 
 def run_experiment(manifest: CorpusManifest) -> ExperimentReport:
@@ -400,9 +416,8 @@ def run_experiment(manifest: CorpusManifest) -> ExperimentReport:
     table = load_embeddings(manifest.embedding_path, manifest.expected_dim)
     corpus = load_corpus(manifest)
 
-    query_tokens = _select_query_tokens(manifest, corpus, table)
     try:
-        query_nbow = build_nbow(query_tokens, table)
+        query_nbow = build_nbow(_select_query_tokens(manifest, corpus, table), table)
     except EmptyDocumentError as exc:
         raise EmptyDocumentError(f"query {manifest.query_id!r}: {exc}") from None
 

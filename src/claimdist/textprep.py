@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import EmptyDocumentError
+from .errors import DataError, EmptyDocumentError
 
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -114,12 +114,20 @@ def _expand(entries: Iterable[str]) -> frozenset[str]:
 def load_stopwords(path: str | Path) -> StopwordList:
     """Read a one-word-per-line UTF-8 stopword file."""
     data = Path(path).read_bytes()
-    entries = data.decode("utf-8").splitlines()
+    try:
+        entries = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"stopword file {path} is not valid UTF-8: {exc}") from None
     return StopwordList(
         name=Path(path).name,
         sha256=hashlib.sha256(data).hexdigest(),
         words=_expand(entries),
     )
+
+
+def stopwords_from(path: str | Path | None) -> StopwordList:
+    """The list in ``path``, or the bundled default when no path is given."""
+    return load_stopwords(path) if path else default_stopwords()
 
 
 def default_stopwords() -> StopwordList:

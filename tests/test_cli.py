@@ -45,8 +45,16 @@ class TestRunCommand:
             ({"query": {"selector": {"method": "ma", "top_k": "ten"}}}, "query.selector.top_k"),
             ({"options": None}, "options must be an object"),
             ({"documents": ["oops"]}, "documents[0] must be an object"),
+            ({"query": {"selector": {"method": "ma", "top_k": 0}}}, "selector top_k"),
+            ({"query": {"selector": {"method": "ma", "window": 2}}}, "selector window"),
+            ({"query": {"selector": {"method": "lda", "n_topics": 0}}}, "selector n_topics"),
+            ({"query": {"selector": {"method": "lda", "iterations": 0}}}, "selector iterations"),
+            ({"query": {"selector": {"method": "lda", "alpha": -1}}}, "selector alpha"),
         ],
-        ids=["top_k", "options", "documents"],
+        ids=[
+            "top_k", "options", "documents",
+            "top_k=0", "window=2", "n_topics=0", "iterations=0", "alpha=-1",
+        ],
     )
     def test_mistyped_manifest_exit_1(self, tmp_path, capsys, extra, message):
         path = write_corpus(tmp_path, manifest_extra=extra)
@@ -166,6 +174,56 @@ class TestExtractCommand:
         assert rc == 0
         assert len(json.loads(out)) == 2
 
+    GOLDEN_DOC = (
+        "We propose a novel index word0 word1 word2. "
+        "Existing metrics count word3 word4 citations. "
+        "Our new index weights word5 word6 recent work. "
+        "Data were collected from word7 word8 databases. "
+        "Results show word9 word10 gains. "
+        "We introduce word11 word12 for ranking. "
+        "Limitations include word13 word14 bias."
+    )
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            (
+                ["--selector", "lda", "--seed", "1", "--iters", "30"],
+                [
+                    (2, 1.0, "Our new index weights word5 word6 recent work."),
+                    (0, 0.5, "We propose a novel index word0 word1 word2."),
+                    (1, 0.0, "Existing metrics count word3 word4 citations."),
+                    (3, 0.0, "Data were collected from word7 word8 databases."),
+                    (4, 0.0, "Results show word9 word10 gains."),
+                ],
+            ),
+            (
+                ["--selector", "ma", "--window", "3"],
+                [
+                    (4, 0.5237211900609067, "Results show word9 word10 gains."),
+                    (0, 0.520117650968758, "We propose a novel index word0 word1 word2."),
+                    (6, 0.5198758602799644, "Limitations include word13 word14 bias."),
+                    (5, 0.48585583820687983, "We introduce word11 word12 for ranking."),
+                    (2, 0.3863649307747063, "Our new index weights word5 word6 recent work."),
+                ],
+            ),
+        ],
+        ids=["lda", "ma"],
+    )
+    def test_golden_selection(self, tmp_path, capsys, flags, expected):
+        # Pinned output of the default --top-k 5 on a fixed document and the
+        # conftest table; guards the selector dispatch, order and scores.
+        write_corpus(tmp_path)
+        f = tmp_path / "doc.txt"
+        f.write_text(self.GOLDEN_DOC)
+        rc, out, _ = run_cli(
+            capsys, "extract", str(f), *flags, "--embeddings", str(tmp_path / "emb.txt")
+        )
+        assert rc == 0
+        got = [(s["index"], s["score"], s["text"]) for s in json.loads(out)]
+        assert [(i, t) for i, _, t in got] == [(i, t) for i, _, t in expected]
+        assert [s for _, s, _ in got] == pytest.approx([s for _, s, _ in expected], abs=1e-12)
+
 
 class TestPreprocessCommand:
     def test_tokens_only(self, tmp_path, capsys):
@@ -211,6 +269,46 @@ class TestBenchCommand:
         lines = out.strip().split("\n")
         assert lines[0] == "size,median_wmd_seconds,median_rwmd_seconds"
         assert lines[-1].startswith("slope,")
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["extract", "{doc}", "--selector", "lda", "--top-k", "0"], 1, "top_k"),
+        (["extract", "{doc}", "--selector", "lda", "--k", "0"], 1, "n_topics"),
+        (["extract", "{doc}", "--selector", "lda", "--iters", "0"], 1, "iterations"),
+        (["extract", "{doc}", "--selector", "ma", "--window", "2"], 1, "window"),
+        (["extract", "{doc}", "--selector", "lda", "--alpha", "-1"], 1, "alpha"),
+        (["extract", "{doc}", "--selector", "lda", "--alpha", "nan"], 1, "alpha"),
+        (["extract", "{doc}", "--selector", "lda", "--beta", "0"], 1, "beta"),
+        (["dist", "{bad}", "{doc}", "--embeddings", "{emb}"], 2, "bad.txt"),
+        (["extract", "{bad}", "--selector", "lda"], 2, "bad.txt"),
+        (["preprocess", "{bad}"], 2, "bad.txt"),
+        (["preprocess", "{doc}", "--stopwords", "{bad}"], 2, "stopword file"),
+        (["run", "{manifest}"], 2, "stopword file"),
+        (["bench", "--sizes", "x"], 1, "--sizes"),
+        (["dist", "{doc}", "{doc}", "--embeddings", "{emb}", "--expected-dim", "0"], 1,
+         "--expected-dim"),
+    ],
+    ids=[
+        "top-k", "k", "iters", "window", "alpha", "alpha-nan", "beta",
+        "dist-not-utf8", "extract-not-utf8", "preprocess-not-utf8",
+        "stopwords-not-utf8", "manifest-stopwords-not-utf8", "sizes", "expected-dim",
+    ],
+)
+def test_bad_input_exit_code_names_it(tmp_path, capsys, argv, code, message):
+    # the manifest's stopword file is the non-UTF-8 one; only "run" reads it
+    manifest = write_corpus(tmp_path, manifest_extra={"options": {"stopwords": "bad.txt"}})
+    (tmp_path / "bad.txt").write_bytes(b"word0 \xff word1.")
+    paths = {
+        "doc": tmp_path / "docs" / "alpha1.txt",
+        "bad": tmp_path / "bad.txt",
+        "emb": tmp_path / "emb.txt",
+        "manifest": manifest,
+    }
+    rc, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert (rc, out) == (code, "")
+    assert message in err
 
 
 class TestVersionFlag:

@@ -24,6 +24,26 @@ def random_unit_table(rng, n_words, dim, prefix="w") -> EmbeddingTable:
     return make_table([f"{prefix}{i}" for i in range(n_words)], vecs)
 
 
+def lcg_token_lists(n_lists, n_words, seed, max_len=12) -> list[list[str]]:
+    """Fixed token lists ``w0``..``w{n_words-1}`` of length 0..max_len.
+
+    A 31-bit linear congruential generator makes them, so golden values
+    do not depend on numpy's random streams. Low word indices are more
+    frequent.
+    """
+    state = seed
+
+    def draw(n):
+        nonlocal state
+        state = (1103515245 * state + 12345) % 2**31
+        return (state >> 8) % n
+
+    return [
+        [f"w{draw(draw(n_words) + 1)}" for _ in range(draw(max_len + 1))]
+        for _ in range(n_lists)
+    ]
+
+
 def random_nbow(rng, vocab, n_words) -> NBow:
     words = tuple(rng.choice(vocab, size=n_words, replace=False))
     weights = rng.random(n_words) + 1e-3

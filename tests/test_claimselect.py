@@ -1,3 +1,4 @@
+import hashlib
 import time
 
 import numpy as np
@@ -13,7 +14,7 @@ from claimdist import (
     split_sentences,
 )
 
-from conftest import make_table
+from conftest import lcg_token_lists, make_table
 
 
 def records(*token_lists):
@@ -133,6 +134,45 @@ class TestFitLda:
             fit_lda(sents, n_topics=0)
         with pytest.raises(ValueError):
             fit_lda(sents, iterations=0)
+
+    # Count tables of the seeded chain on a fixed 40-sentence corpus (197
+    # tokens over 50 words, 8 empty sentences). topic_totals is literal;
+    # the (K, 50) word_topic and (40, K) sentence_topic tables are pinned
+    # by the SHA-256 of their little-endian int64 bytes.
+    @pytest.mark.parametrize(
+        "n_topics, alpha, beta, iterations, seed, totals, word_sha, sentence_sha",
+        [
+            (1, 0.1, 0.01, 20, 0, [197],
+             "822a295eb5b746f08310851eb231300a10fa7d4d4fab6042b4caf8d474221754",
+             "25de294c60a8b6f03f0f1b110e6655f1e14e00123b96b5f7b4ccd5a890da3680"),
+            (8, 0.05, 0.001, 25, 42, [11, 51, 14, 9, 34, 27, 36, 15],
+             "1803bcae6a9a0b662dba478887bfa756d2e910744aac18a1b85878e03497551e",
+             "7e9237028b4e56e290850c07bcc068d68d3fd8c0c180bff93710673e1bcf79ca"),
+            (5, 0.1, 0.01, 40, 7, [33, 34, 60, 41, 29],
+             "63e1302a16df4626d836fd42343c1c35f013b4f94c73117df4c3d3bb8977dae4",
+             "4e233d923462b33c58a74b499628384b9daa12345c3b5ee96a342346d8145367"),
+            (3, 1.0, 0.5, 20, 123, [51, 77, 69],
+             "808fa5a447b87436e5ea435d5e3e0c2deba8b0e2f8664522d7c747356970dbeb",
+             "a10d3aa46a5de1369e4c8ced9a48aecddaf9a0487e34aa0ab5a103957df434b7"),
+        ],
+        ids=["k1", "k8-sparse", "k5-default", "k3-smooth"],
+    )
+    def test_golden_count_tables(
+        self, n_topics, alpha, beta, iterations, seed, totals, word_sha, sentence_sha
+    ):
+        sents = records(*lcg_token_lists(40, 60, seed=2024))
+        model = fit_lda(
+            sents, n_topics=n_topics, alpha=alpha, beta=beta, iterations=iterations, seed=seed
+        )
+        tables = {
+            "word_topic": (model.word_topic, (n_topics, 50), word_sha),
+            "sentence_topic": (model.sentence_topic, (40, n_topics), sentence_sha),
+        }
+        for name, (table, shape, sha) in tables.items():
+            assert (table.dtype, table.shape) == (np.int64, shape), name
+            assert hashlib.sha256(table.astype("<i8").tobytes()).hexdigest() == sha, name
+        assert (model.topic_totals.dtype, model.topic_totals.shape) == (np.int64, (n_topics,))
+        assert model.topic_totals.tolist() == totals
 
 
 class TestLdaSelect:

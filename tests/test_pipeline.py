@@ -6,15 +6,18 @@ from claimdist import (
     ConfigError,
     DataError,
     EmptyDocumentError,
+    SelectorConfig,
     bench_scaling,
+    default_stopwords,
     emit_report,
     load_corpus,
     load_manifest,
     median_iqr,
     run_experiment,
 )
+from claimdist.pipeline import select_claims
 
-from conftest import write_corpus
+from conftest import lcg_token_lists, write_corpus
 
 
 def rewrite_manifest(path, mutate):
@@ -199,6 +202,27 @@ class TestRunExperiment:
         r1 = emit_report(run_experiment(m), "json")
         r2 = emit_report(run_experiment(m), "json")
         assert r1 == r2
+
+
+class TestSelectClaims:
+    def test_golden_lda_selection(self):
+        # 60 sentences, every fifth led by a cue word; pins the seeded
+        # 50-sweep chain end to end through split, fit and selection.
+        cues = ("propose", "novel", "index", "new")
+        text = " ".join(
+            "We " + " ".join(([cues[i // 5 % 4]] if i % 5 == 0 else []) + toks) + "."
+            for i, toks in enumerate(lcg_token_lists(60, 80, seed=31))
+        )
+        cfg = SelectorConfig(method="lda", iterations=50)
+        selected = select_claims(text, cfg, default_stopwords(), None, 5)
+        expected = [
+            (15, 1.0), (48, 1.0), (35, 8 / 9), (51, 0.875), (30, 0.75),
+            (2, 0.6), (10, 0.6), (14, 0.5), (38, 0.5), (59, 0.5),
+        ]
+        assert [s.index for s in selected] == [i for i, _ in expected]
+        assert [s.score for s in selected] == pytest.approx(
+            [score for _, score in expected], abs=1e-12
+        )
 
 
 class TestEmitReport:

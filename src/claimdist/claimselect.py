@@ -12,7 +12,9 @@ claim passages are preferred over isolated spikes.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -154,41 +156,48 @@ def fit_lda(
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     vocab: dict[str, int] = {}
-    docs: list[np.ndarray] = []
-    for s in sentences:
-        docs.append(np.array([vocab.setdefault(t, len(vocab)) for t in s.tokens], dtype=np.intp))
+    docs = [[vocab.setdefault(t, len(vocab)) for t in s.tokens] for s in sentences]
     if not vocab:
         raise DataError("all sentences are empty after preprocessing; nothing to model")
 
+    # The counts are plain lists while sampling: per-token numpy calls on
+    # K-element arrays cost far more than the arithmetic they do.
+    # word_topic is word-major here, one K-list per word.
     n_words = len(vocab)
     rng = np.random.default_rng(seed)
-    word_topic = np.zeros((n_topics, n_words), dtype=np.int64)
-    sentence_topic = np.zeros((len(docs), n_topics), dtype=np.int64)
-    topic_totals = np.zeros(n_topics, dtype=np.int64)
-    assignments = [rng.integers(0, n_topics, size=len(doc)) for doc in docs]
-    for s, doc in enumerate(docs):
-        for pos, w in enumerate(doc):
-            k = assignments[s][pos]
-            word_topic[k, w] += 1
-            sentence_topic[s, k] += 1
+    word_topic = [[0] * n_topics for _ in range(n_words)]
+    sentence_topic = [[0] * n_topics for _ in docs]
+    topic_totals = [0] * n_topics
+    assignments = [rng.integers(0, n_topics, size=len(doc)).tolist() for doc in docs]
+    for doc, z, st in zip(docs, assignments, sentence_topic):
+        for w, k in zip(doc, z):
+            word_topic[w][k] += 1
+            st[k] += 1
             topic_totals[k] += 1
 
+    # One uniform draw per token update; rng.random(n) yields the same
+    # doubles as n scalar rng.random() calls.
+    n_tokens = sum(map(len, docs))
     beta_total = beta * n_words
+    last = n_topics - 1
     for _ in range(iterations):
-        for s, doc in enumerate(docs):
-            z = assignments[s]
+        draws = iter(rng.random(n_tokens).tolist())
+        for doc, z, st in zip(docs, assignments, sentence_topic):
             for pos, w in enumerate(doc):
                 k = z[pos]
-                word_topic[k, w] -= 1
-                sentence_topic[s, k] -= 1
+                wt = word_topic[w]
+                wt[k] -= 1
+                st[k] -= 1
                 topic_totals[k] -= 1
-                p = (word_topic[:, w] + beta) / (topic_totals + beta_total)
-                p *= sentence_topic[s] + alpha
-                cum = np.cumsum(p)
-                k = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-                k = min(k, n_topics - 1)
-                word_topic[k, w] += 1
-                sentence_topic[s, k] += 1
+                # This float order fixes the chain bit for bit; the golden
+                # count-table tests pin it.
+                cum = list(accumulate([
+                    (a + beta) / (b + beta_total) * (c + alpha)
+                    for a, b, c in zip(wt, topic_totals, st)
+                ]))
+                k = min(bisect_right(cum, next(draws) * cum[-1]), last)
+                wt[k] += 1
+                st[k] += 1
                 topic_totals[k] += 1
                 z[pos] = k
 
@@ -199,9 +208,9 @@ def fit_lda(
         iterations=iterations,
         seed=seed,
         vocabulary=tuple(vocab),
-        word_topic=word_topic,
-        sentence_topic=sentence_topic,
-        topic_totals=topic_totals,
+        word_topic=np.ascontiguousarray(np.array(word_topic, dtype=np.int64).T),
+        sentence_topic=np.array(sentence_topic, dtype=np.int64),
+        topic_totals=np.array(topic_totals, dtype=np.int64),
     )
 
 

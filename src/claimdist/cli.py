@@ -55,8 +55,11 @@ def _read_doc_tokens(path: str, label: str, stopwords) -> list[str]:
 
 def _write_out(data: bytes, out: str | None):
     if out:
-        with open(out, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(out, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.buffer.write(data)
 
@@ -216,9 +219,6 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception:
         traceback.print_exc()
         return 3

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import logging
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .errors import EmbeddingParseError, OutOfVocabularyError
+from .errors import ConfigError, EmbeddingParseError, OutOfVocabularyError
 
 log = logging.getLogger(__name__)
 
@@ -78,71 +79,66 @@ def load_embeddings(
     dropped. Both events are logged and counted on the returned table.
     Inconsistent dimensions, non-numeric or non-finite fields and bytes
     that are not UTF-8 raise :class:`EmbeddingParseError` carrying the
-    offending line number.
+    offending line number. A file that cannot be opened or read, such as
+    a directory, raises :class:`ConfigError` naming it.
     """
-    if hasattr(source, "read"):
-        name = getattr(source, "name", "<stream>")
-        close = False
-        stream = source
-    else:
-        name = str(source)
-        stream = open(source, "rb")
-        close = True
+    reading = hasattr(source, "read")
+    name = getattr(source, "name", "<stream>") if reading else str(source)
     try:
-        words: list[str] = []
-        rows: list[np.ndarray] = []
-        index: dict[str, int] = {}
-        dim: int | None = None
-        n_dup = 0
-        n_zero = 0
-        for lineno, raw in enumerate(stream, start=1):
-            try:
-                line = raw.decode("utf-8").rstrip("\r\n")
-            except UnicodeDecodeError as exc:
-                raise EmbeddingParseError(f"not valid UTF-8: {exc}", lineno) from None
-            if not line.strip():
-                continue
-            fields = line.split()
-            if lineno == 1 and _is_header(fields):
-                continue
-            token, values = fields[0], fields[1:]
-            if not values:
-                raise EmbeddingParseError("row has a token but no values", lineno)
-            try:
-                vec = np.array(values, dtype=np.float64)
-            except ValueError:
-                raise EmbeddingParseError(
-                    f"non-numeric field in row for {token!r}", lineno
-                ) from None
-            if dim is None:
-                dim = vec.size
-                if expected_dim is not None and dim != expected_dim:
+        with nullcontext(source) if reading else open(source, "rb") as stream:
+            words: list[str] = []
+            rows: list[np.ndarray] = []
+            index: dict[str, int] = {}
+            dim: int | None = None
+            n_dup = 0
+            n_zero = 0
+            for lineno, raw in enumerate(stream, start=1):
+                try:
+                    line = raw.decode("utf-8").rstrip("\r\n")
+                except UnicodeDecodeError as exc:
+                    raise EmbeddingParseError(f"not valid UTF-8: {exc}", lineno) from None
+                if not line.strip():
+                    continue
+                fields = line.split()
+                if lineno == 1 and _is_header(fields):
+                    continue
+                token, values = fields[0], fields[1:]
+                if not values:
+                    raise EmbeddingParseError("row has a token but no values", lineno)
+                try:
+                    vec = np.array(values, dtype=np.float64)
+                except ValueError:
                     raise EmbeddingParseError(
-                        f"dimension {dim} does not match expected {expected_dim}", lineno
+                        f"non-numeric field in row for {token!r}", lineno
+                    ) from None
+                if dim is None:
+                    dim = vec.size
+                    if expected_dim is not None and dim != expected_dim:
+                        raise EmbeddingParseError(
+                            f"dimension {dim} does not match expected {expected_dim}", lineno
+                        )
+                elif vec.size != dim:
+                    raise EmbeddingParseError(
+                        f"row has dimension {vec.size}, table has {dim}", lineno
                     )
-            elif vec.size != dim:
-                raise EmbeddingParseError(
-                    f"row has dimension {vec.size}, table has {dim}", lineno
-                )
-            if token in index:
-                n_dup += 1
-                log.warning("%s: duplicate token %r on line %d ignored", name, token, lineno)
-                continue
-            norm = float(np.linalg.norm(vec))
-            if not math.isfinite(norm):
-                raise EmbeddingParseError(
-                    f"non-finite value or norm in row for {token!r}", lineno
-                )
-            if norm == 0.0:
-                n_zero += 1
-                log.warning("%s: all-zero vector for %r on line %d dropped", name, token, lineno)
-                continue
-            index[token] = len(rows)
-            words.append(token)
-            rows.append(vec)
-    finally:
-        if close:
-            stream.close()
+                if token in index:
+                    n_dup += 1
+                    log.warning("%s: duplicate token %r on line %d ignored", name, token, lineno)
+                    continue
+                norm = float(np.linalg.norm(vec))
+                if not math.isfinite(norm):
+                    raise EmbeddingParseError(
+                        f"non-finite value or norm in row for {token!r}", lineno
+                    )
+                if norm == 0.0:
+                    n_zero += 1
+                    log.warning("%s: all-zero vector for %r on line %d dropped", name, token, lineno)
+                    continue
+                index[token] = len(rows)
+                words.append(token)
+                rows.append(vec)
+    except OSError as exc:
+        raise ConfigError(f"cannot read embedding file {name}: {exc}") from None
 
     if not rows:
         raise EmbeddingParseError("no usable vector rows in input")

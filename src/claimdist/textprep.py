@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import DataError, EmptyDocumentError
+from .errors import ConfigError, DataError, EmptyDocumentError
 
 _TOKEN = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -112,8 +112,15 @@ def _expand(entries: Iterable[str]) -> frozenset[str]:
 
 
 def load_stopwords(path: str | Path) -> StopwordList:
-    """Read a one-word-per-line UTF-8 stopword file."""
-    data = Path(path).read_bytes()
+    """Read a one-word-per-line UTF-8 stopword file.
+
+    An unreadable path raises ConfigError, bytes that are not UTF-8
+    DataError; both name the file.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read stopword file {path}: {exc}") from None
     try:
         entries = data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:

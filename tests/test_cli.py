@@ -311,6 +311,39 @@ def test_bad_input_exit_code_names_it(tmp_path, capsys, argv, code, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "{doc}", "{doc}", "--embeddings", "{path}"],
+        ["dist", "{doc}", "{doc}", "--embeddings", "{emb}", "--stopwords", "{path}"],
+        ["extract", "{doc}", "--selector", "ma", "--embeddings", "{path}"],
+        ["extract", "{doc}", "--selector", "lda", "--stopwords", "{path}"],
+        ["preprocess", "{doc}", "--embeddings", "{path}"],
+        ["preprocess", "{doc}", "--stopwords", "{path}"],
+        ["embeddings", "info", "{path}"],
+        ["run", "{manifest}", "--out", "{path}"],
+    ],
+    ids=[
+        "dist-embeddings", "dist-stopwords", "extract-embeddings", "extract-stopwords",
+        "preprocess-embeddings", "preprocess-stopwords", "embeddings-info", "run-out",
+    ],
+)
+@pytest.mark.parametrize("kind", ["directory", "missing"])
+def test_unusable_path_exit_1_names_it(tmp_path, capsys, argv, kind):
+    manifest = write_corpus(tmp_path)
+    path = tmp_path / "docs" if kind == "directory" else tmp_path / "nowhere" / "x.txt"
+    paths = {
+        "doc": tmp_path / "docs" / "alpha1.txt",
+        "emb": tmp_path / "emb.txt",
+        "manifest": manifest,
+        "path": path,
+    }
+    rc, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert (rc, out) == (1, "")
+    assert str(path) in err
+    assert "Traceback" not in err
+
+
 class TestVersionFlag:
     def test_version_exits_zero(self, capsys):
         rc = main(["--version"])

@@ -189,8 +189,8 @@ def fit_lda(
                 wt[k] -= 1
                 st[k] -= 1
                 topic_totals[k] -= 1
-                # This float order fixes the chain bit for bit; the golden
-                # count-table tests pin it.
+                # Keep this float order: another order changes last bits,
+                # which can move a draw across a bin edge and fork the chain.
                 cum = list(accumulate([
                     (a + beta) / (b + beta_total) * (c + alpha)
                     for a, b, c in zip(wt, topic_totals, st)

@@ -22,6 +22,13 @@ from .errors import ConfigError, EmbeddingParseError, OutOfVocabularyError
 
 log = logging.getLogger(__name__)
 
+# Byte budget for one chunk of parsed rows in load_embeddings. Rows are
+# copied into a few large chunk arrays instead of being kept as one small
+# array each: freeing thousands of small row buffers left a fragmented
+# heap, and whether later large arrays fitted into it, and so the peak
+# memory of a run, changed with the process environment.
+_CHUNK_BYTES = 8 << 20
+
 
 @dataclass(frozen=True)
 class EmbeddingTable:
@@ -87,7 +94,8 @@ def load_embeddings(
     try:
         with nullcontext(source) if reading else open(source, "rb") as stream:
             words: list[str] = []
-            rows: list[np.ndarray] = []
+            chunks: list[np.ndarray] = []
+            filled = 0  # rows used in chunks[-1]
             index: dict[str, int] = {}
             dim: int | None = None
             n_dup = 0
@@ -117,6 +125,7 @@ def load_embeddings(
                         raise EmbeddingParseError(
                             f"dimension {dim} does not match expected {expected_dim}", lineno
                         )
+                    chunk_rows = max(1, _CHUNK_BYTES // (8 * dim))
                 elif vec.size != dim:
                     raise EmbeddingParseError(
                         f"row has dimension {vec.size}, table has {dim}", lineno
@@ -134,15 +143,21 @@ def load_embeddings(
                     n_zero += 1
                     log.warning("%s: all-zero vector for %r on line %d dropped", name, token, lineno)
                     continue
-                index[token] = len(rows)
+                if not chunks or filled == chunk_rows:
+                    chunks.append(np.empty((chunk_rows, dim)))
+                    filled = 0
+                chunks[-1][filled] = vec
+                filled += 1
+                index[token] = len(words)
                 words.append(token)
-                rows.append(vec)
     except OSError as exc:
         raise ConfigError(f"cannot read embedding file {name}: {exc}") from None
 
-    if not rows:
+    if not words:
         raise EmbeddingParseError("no usable vector rows in input")
-    matrix = np.vstack(rows)
+    chunks[-1] = chunks[-1][:filled]
+    matrix = np.concatenate(chunks)
+    del chunks  # before the norm pass allocates its temporaries
     norms = np.linalg.norm(matrix, axis=1)
     return EmbeddingTable(
         dimension=int(dim),

@@ -228,7 +228,9 @@ def wmd_exact(
 
 
 def _normalized_rows(table: EmbeddingTable, indices: np.ndarray) -> np.ndarray:
-    return table.matrix[indices] / table.row_norms[indices, None]
+    rows = table.matrix[indices]
+    rows /= table.row_norms[indices, None]
+    return rows
 
 
 def lc_rwmd_batch(
@@ -275,16 +277,26 @@ def lc_rwmd_batch(
 
     best_into_query = np.empty(len(union))
     best_per_query_word = np.full((len(candidates), len(query)), -np.inf)
+    # The block and the rows picked from it reuse two buffers, so the scan
+    # allocates nothing large per block and its peak memory is fixed.
+    block_buf = np.empty((min(rows, len(union)), len(query)))
+    picked_buf = np.empty_like(block_buf)
+    col_max = np.empty(len(query))
     for start in range(0, len(union), rows):
         stop = min(len(union), start + rows)
-        sims = _normalized_rows(table, union_idx[start:stop]) @ q_norm.T
+        sims = np.matmul(
+            _normalized_rows(table, union_idx[start:stop]), q_norm.T, out=block_buf[: stop - start]
+        )
         sims.max(axis=1, out=best_into_query[start:stop])
         for best, pos in zip(best_per_query_word, positions):
             if pos is None:
                 continue
             local = pos[(pos >= start) & (pos < stop)] - start
             if local.size:
-                np.maximum(best, sims[local].max(axis=0), out=best)
+                # local is in range; mode="clip" lets take write into out
+                # directly instead of through a temporary.
+                picked = np.take(sims, local, axis=0, out=picked_buf[: local.size], mode="clip")
+                np.maximum(best, picked.max(axis=0, out=col_max), out=best)
 
     to_query_cost = ground_cost(best_into_query)
     from_query_cost = ground_cost(best_per_query_word)

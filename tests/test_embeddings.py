@@ -12,6 +12,7 @@ from claimdist import (
     similarity_matrix,
     vector_of,
 )
+from claimdist import embeddings
 
 from conftest import make_table, random_unit_table
 
@@ -91,6 +92,23 @@ class TestLoadEmbeddings:
         table = load_embeddings(path)
         for w, v in zip(words, vecs):
             np.testing.assert_array_equal(vector_of(table, w), v)
+
+    def test_small_chunks_equivalent(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        vecs = rng.normal(size=(10, 4))
+        lines = [f"t{i} " + " ".join(repr(float(x)) for x in v) for i, v in enumerate(vecs)]
+        lines[3] = "t1 1 2 3 4"  # duplicate, ignored
+        lines[6] = "z 0 0 0 0"  # all-zero, dropped
+        text = "\n".join(lines) + "\n"
+        kept = [i for i in range(10) if i not in (3, 6)]
+        full = load_from_text(text)
+        np.testing.assert_array_equal(full.matrix, vecs[kept])
+        for rows in (1, 3):
+            monkeypatch.setattr(embeddings, "_CHUNK_BYTES", rows * 8 * 4)
+            tiny = load_from_text(text)
+            assert tiny.vocabulary == full.vocabulary
+            np.testing.assert_array_equal(tiny.matrix, full.matrix)
+            np.testing.assert_array_equal(tiny.row_norms, full.row_norms)
 
     def test_table_is_immutable(self):
         table = load_from_text("a 1 0\nb 0 1\n")

@@ -7,6 +7,14 @@ import pytest
 from claimdist import EmbeddingTable, NBow
 
 
+@pytest.fixture(autouse=True)
+def private_cache_home(tmp_path, monkeypatch):
+    """Point the embedding cache at the test's own directory, never ``~/.cache``."""
+    cache = tmp_path / "xdg-cache"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    return cache
+
+
 def make_table(words, matrix, name="<fixture>") -> EmbeddingTable:
     matrix = np.asarray(matrix, dtype=np.float64)
     return EmbeddingTable(

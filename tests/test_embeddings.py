@@ -116,6 +116,99 @@ class TestLoadEmbeddings:
             table.matrix[0, 0] = 5.0
 
 
+# Parser edge cases. Each input maps to the exact table (words, matrix
+# bytes, duplicate and zero-row counts) or the exact error text it gave
+# before the loader was vectorized; ``line`` is the line number the error
+# names, so it can be shifted when filler rows are put in front.
+ROWS_B = ("b", [0.0, 1.0])
+PARSE_CASES = {
+    "underscore": (b"a 1_0 2\nb 0 1\n", [("a", [10.0, 2.0]), ROWS_B], 0, 0),
+    "nbsp": ("a\xa01\xa02\nb 0 1\n".encode(), [("a", [1.0, 2.0]), ROWS_B], 0, 0),
+    "tabs": (b"a\t1\t2\nb\t0 1\n", [("a", [1.0, 2.0]), ROWS_B], 0, 0),
+    "crlf": (b"a 1 2\r\nb 0 1\r\n", [("a", [1.0, 2.0]), ROWS_B], 0, 0),
+    "subnormal": (b"a 5e-324 0\nb 0 1\n", [ROWS_B], 0, 1),
+    "underflow": (b"a 1e-400 0\nb 0 1\n", [ROWS_B], 0, 1),
+    "signs": (b"a -0 +1\nb .5 1\n", [("a", [-0.0, 1.0]), ("b", [0.5, 1.0])], 0, 0),
+    "17-digit": (
+        b"a 0.12345678901234568 -1.2345678901234567e-05\nb 0 1\n",
+        [("a", [0.12345678901234568, -1.2345678901234567e-05]), ROWS_B], 0, 0,
+    ),
+    "nan": (b"a nan 1\nb 0 1\n", 1, "non-finite value or norm in row for 'a'"),
+    "infinity": (b"b 0 1\na Infinity 1\n", 2, "non-finite value or norm in row for 'a'"),
+    "overflowing-norm": (b"b 0 1\na 1e200 1e200\n", 2, "non-finite value or norm in row for 'a'"),
+    "comment-sign": (b"b 0 1\na #0 1\n", 2, "non-numeric field in row for 'a'"),
+    "hex-float": (b"a 0x1p1 1\n", 1, "non-numeric field in row for 'a'"),
+    "short-row": (b"a 1 2\nb\n", 2, "row has a token but no values"),
+    "dimension-change": (b"a 1 2\nb 1 2 3\n", 2, "row has dimension 3, table has 2"),
+    "header": (b"2 2\na 1 2\nb 0 1\n", [("a", [1.0, 2.0]), ROWS_B], 0, 0),
+    "blank-lines": (b"\na 1 2\n   \n\t\r\nb 0 1\n\n", [("a", [1.0, 2.0]), ROWS_B], 0, 0),
+    "duplicate-and-zero": (
+        b"a 1 2\na 3 4\nz 0 0\nb 0 1\na 0 0\n", [("a", [1.0, 2.0]), ROWS_B], 2, 1
+    ),
+    "duplicate-not-checked": (b"a 1 2\na nan 1\nb 0 1\n", [("a", [1.0, 2.0]), ROWS_B], 1, 0),
+    "not-utf8": (
+        b"a 1 2\nb\xff 0 1\n", 2,
+        "not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 1: "
+        "invalid start byte",
+    ),
+}
+FILLER = 5  # rows put in front of a case so its odd row lands in a later batch
+
+
+def _with_filler(case):
+    """The case with FILLER rows in front (after a header line) and what it then gives."""
+    data, *expected = PARSE_CASES[case]
+    head = b"2 2\n" if case == "header" else b""
+    filler = [(f"f{i}", [float(i + 1), 1.0]) for i in range(FILLER)]
+    text = b"".join(f"{w} {x:g} {y:g}\n".encode() for w, (x, y) in filler)
+    data = head + text + data[len(head):]
+    if isinstance(expected[0], int):
+        return data, expected[0] + FILLER, expected[1]
+    return data, filler + expected[0], *expected[1:]
+
+
+def _check_parse(load, data, *expected):
+    if isinstance(expected[0], int):
+        line, message = expected
+        with pytest.raises(EmbeddingParseError) as info:
+            load(data)
+        assert str(info.value) == f"line {line}: {message}"
+        assert info.value.line_number == line
+        return
+    rows, n_dup, n_zero = expected
+    table = load(data)
+    assert list(table.vocabulary) == [w for w, _ in rows]
+    assert list(table.vocabulary.values()) == list(range(len(rows)))
+    want = np.array([v for _, v in rows], dtype=np.float64)
+    assert table.matrix.dtype == np.float64
+    assert table.matrix.shape == want.shape
+    assert table.matrix.tobytes() == want.tobytes()
+    assert table.row_norms.tobytes() == np.linalg.norm(want, axis=1).tobytes()
+    assert (table.n_duplicates, table.n_zero_dropped) == (n_dup, n_zero)
+
+
+class TestParseEdgeCases:
+    @pytest.mark.parametrize("case", list(PARSE_CASES))
+    def test_stream(self, case):
+        _check_parse(lambda data: load_embeddings(io.BytesIO(data)), *PARSE_CASES[case])
+
+    @pytest.mark.parametrize("case", list(PARSE_CASES))
+    def test_in_a_later_batch(self, case):
+        _check_parse(lambda data: load_embeddings(io.BytesIO(data)), *_with_filler(case))
+
+    @pytest.mark.parametrize("case", list(PARSE_CASES))
+    def test_file_twice(self, tmp_path, case):
+        # the second load of the same file may come from the embedding cache
+        path = tmp_path / "emb.txt"
+
+        def load(data):
+            path.write_bytes(data)
+            return load_embeddings(path)
+
+        for _ in range(2):
+            _check_parse(load, *_with_filler(case))
+
+
 class TestVectorOf:
     def test_present(self):
         table = load_from_text("a 1 2\n")

@@ -45,6 +45,12 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _non_negative_int(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return int(text)
+
+
 def _int_list(text: str) -> list[int]:
     return [int(s) for s in text.split(",") if s.strip()]
 
@@ -76,10 +82,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_dist(args) -> int:
-    table = load_embeddings(args.embeddings, args.expected_dim)
     stopwords = stopwords_from(args.stopwords)
-    a = build_nbow(_read_doc_tokens(args.query_file, "query file", stopwords), table)
-    b = build_nbow(_read_doc_tokens(args.candidate_file, "candidate file", stopwords), table)
+    query = _read_doc_tokens(args.query_file, "query file", stopwords)
+    candidate = _read_doc_tokens(args.candidate_file, "candidate file", stopwords)
+    table = load_embeddings(args.embeddings, args.expected_dim)
+    a = build_nbow(query, table)
+    b = build_nbow(candidate, table)
     res = rwmd_distance(a, b, table, args.variant)
     _print_json(
         {"distance": res.distance, "similarity": res.similarity, "variant": res.variant}
@@ -169,7 +177,7 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--beta", type=float, default=0.01)
     p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--cues", default=None, help="comma-separated cue words (lda)")
     p.add_argument("--window", type=int, default=3, help="smoothing window (ma)")
     p.add_argument("--embeddings", default=None, help="word-vector file (required for ma)")
@@ -191,7 +199,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("bench", help="scaling benchmark: exact solver vs batched relaxation")
     p.add_argument("--sizes", type=_int_list, default="8,16,32,64")
     p.add_argument("--pairs", type=int, default=5)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_non_negative_int, default=42)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_bench)
 

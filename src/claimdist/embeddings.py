@@ -5,13 +5,23 @@ Vectors are loaded from the plain-text format popularized by GloVe
 header line, as written by word2vec-style text exports, is detected and
 skipped. The loaded table is immutable: the matrix is marked read-only
 and every query operation is pure, so concurrent readers are safe.
+
+A parsed table is kept in an on-disk cache keyed by the SHA-256 of its
+file, under ``$XDG_CACHE_HOME/claimdist`` (``~/.cache/claimdist`` when
+that is unset). A later load of the same file memory-maps the stored
+matrix instead of parsing the text again. Deleting the cache is always
+safe: a missing or damaged entry is parsed and written again.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
 import math
-from contextlib import nullcontext
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Sequence
@@ -22,12 +32,21 @@ from .errors import ConfigError, EmbeddingParseError, OutOfVocabularyError
 
 log = logging.getLogger(__name__)
 
-# Byte budget for one chunk of parsed rows in load_embeddings. Rows are
-# copied into a few large chunk arrays instead of being kept as one small
-# array each: freeing thousands of small row buffers left a fragmented
-# heap, and whether later large arrays fitted into it, and so the peak
-# memory of a run, changed with the process environment.
-_CHUNK_BYTES = 8 << 20
+# Bytes of text parsed per batch in load_embeddings. np.loadtxt holds a
+# batch as UCS-4, four times its size, so large batches raise the peak
+# memory of a load; about 1 MiB keeps that small next to the matrix.
+_BATCH_BYTES = 1 << 20
+
+# A row norm at or above this, or zero, sends its batch to the row-by-row
+# parser. Below it the sum of squares is far from overflow in any
+# summation order, so the row-by-row norm check would accept the row too.
+_SAFE_NORM = 1e150
+
+# Directory name prefix of a cache entry; change it when the layout does.
+_CACHE_FORMAT = "v1"
+
+# Line numbers shown per kind of dropped row in the load summary.
+_SHOWN_LINES = 5
 
 
 @dataclass(frozen=True)
@@ -66,6 +85,18 @@ class EmbeddingTable:
             raise OutOfVocabularyError(f"word not in embedding table: {exc.args[0]!r}") from None
 
 
+def file_sha256(path: str | Path) -> str:
+    """Hex SHA-256 of an embedding file; an unreadable file raises ConfigError."""
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
+    except OSError as exc:
+        raise ConfigError(f"cannot read embedding file {path}: {exc}") from None
+    return digest.hexdigest()
+
+
 def _is_header(fields: list[str]) -> bool:
     if len(fields) != 2:
         return False
@@ -76,98 +107,300 @@ def _is_header(fields: list[str]) -> bool:
     return True
 
 
+class _Rows:
+    """The rows of a table being parsed, filled into one preallocated matrix.
+
+    ``capacity`` bounds the number of rows (the file's line count), so
+    the matrix is allocated once and never copied.
+    """
+
+    def __init__(self, expected_dim: int | None, capacity: int):
+        self.expected_dim = expected_dim
+        self.capacity = capacity
+        self.dim: int | None = None
+        self.matrix: np.ndarray | None = None
+        self.index: dict[str, int] = {}
+        self.duplicate_lines: list[int] = []
+        self.zero_lines: list[int] = []
+
+    def _set_dim(self, dim: int, lineno: int):
+        if self.expected_dim is not None and dim != self.expected_dim:
+            raise EmbeddingParseError(
+                f"dimension {dim} does not match expected {self.expected_dim}", lineno
+            )
+        self.dim = dim
+        self.matrix = np.empty((self.capacity, dim))
+
+    def add_lines(self, lines: list[bytes], first_lineno: int):
+        """Parse ``lines`` one by one; the only source of parse errors."""
+        for lineno, raw in enumerate(lines, start=first_lineno):
+            try:
+                line = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                raise EmbeddingParseError(f"not valid UTF-8: {exc}", lineno) from None
+            if not line.strip():
+                continue
+            fields = line.split()
+            if lineno == 1 and _is_header(fields):
+                continue
+            token, values = fields[0], fields[1:]
+            if not values:
+                raise EmbeddingParseError("row has a token but no values", lineno)
+            try:
+                vec = np.array(values, dtype=np.float64)
+            except ValueError:
+                raise EmbeddingParseError(
+                    f"non-numeric field in row for {token!r}", lineno
+                ) from None
+            if self.dim is None:
+                self._set_dim(vec.size, lineno)
+            elif vec.size != self.dim:
+                raise EmbeddingParseError(
+                    f"row has dimension {vec.size}, table has {self.dim}", lineno
+                )
+            if token in self.index:
+                self.duplicate_lines.append(lineno)
+                continue
+            norm = float(np.linalg.norm(vec))
+            if not math.isfinite(norm):
+                raise EmbeddingParseError(
+                    f"non-finite value or norm in row for {token!r}", lineno
+                )
+            if norm == 0.0:
+                self.zero_lines.append(lineno)
+                continue
+            self.matrix[len(self.index)] = vec
+            self.index[token] = len(self.index)
+
+    def add_batch(self, batch: bytes, first_lineno: int) -> bool:
+        """Parse the whole lines in ``batch`` with one ``np.loadtxt`` call.
+
+        Returns False, having changed nothing, when the batch holds
+        anything this path cannot prove :meth:`add_lines` would take the
+        same way: bytes that are not UTF-8, a row without values, a field
+        ``loadtxt`` rejects (``float`` also takes ``1_0`` and non-ASCII
+        digits), a dimension change or mismatch, or a kept row whose norm
+        is zero or not safely finite. Both parsers split on the same
+        whitespace and round every number the same way.
+        """
+        try:
+            text = batch.decode("utf-8")
+        except UnicodeDecodeError:
+            return False
+        tokens: list[str] = []
+        rests: list[str] = []
+        linenos: list[int] = []
+        for lineno, line in enumerate(text.split("\n"), start=first_lineno):
+            parts = line.split(None, 1)
+            if not parts or (lineno == 1 and _is_header(line.split())):
+                continue
+            if len(parts) == 1:
+                return False
+            tokens.append(parts[0])
+            rests.append(parts[1])
+            linenos.append(lineno)
+        if not rests:
+            return True
+        try:
+            values = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2)
+        except ValueError:
+            return False
+        dim = self.dim if self.dim is not None else self.expected_dim
+        if values.shape[0] != len(rests) or dim not in (None, values.shape[1]):
+            return False
+
+        new: dict[str, int] = {}
+        duplicates: list[int] = []
+        for i, token in enumerate(tokens):
+            if token in self.index or token in new:
+                duplicates.append(linenos[i])
+            else:
+                new[token] = i
+        kept = values if len(new) == len(tokens) else values[list(new.values())]
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(kept, axis=1)
+        if not np.all((norms > 0.0) & (norms < _SAFE_NORM)):
+            return False
+
+        if self.dim is None:
+            self._set_dim(values.shape[1], linenos[0])
+        start = len(self.index)
+        self.matrix[start : start + len(kept)] = kept
+        self.index.update(zip(new, range(start, start + len(new))))
+        self.duplicate_lines += duplicates
+        return True
+
+    def table(self, name: str) -> EmbeddingTable:
+        if not self.index:
+            raise EmbeddingParseError("no usable vector rows in input")
+        matrix = self.matrix[: len(self.index)]
+        # Norms in row blocks: each row reduces on its own, so this equals
+        # the whole-matrix norm without a matrix-sized temporary.
+        norms = np.empty(len(matrix))
+        step = max(1, _BATCH_BYTES // (8 * self.dim))
+        for lo in range(0, len(matrix), step):
+            norms[lo : lo + step] = np.linalg.norm(matrix[lo : lo + step], axis=1)
+        return EmbeddingTable(
+            dimension=self.dim,
+            vocabulary=self.index,
+            matrix=matrix,
+            row_norms=norms,
+            n_zero_dropped=len(self.zero_lines),
+            n_duplicates=len(self.duplicate_lines),
+            source_name=name,
+        )
+
+
+def _parse(stream: BinaryIO, expected_dim: int | None) -> _Rows:
+    start = stream.tell()
+    newlines = sum(c.count(b"\n") for c in iter(lambda: stream.read(_BATCH_BYTES), b""))
+    stream.seek(start)
+    rows = _Rows(expected_dim, capacity=newlines + 1)
+    lineno = 1
+    while batch := stream.read(_BATCH_BYTES):
+        batch += stream.readline()
+        if not rows.add_batch(batch, lineno):
+            rows.add_lines(batch.split(b"\n"), lineno)
+        lineno += batch.count(b"\n")
+    return rows
+
+
+def _log_dropped(name: str, n_dup: int, dup_lines: list[int], n_zero: int, zero_lines: list[int]):
+    """One WARNING per load for the duplicate and all-zero rows it skipped."""
+    parts = []
+    for what, n, lines in (
+        ("duplicate tokens ignored", n_dup, dup_lines),
+        ("all-zero vectors dropped", n_zero, zero_lines),
+    ):
+        if n:
+            shown = ", ".join(map(str, lines[:_SHOWN_LINES])) + (", ..." if n > _SHOWN_LINES else "")
+            parts.append(f"{what}: {n} (line{'s' if n > 1 else ''} {shown})")
+    if parts:
+        log.warning("%s: %s", name, "; ".join(parts))
+
+
+def _cache_entry(digest: str) -> Path:
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    root = Path(base) if os.path.isabs(base) else Path.home() / ".cache"
+    return root / "claimdist" / f"{_CACHE_FORMAT}-{digest}"
+
+
+def _read_entry(entry: Path, digest: str, name: str) -> tuple[EmbeddingTable, dict] | None:
+    """The table stored in ``entry``, memory-mapped, with its metadata.
+
+    A missing entry gives None. So does an unreadable, truncated or
+    inconsistent one, which is removed so that it is written again.
+    """
+    if not entry.is_dir():
+        return None
+    try:
+        meta = json.loads((entry / "meta.json").read_text(encoding="utf-8"))
+        words = (entry / "vocab.txt").read_text(encoding="utf-8").split("\n")
+        vocabulary = {w: i for i, w in enumerate(words)}
+        # asarray drops the memmap subclass but keeps the mapping alive
+        matrix = np.asarray(np.load(entry / "matrix.npy", mmap_mode="r"))
+        norms = np.asarray(np.load(entry / "norms.npy", mmap_mode="r"))
+        dim = meta["dimension"]
+        if not (
+            meta["key"] == digest
+            and matrix.dtype == norms.dtype == np.float64
+            and matrix.shape == (len(words), dim)
+            and norms.shape == (len(words),)
+            and len(vocabulary) == len(words)
+        ):
+            raise ValueError("entry does not match its key or its own shape")
+        table = EmbeddingTable(
+            dimension=dim,
+            vocabulary=vocabulary,
+            matrix=matrix,
+            row_norms=norms,
+            n_zero_dropped=meta["zero_rows"],
+            n_duplicates=meta["duplicates"],
+            source_name=name,
+        )
+    except (OSError, ValueError, EOFError, KeyError, TypeError) as exc:
+        log.info("%s: embedding cache entry %s unusable (%s); parsing again", name, entry, exc)
+        shutil.rmtree(entry, ignore_errors=True)
+        return None
+    return table, meta
+
+
+def _write_entry(entry: Path, digest: str, rows: _Rows, table: EmbeddingTable):
+    """Store ``table`` under ``entry``: written aside, then renamed into place."""
+    meta = {
+        "key": digest,
+        "dimension": table.dimension,
+        "duplicates": table.n_duplicates,
+        "duplicate_lines": rows.duplicate_lines[:_SHOWN_LINES],
+        "zero_rows": table.n_zero_dropped,
+        "zero_lines": rows.zero_lines[:_SHOWN_LINES],
+    }
+    tmp = None
+    try:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        tmp = Path(tempfile.mkdtemp(prefix=f".{entry.name}.", dir=entry.parent))
+        np.save(tmp / "matrix.npy", table.matrix)
+        np.save(tmp / "norms.npy", table.row_norms)
+        # a token never contains whitespace, so newlines separate them
+        (tmp / "vocab.txt").write_text("\n".join(table.vocabulary), encoding="utf-8")
+        (tmp / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        os.replace(tmp, entry)
+    except OSError as exc:
+        # An entry another process finished first stays; this load keeps
+        # its table in memory either way.
+        if not entry.is_dir():
+            log.warning("%s: cannot write embedding cache %s: %s", table.source_name, entry, exc)
+    finally:
+        if tmp is not None:
+            shutil.rmtree(tmp, ignore_errors=True)
+
+
 def load_embeddings(
     source: str | Path | BinaryIO,
     expected_dim: int | None = None,
+    sha256: str | None = None,
 ) -> EmbeddingTable:
     """Parse a text-format word-vector file into an :class:`EmbeddingTable`.
 
     Duplicate tokens keep their first occurrence; all-zero vectors are
-    dropped. Both events are logged and counted on the returned table.
-    Inconsistent dimensions, non-numeric or non-finite fields and bytes
-    that are not UTF-8 raise :class:`EmbeddingParseError` carrying the
-    offending line number. A file that cannot be opened or read, such as
-    a directory, raises :class:`ConfigError` naming it.
+    dropped. Both are counted on the returned table and summarized in
+    one logged warning. Inconsistent dimensions, non-numeric or
+    non-finite fields and bytes that are not UTF-8 raise
+    :class:`EmbeddingParseError` carrying the offending line number. A
+    file that cannot be opened or read, such as a directory, raises
+    :class:`ConfigError` naming it.
+
+    A file path goes through the on-disk cache, keyed by ``sha256``, the
+    file's digest when the caller already has it (computed here
+    otherwise). Streams are always parsed.
     """
-    reading = hasattr(source, "read")
-    name = getattr(source, "name", "<stream>") if reading else str(source)
+    if hasattr(source, "read"):
+        rows = _parse(source, expected_dim)
+        table = rows.table(getattr(source, "name", "<stream>"))
+        _log_dropped(table.source_name, table.n_duplicates, rows.duplicate_lines,
+                     table.n_zero_dropped, rows.zero_lines)
+        return table
+
+    name = str(source)
+    digest = sha256 or file_sha256(source)
+    entry = _cache_entry(digest)
+    cached = _read_entry(entry, digest, name)
+    # on a dimension mismatch the parse below raises the error, line included
+    if cached is not None and expected_dim in (None, cached[0].dimension):
+        table, meta = cached
+        _log_dropped(name, table.n_duplicates, meta["duplicate_lines"],
+                     table.n_zero_dropped, meta["zero_lines"])
+        return table
     try:
-        with nullcontext(source) if reading else open(source, "rb") as stream:
-            words: list[str] = []
-            chunks: list[np.ndarray] = []
-            filled = 0  # rows used in chunks[-1]
-            index: dict[str, int] = {}
-            dim: int | None = None
-            n_dup = 0
-            n_zero = 0
-            for lineno, raw in enumerate(stream, start=1):
-                try:
-                    line = raw.decode("utf-8").rstrip("\r\n")
-                except UnicodeDecodeError as exc:
-                    raise EmbeddingParseError(f"not valid UTF-8: {exc}", lineno) from None
-                if not line.strip():
-                    continue
-                fields = line.split()
-                if lineno == 1 and _is_header(fields):
-                    continue
-                token, values = fields[0], fields[1:]
-                if not values:
-                    raise EmbeddingParseError("row has a token but no values", lineno)
-                try:
-                    vec = np.array(values, dtype=np.float64)
-                except ValueError:
-                    raise EmbeddingParseError(
-                        f"non-numeric field in row for {token!r}", lineno
-                    ) from None
-                if dim is None:
-                    dim = vec.size
-                    if expected_dim is not None and dim != expected_dim:
-                        raise EmbeddingParseError(
-                            f"dimension {dim} does not match expected {expected_dim}", lineno
-                        )
-                    chunk_rows = max(1, _CHUNK_BYTES // (8 * dim))
-                elif vec.size != dim:
-                    raise EmbeddingParseError(
-                        f"row has dimension {vec.size}, table has {dim}", lineno
-                    )
-                if token in index:
-                    n_dup += 1
-                    log.warning("%s: duplicate token %r on line %d ignored", name, token, lineno)
-                    continue
-                norm = float(np.linalg.norm(vec))
-                if not math.isfinite(norm):
-                    raise EmbeddingParseError(
-                        f"non-finite value or norm in row for {token!r}", lineno
-                    )
-                if norm == 0.0:
-                    n_zero += 1
-                    log.warning("%s: all-zero vector for %r on line %d dropped", name, token, lineno)
-                    continue
-                if not chunks or filled == chunk_rows:
-                    chunks.append(np.empty((chunk_rows, dim)))
-                    filled = 0
-                chunks[-1][filled] = vec
-                filled += 1
-                index[token] = len(words)
-                words.append(token)
+        with open(source, "rb") as stream:
+            rows = _parse(stream, expected_dim)
     except OSError as exc:
         raise ConfigError(f"cannot read embedding file {name}: {exc}") from None
-
-    if not words:
-        raise EmbeddingParseError("no usable vector rows in input")
-    chunks[-1] = chunks[-1][:filled]
-    matrix = np.concatenate(chunks)
-    del chunks  # before the norm pass allocates its temporaries
-    norms = np.linalg.norm(matrix, axis=1)
-    return EmbeddingTable(
-        dimension=int(dim),
-        vocabulary=index,
-        matrix=matrix,
-        row_norms=norms,
-        n_zero_dropped=n_zero,
-        n_duplicates=n_dup,
-        source_name=name,
-    )
+    table = rows.table(name)
+    _log_dropped(name, table.n_duplicates, rows.duplicate_lines,
+                 table.n_zero_dropped, rows.zero_lines)
+    _write_entry(entry, digest, rows, table)
+    return table
 
 
 def vector_of(table: EmbeddingTable, word: str) -> np.ndarray | None:

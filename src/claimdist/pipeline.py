@@ -13,7 +13,6 @@ selector settings) so any configuration gap stays auditable.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import math
@@ -35,6 +34,9 @@ from .claimselect import (
     split_sentences,
 )
 from .embeddings import EmbeddingTable, load_embeddings
+# run_experiment looks the digest function up under this name, which
+# perfbench/trace.py wraps to time the hash.
+from .embeddings import file_sha256 as _file_sha256
 from .errors import ConfigError, DataError, EmptyDocumentError
 from .stats import GroupSummary, HypothesisTestResult, kruskal_wallis, median_iqr, wilcoxon_rank_sum_exact
 from .textprep import (
@@ -243,6 +245,8 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     if stopwords_path is not None:
         stopwords_path = base / stopwords_path
     seed = _field(options, "seed", "options", int, DEFAULT_SEED)
+    if seed < 0:
+        raise ConfigError(f"options.seed must be a non-negative integer, got {seed}")
 
     manifest = CorpusManifest(
         query_id=query_id,
@@ -360,14 +364,6 @@ class ExperimentReport:
         }
 
 
-def _file_sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def select_claims(
     text: str, cfg: SelectorConfig, stopwords: StopwordList, table: EmbeddingTable | None, seed: int
 ) -> list[SentenceRecord]:
@@ -397,12 +393,15 @@ def select_claims(
 def _select_query_tokens(
     manifest: CorpusManifest,
     corpus: LoadedCorpus,
-    table: EmbeddingTable,
+    table: EmbeddingTable | None,
 ) -> list[str]:
     cfg = manifest.selector
     if cfg is None:
         return list(corpus.query.tokens)
-    selected = select_claims(corpus.query_text, cfg, corpus.stopwords, table, manifest.seed)
+    try:
+        selected = select_claims(corpus.query_text, cfg, corpus.stopwords, table, manifest.seed)
+    except EmptyDocumentError as exc:
+        raise EmptyDocumentError(f"query {manifest.query_id!r}: {exc}") from None
     return [t for s in sorted(selected, key=lambda s: s.index) for t in s.tokens]
 
 
@@ -413,11 +412,20 @@ def run_experiment(manifest: CorpusManifest) -> ExperimentReport:
     that cannot be embedded is fatal; unscoreable candidates become skip
     entries, but a group losing all its documents is an error.
     """
-    table = load_embeddings(manifest.embedding_path, manifest.expected_dim)
+    # Every input that is cheap to check is read before the table, the
+    # slowest step; only the moving-average selector needs the table.
     corpus = load_corpus(manifest)
+    needs_table = manifest.selector is not None and manifest.selector.method == "ma"
+    query_tokens = None if needs_table else _select_query_tokens(manifest, corpus, None)
+    embedding_sha256 = _file_sha256(manifest.embedding_path)
+    table = load_embeddings(
+        manifest.embedding_path, manifest.expected_dim, sha256=embedding_sha256
+    )
+    if query_tokens is None:
+        query_tokens = _select_query_tokens(manifest, corpus, table)
 
     try:
-        query_nbow = build_nbow(_select_query_tokens(manifest, corpus, table), table)
+        query_nbow = build_nbow(query_tokens, table)
     except EmptyDocumentError as exc:
         raise EmptyDocumentError(f"query {manifest.query_id!r}: {exc}") from None
 
@@ -473,7 +481,7 @@ def run_experiment(manifest: CorpusManifest) -> ExperimentReport:
         "tool_version": __version__,
         "query_id": manifest.query_id,
         "embedding_file": manifest.embedding_path.name,
-        "embedding_sha256": _file_sha256(manifest.embedding_path),
+        "embedding_sha256": embedding_sha256,
         "embedding_dimension": table.dimension,
         "embedding_vocabulary_size": len(table),
         "embedding_zero_rows_dropped": table.n_zero_dropped,
@@ -636,8 +644,8 @@ def bench_scaling(
     timing sample is the best of three executions to damp jitter.
     """
     sizes = list(unique_word_counts)
-    if not sizes:
-        raise ConfigError("bench needs at least one size")
+    if len(set(sizes)) < 2:
+        raise ConfigError(f"bench needs at least two distinct sizes to fit a slope, got {sizes}")
     if any(s < 1 or s > DEFAULT_ORACLE_LIMIT for s in sizes):
         raise ConfigError(f"sizes must be within [1, {DEFAULT_ORACLE_LIMIT}]")
     if pairs_per_size < 3:

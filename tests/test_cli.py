@@ -344,6 +344,76 @@ def test_unusable_path_exit_1_names_it(tmp_path, capsys, argv, kind):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["extract", "{doc}", "--selector", "lda", "--seed", "-1"], "--seed"),
+        (["bench", "--sizes", "4,8", "--pairs", "3", "--seed", "-1"], "--seed"),
+        (["run", "{seed_manifest}"], "options.seed"),
+        (["bench", "--sizes", "4,4", "--pairs", "3"], "two distinct sizes"),
+        (["bench", "--sizes", "4", "--pairs", "3"], "two distinct sizes"),
+    ],
+    ids=["extract-seed", "bench-seed", "manifest-seed", "sizes-4,4", "sizes-4"],
+)
+def test_unusable_setting_exit_1_names_it(tmp_path, capsys, argv, message):
+    seed_manifest = write_corpus(tmp_path, manifest_extra={"options": {"seed": -1}})
+    paths = {"doc": tmp_path / "docs" / "alpha1.txt", "seed_manifest": seed_manifest}
+    rc, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert (rc, out) == (1, "")
+    assert message in err
+    assert "Traceback" not in err
+
+
+class TestCheapChecksFirst:
+    """Inputs that are cheap to read fail before the table is parsed.
+
+    The table here is not a valid table, so a run that parsed it first
+    would fail on it instead.
+    """
+
+    def test_run_fails_on_the_document(self, tmp_path, capsys):
+        manifest = write_corpus(tmp_path)
+        (tmp_path / "emb.txt").write_text("a 1 2\nb 1 oops\n")
+        (tmp_path / "docs" / "beta2.txt").write_bytes(b"word0 \xff word1.")
+        rc, out, err = run_cli(capsys, "run", str(manifest))
+        assert (rc, out) == (2, "")
+        assert "document '2'" in err and "beta2.txt" in err
+
+    def test_dist_fails_on_the_stopwords(self, tmp_path, capsys):
+        write_corpus(tmp_path)
+        (tmp_path / "emb.txt").write_text("a 1 2\nb 1 oops\n")
+        doc = str(tmp_path / "docs" / "alpha1.txt")
+        rc, out, err = run_cli(
+            capsys, "dist", doc, doc, "--embeddings", str(tmp_path / "emb.txt"),
+            "--stopwords", str(tmp_path / "docs"),
+        )
+        assert (rc, out) == (1, "")
+        assert str(tmp_path / "docs") in err
+
+
+@pytest.mark.parametrize("how", ["not-a-directory", "permission-denied"])
+def test_unwritable_cache_warns_once_and_scores(tmp_path, capsys, caplog, monkeypatch, how):
+    manifest = write_corpus(tmp_path)
+    rc, expected, _ = run_cli(capsys, "run", str(manifest), "--format", "json")
+    assert rc == 0
+    caplog.clear()
+    if how == "not-a-directory":
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker / "cache"))
+    else:
+        def denied(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "other-cache"))
+        monkeypatch.setattr("tempfile.mkdtemp", denied)
+    rc, out, err = run_cli(capsys, "run", str(manifest), "--format", "json")
+    assert (rc, out) == (0, expected)
+    assert len(caplog.records) == 1
+    assert caplog.records[0].levelname == "WARNING"
+    assert "cannot write embedding cache" in caplog.messages[0]
+
+
 class TestVersionFlag:
     def test_version_exits_zero(self, capsys):
         rc = main(["--version"])

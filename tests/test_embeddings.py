@@ -69,7 +69,7 @@ class TestLoadEmbeddings:
         assert len(table) == 2
         assert table.n_duplicates == 1
         np.testing.assert_array_equal(vector_of(table, "a"), [1.0, 2.0])
-        assert any("duplicate" in r.message for r in caplog.records)
+        assert caplog.messages == ["<stream>: duplicate tokens ignored: 1 (line 2)"]
 
     def test_zero_vector_dropped_with_warning(self, caplog):
         with caplog.at_level(logging.WARNING):
@@ -77,6 +77,17 @@ class TestLoadEmbeddings:
         assert len(table) == 1
         assert table.n_zero_dropped == 1
         assert "a" not in table
+        assert caplog.messages == ["<stream>: all-zero vectors dropped: 1 (line 1)"]
+
+    def test_one_summary_line_per_load(self, caplog):
+        text = "a 1 2\n" + "a 3 4\n" * 7 + "z 0 0\ny 0 0\nb 0 1\n"
+        with caplog.at_level(logging.WARNING):
+            table = load_from_text(text)
+        assert (table.n_duplicates, table.n_zero_dropped) == (7, 2)
+        assert caplog.messages == [
+            "<stream>: duplicate tokens ignored: 7 (lines 2, 3, 4, 5, 6, ...); "
+            "all-zero vectors dropped: 2 (lines 9, 10)"
+        ]
 
     def test_crlf_and_blank_lines(self):
         table = load_from_text("a 1 0\r\n\r\nb 0 1\r\n")
@@ -104,7 +115,7 @@ class TestLoadEmbeddings:
         full = load_from_text(text)
         np.testing.assert_array_equal(full.matrix, vecs[kept])
         for rows in (1, 3):
-            monkeypatch.setattr(embeddings, "_CHUNK_BYTES", rows * 8 * 4)
+            monkeypatch.setattr(embeddings, "_BATCH_BYTES", rows * 8 * 4)
             tiny = load_from_text(text)
             assert tiny.vocabulary == full.vocabulary
             np.testing.assert_array_equal(tiny.matrix, full.matrix)
@@ -192,8 +203,11 @@ class TestParseEdgeCases:
     def test_stream(self, case):
         _check_parse(lambda data: load_embeddings(io.BytesIO(data)), *PARSE_CASES[case])
 
+    @pytest.mark.parametrize("batch_bytes", [1, 20])
     @pytest.mark.parametrize("case", list(PARSE_CASES))
-    def test_in_a_later_batch(self, case):
+    def test_in_a_later_batch(self, monkeypatch, case, batch_bytes):
+        # one line per batch, or the odd row after filler rows in its batch
+        monkeypatch.setattr(embeddings, "_BATCH_BYTES", batch_bytes)
         _check_parse(lambda data: load_embeddings(io.BytesIO(data)), *_with_filler(case))
 
     @pytest.mark.parametrize("case", list(PARSE_CASES))
@@ -207,6 +221,98 @@ class TestParseEdgeCases:
 
         for _ in range(2):
             _check_parse(load, *_with_filler(case))
+
+
+def _table_file(path, n_words=2000, dim=50, seed=2):
+    """A table of about 1.8 MB with a duplicate and an all-zero row."""
+    rng = np.random.default_rng(seed)
+    lines = [f"t{i} " + " ".join(repr(float(x)) for x in v) for i, v in enumerate(rng.normal(size=(n_words, dim)))]
+    lines[7] = "t3 " + " ".join(["1"] * dim)
+    lines[11] = "zero " + " ".join(["0"] * dim)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def _entry(cache_home):
+    (entry,) = (cache_home / "claimdist").iterdir()
+    return entry
+
+
+def _assert_same_table(a, b):
+    assert list(a.vocabulary.items()) == list(b.vocabulary.items())
+    assert np.array_equal(a.matrix, b.matrix)
+    assert np.array_equal(a.row_norms, b.row_norms)
+    assert (a.dimension, a.n_duplicates, a.n_zero_dropped, a.source_name) == (
+        b.dimension, b.n_duplicates, b.n_zero_dropped, b.source_name,
+    )
+
+
+def _no_parse(*args, **kwargs):
+    raise AssertionError("the text was parsed again")
+
+
+class TestEmbeddingCache:
+    def test_hit_equals_cold(self, tmp_path, private_cache_home, monkeypatch, caplog):
+        path = _table_file(tmp_path / "emb.txt")
+        with caplog.at_level(logging.WARNING):
+            cold = load_embeddings(path)
+            assert _entry(private_cache_home).name == f"v1-{embeddings.file_sha256(path)}"
+            monkeypatch.setattr(embeddings, "_parse", _no_parse)
+            hit = load_embeddings(path)
+        _assert_same_table(hit, cold)
+        assert hit.source_name == str(path)
+        assert not hit.matrix.flags.writeable
+        # the block-wise norms equal the whole-matrix norm exactly
+        assert np.array_equal(cold.row_norms, np.linalg.norm(cold.matrix, axis=1))
+        summary = f"{path}: duplicate tokens ignored: 1 (line 8); all-zero vectors dropped: 1 (line 12)"
+        assert caplog.messages == [summary, summary]
+
+    def test_clean_rows_take_the_batch_parser(self, tmp_path, monkeypatch):
+        path = tmp_path / "emb.txt"
+        path.write_text("".join(f"w{i} {i + 1} 0.5 -2e-3\n" for i in range(5000)))
+        monkeypatch.setattr(embeddings._Rows, "add_lines", _no_parse)
+        assert len(load_embeddings(path)) == 5000
+
+    def test_digest_passed_in_keys_the_same_entry(self, tmp_path, private_cache_home):
+        path = _table_file(tmp_path / "emb.txt", n_words=20)
+        cold = load_embeddings(path)
+        hit = load_embeddings(path, sha256=embeddings.file_sha256(path))
+        _assert_same_table(hit, cold)
+        assert len(list((private_cache_home / "claimdist").iterdir())) == 1
+
+    def test_streams_skip_the_cache(self, private_cache_home):
+        load_from_text("a 1 0\nb 0 1\n")
+        assert not private_cache_home.exists()
+
+    def test_truncated_matrix_is_a_miss_and_rewritten(self, tmp_path, private_cache_home, monkeypatch):
+        path = _table_file(tmp_path / "emb.txt")
+        cold = load_embeddings(path)
+        matrix_file = _entry(private_cache_home) / "matrix.npy"
+        size = matrix_file.stat().st_size
+        with open(matrix_file, "r+b") as fh:
+            fh.truncate(size // 2)
+        _assert_same_table(load_embeddings(path), cold)
+        assert matrix_file.stat().st_size == size
+        monkeypatch.setattr(embeddings, "_parse", _no_parse)
+        _assert_same_table(load_embeddings(path), cold)
+
+    def test_entry_written_meanwhile_is_left_in_place(self, tmp_path, private_cache_home, monkeypatch):
+        path = _table_file(tmp_path / "emb.txt", n_words=20)
+        cold = load_embeddings(path)
+        entry = _entry(private_cache_home)
+        before = {f.name: (f.stat().st_ino, f.stat().st_mtime_ns) for f in entry.iterdir()}
+        # as if another process wrote the entry while this one parsed
+        monkeypatch.setattr(embeddings, "_read_entry", lambda *args: None)
+        _assert_same_table(load_embeddings(path), cold)
+        assert {f.name: (f.stat().st_ino, f.stat().st_mtime_ns) for f in entry.iterdir()} == before
+        assert list((private_cache_home / "claimdist").iterdir()) == [entry]
+
+    def test_expected_dim_mismatch_on_a_hit_gives_the_parse_error(self, tmp_path):
+        path = _table_file(tmp_path / "emb.txt", n_words=20)
+        load_embeddings(path)
+        with pytest.raises(EmbeddingParseError) as info:
+            load_embeddings(path, expected_dim=3)
+        assert str(info.value) == "line 1: dimension 50 does not match expected 3"
 
 
 class TestVectorOf:

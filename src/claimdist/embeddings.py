@@ -265,18 +265,22 @@ def _parse(stream: BinaryIO, expected_dim: int | None) -> _Rows:
     return rows
 
 
-def _log_dropped(name: str, n_dup: int, dup_lines: list[int], n_zero: int, zero_lines: list[int]):
-    """One WARNING per load for the duplicate and all-zero rows it skipped."""
+def _log_dropped(table: EmbeddingTable, duplicate_lines: list[int], zero_lines: list[int]):
+    """One WARNING per load for the duplicate and all-zero rows it skipped.
+
+    Only the first line numbers are needed, so a cache entry stores those.
+    """
     parts = []
     for what, n, lines in (
-        ("duplicate tokens ignored", n_dup, dup_lines),
-        ("all-zero vectors dropped", n_zero, zero_lines),
+        ("duplicate tokens ignored", table.n_duplicates, duplicate_lines),
+        ("all-zero vectors dropped", table.n_zero_dropped, zero_lines),
     ):
         if n:
-            shown = ", ".join(map(str, lines[:_SHOWN_LINES])) + (", ..." if n > _SHOWN_LINES else "")
+            shown = ", ".join(map(str, lines[:_SHOWN_LINES]))
+            shown += ", ..." if n > _SHOWN_LINES else ""
             parts.append(f"{what}: {n} (line{'s' if n > 1 else ''} {shown})")
     if parts:
-        log.warning("%s: %s", name, "; ".join(parts))
+        log.warning("%s: %s", table.source_name, "; ".join(parts))
 
 
 def _cache_entry(digest: str) -> Path:
@@ -285,8 +289,10 @@ def _cache_entry(digest: str) -> Path:
     return root / "claimdist" / f"{_CACHE_FORMAT}-{digest}"
 
 
-def _read_entry(entry: Path, digest: str, name: str) -> tuple[EmbeddingTable, dict] | None:
-    """The table stored in ``entry``, memory-mapped, with its metadata.
+def _read_entry(
+    entry: Path, digest: str, name: str
+) -> tuple[EmbeddingTable, list[int], list[int]] | None:
+    """The table stored in ``entry``, memory-mapped, and its dropped-row lines.
 
     A missing entry gives None. So does an unreadable, truncated or
     inconsistent one, which is removed so that it is written again.
@@ -314,15 +320,15 @@ def _read_entry(entry: Path, digest: str, name: str) -> tuple[EmbeddingTable, di
             vocabulary=vocabulary,
             matrix=matrix,
             row_norms=norms,
-            n_zero_dropped=meta["zero_rows"],
-            n_duplicates=meta["duplicates"],
+            n_zero_dropped=int(meta["zero_rows"]),
+            n_duplicates=int(meta["duplicates"]),
             source_name=name,
         )
-    except (OSError, ValueError, EOFError, KeyError, TypeError) as exc:
-        log.info("%s: embedding cache entry %s unusable (%s); parsing again", name, entry, exc)
+        dropped = [[int(n) for n in meta[key]] for key in ("duplicate_lines", "zero_lines")]
+    except (OSError, ValueError, EOFError, KeyError, TypeError):
         shutil.rmtree(entry, ignore_errors=True)
         return None
-    return table, meta
+    return table, *dropped
 
 
 def _write_entry(entry: Path, digest: str, rows: _Rows, table: EmbeddingTable):
@@ -377,8 +383,7 @@ def load_embeddings(
     if hasattr(source, "read"):
         rows = _parse(source, expected_dim)
         table = rows.table(getattr(source, "name", "<stream>"))
-        _log_dropped(table.source_name, table.n_duplicates, rows.duplicate_lines,
-                     table.n_zero_dropped, rows.zero_lines)
+        _log_dropped(table, rows.duplicate_lines, rows.zero_lines)
         return table
 
     name = str(source)
@@ -387,18 +392,15 @@ def load_embeddings(
     cached = _read_entry(entry, digest, name)
     # on a dimension mismatch the parse below raises the error, line included
     if cached is not None and expected_dim in (None, cached[0].dimension):
-        table, meta = cached
-        _log_dropped(name, table.n_duplicates, meta["duplicate_lines"],
-                     table.n_zero_dropped, meta["zero_lines"])
-        return table
+        _log_dropped(*cached)
+        return cached[0]
     try:
         with open(source, "rb") as stream:
             rows = _parse(stream, expected_dim)
     except OSError as exc:
         raise ConfigError(f"cannot read embedding file {name}: {exc}") from None
     table = rows.table(name)
-    _log_dropped(name, table.n_duplicates, rows.duplicate_lines,
-                 table.n_zero_dropped, rows.zero_lines)
+    _log_dropped(table, rows.duplicate_lines, rows.zero_lines)
     _write_entry(entry, digest, rows, table)
     return table
 

@@ -226,7 +226,8 @@ class TestParseEdgeCases:
 def _table_file(path, n_words=2000, dim=50, seed=2):
     """A table of about 1.8 MB with a duplicate and an all-zero row."""
     rng = np.random.default_rng(seed)
-    lines = [f"t{i} " + " ".join(repr(float(x)) for x in v) for i, v in enumerate(rng.normal(size=(n_words, dim)))]
+    vecs = rng.normal(size=(n_words, dim))
+    lines = [f"t{i} " + " ".join(repr(float(x)) for x in v) for i, v in enumerate(vecs)]
     lines[7] = "t3 " + " ".join(["1"] * dim)
     lines[11] = "zero " + " ".join(["0"] * dim)
     path.write_text("\n".join(lines) + "\n")
@@ -264,7 +265,9 @@ class TestEmbeddingCache:
         assert not hit.matrix.flags.writeable
         # the block-wise norms equal the whole-matrix norm exactly
         assert np.array_equal(cold.row_norms, np.linalg.norm(cold.matrix, axis=1))
-        summary = f"{path}: duplicate tokens ignored: 1 (line 8); all-zero vectors dropped: 1 (line 12)"
+        summary = (
+            f"{path}: duplicate tokens ignored: 1 (line 8); all-zero vectors dropped: 1 (line 12)"
+        )
         assert caplog.messages == [summary, summary]
 
     def test_clean_rows_take_the_batch_parser(self, tmp_path, monkeypatch):
@@ -284,7 +287,9 @@ class TestEmbeddingCache:
         load_from_text("a 1 0\nb 0 1\n")
         assert not private_cache_home.exists()
 
-    def test_truncated_matrix_is_a_miss_and_rewritten(self, tmp_path, private_cache_home, monkeypatch):
+    def test_truncated_matrix_is_a_miss_and_rewritten(
+        self, tmp_path, private_cache_home, monkeypatch
+    ):
         path = _table_file(tmp_path / "emb.txt")
         cold = load_embeddings(path)
         matrix_file = _entry(private_cache_home) / "matrix.npy"
@@ -296,7 +301,9 @@ class TestEmbeddingCache:
         monkeypatch.setattr(embeddings, "_parse", _no_parse)
         _assert_same_table(load_embeddings(path), cold)
 
-    def test_entry_written_meanwhile_is_left_in_place(self, tmp_path, private_cache_home, monkeypatch):
+    def test_entry_written_meanwhile_is_left_in_place(
+        self, tmp_path, private_cache_home, monkeypatch
+    ):
         path = _table_file(tmp_path / "emb.txt", n_words=20)
         cold = load_embeddings(path)
         entry = _entry(private_cache_home)

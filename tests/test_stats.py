@@ -3,6 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy import stats as scipy_stats
 
 from claimdist import (
     chi_square_sf,
@@ -10,6 +11,7 @@ from claimdist import (
     median_iqr,
     wilcoxon_rank_sum_exact,
 )
+from claimdist.stats import _midranks, _u_counts
 
 # 32 similarity scores from the case-study's h-index group; the known
 # summary row gives median 0.5763 and lower quartile 0.5208.
@@ -34,6 +36,48 @@ def enumerate_wilcoxon_p(x, y):
     lower = sum(1 for u in us if u <= u_obs)
     upper = sum(1 for u in us if u >= u_obs)
     return min(1.0, 2.0 * min(lower, upper) / total)
+
+
+def reference_u_counts(n, m):
+    """Mann-Whitney U counts by the 2-D recurrence over every (i, j) table.
+
+    c_{i,j}(u) = c_{i-1,j}(u-j) + c_{i,j-1}(u); about n^2 m^2 / 4 integer
+    additions. The counts for (n, m) and (m, n) are the same list; the
+    row kept in memory grows with m, so pass the larger size first.
+    """
+    prev_row = [[1] for _ in range(m + 1)]
+    for i in range(1, n + 1):
+        row = [[1]]
+        for j in range(1, m + 1):
+            counts = [0] * (i * j + 1)
+            for u, c in enumerate(prev_row[j]):
+                counts[u + j] += c
+            for u, c in enumerate(row[j - 1]):
+                counts[u] += c
+            row.append(counts)
+        prev_row = row
+    return prev_row[m]
+
+
+U_COUNT_GRID = [
+    (1, 1), (3, 5), (7, 2), (10, 50), (32, 32), (50, 50), (1, 50), (50, 1),
+    (2, 60), (13, 17), (10, 200), (20, 200), (5, 2000),
+]
+
+# Fixed samples whose statistics are pinned to the last bit.
+TIE_FREE_KW = {
+    "a": [0.034193, 1.359748, 1.224721, -0.510307, -0.29797, -0.527384, 0.569726],
+    "b": [-0.056064, 0.746886, -1.847325, 1.566549, -0.096432, 0.680378, -0.136566,
+          -0.379099, 0.46311],
+    "c": [0.824514, -0.20253, -0.152786, 0.685699, -0.870341, -1.514384, 0.394982, -0.670566],
+}
+TIE_HEAVY_KW = {"a": [1, 1, 2, 2, 2, 3], "b": [3, 3, 5, 5, 5, 5], "c": [2, 4, 4, 4, 6, 6, 6]}
+ALL_EQUAL_KW = {"a": [0.5] * 3, "b": [0.5] * 2, "c": [0.5]}
+TIE_HEAVY_PAIR = ([1, 1, 2, 2, 2, 3, 3, 5, 5, 5, 5], [2, 2, 3, 4, 4, 4, 5, 6, 6])
+
+
+def hexes(res):
+    return float(res.statistic).hex(), float(res.p_value).hex()
 
 
 class TestMedianIqr:
@@ -184,6 +228,74 @@ class TestWilcoxonExact:
         strong = wilcoxon_rank_sum_exact(list(range(10)), list(range(20, 30)))
         assert strong.p_value <= 0.01
         assert strong.stars == "**"
+
+
+class TestUCounts:
+    @pytest.mark.parametrize("n,m", U_COUNT_GRID)
+    def test_matches_two_dimensional_recurrence(self, n, m):
+        assert _u_counts(n, m) == reference_u_counts(max(n, m), min(n, m))
+
+    @pytest.mark.parametrize("n,m", U_COUNT_GRID)
+    def test_total_and_symmetry(self, n, m):
+        counts = _u_counts(n, m)
+        assert len(counts) == n * m + 1
+        assert sum(counts) == math.comb(n + m, n)
+        assert counts == counts[::-1]
+
+    def test_reference_is_symmetric_in_its_sizes(self):
+        for n, m in [(1, 4), (3, 5), (6, 2), (7, 9)]:
+            assert reference_u_counts(n, m) == reference_u_counts(m, n)
+
+
+class TestPinnedBits:
+    """Statistics of fixed samples, pinned by float.hex, and scipy cross-checks."""
+
+    def test_wilcoxon_tie_free(self):
+        res = wilcoxon_rank_sum_exact(H_INDEX_VALUES[::2], H_INDEX_VALUES[1::2])
+        assert res.method == "exact"
+        assert hexes(res) == ("0x1.1000000000000p+7", "0x1.8f963ea9eccc4p-1")
+
+    def test_wilcoxon_tie_heavy(self):
+        res = wilcoxon_rank_sum_exact(*TIE_HEAVY_PAIR)
+        assert res.method == "normal-approx-tie-corrected"
+        assert hexes(res) == ("0x1.1000000000000p+5", "0x1.f68876c005984p-3")
+
+    def test_wilcoxon_all_equal(self):
+        res = wilcoxon_rank_sum_exact([0.5] * 4, [0.5] * 3)
+        assert res.method == "normal-approx-tie-corrected"
+        assert hexes(res) == ("0x1.8000000000000p+2", "0x1.0000000000000p+0")
+
+    def test_kruskal_wallis_tie_free(self):
+        assert hexes(kruskal_wallis(TIE_FREE_KW)) == ("0x1.1571f0b8a5240p+0", "0x1.29ce23fc7de96p-1")
+
+    def test_kruskal_wallis_tie_heavy(self):
+        assert hexes(kruskal_wallis(TIE_HEAVY_KW)) == ("0x1.414b6c20e7853p+3", "0x1.b0bc43a55a249p-8")
+
+    def test_kruskal_wallis_all_equal(self):
+        assert hexes(kruskal_wallis(ALL_EQUAL_KW)) == ("0x0.0p+0", "0x1.0000000000000p+0")
+
+    def test_midranks_equal_scipy_rankdata(self):
+        rng = np.random.default_rng(8)
+        for _ in range(300):
+            size = int(rng.integers(1, 80))
+            if rng.random() < 0.5:
+                pooled = rng.integers(0, int(rng.integers(1, 6)), size=size).astype(np.float64)
+            else:
+                pooled = rng.normal(size=size)
+            expected = scipy_stats.rankdata(pooled, method="average")
+            assert np.array_equal(_midranks(pooled), expected)
+
+    @pytest.mark.parametrize("n,m", [(3, 7), (9, 4), (32, 32), (50, 50), (10, 200), (50, 120)])
+    def test_exact_p_matches_scipy(self, n, m):
+        rng = np.random.default_rng(n * 1000 + m)
+        for shift in (0.0, 0.4):
+            x = rng.normal(size=n)
+            y = rng.normal(size=m) + shift
+            res = wilcoxon_rank_sum_exact(x, y)
+            ref = scipy_stats.mannwhitneyu(x, y, alternative="two-sided", method="exact")
+            assert res.method == "exact"
+            assert res.statistic == ref.statistic
+            assert res.p_value == pytest.approx(ref.pvalue, rel=1e-12, abs=0.0)
 
 
 class TestChiSquareSf:

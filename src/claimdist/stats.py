@@ -84,24 +84,15 @@ def median_iqr(values: Sequence[float]) -> GroupSummary:
     )
 
 
-def _midranks(pooled: np.ndarray) -> np.ndarray:
-    """Ranks 1..N with tied values sharing their average rank."""
-    order = np.argsort(pooled, kind="stable")
-    ranks = np.empty(pooled.size, dtype=np.float64)
-    i = 0
-    while i < pooled.size:
-        j = i
-        while j + 1 < pooled.size and pooled[order[j + 1]] == pooled[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+def _ranks(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks 1..N with tied values sharing their average rank, and the tie-group sizes."""
+    _, inverse, ties = np.unique(pooled, return_inverse=True, return_counts=True)
+    return (np.cumsum(ties) - (ties - 1) / 2.0)[inverse], ties
 
 
-def _tie_term(pooled: np.ndarray) -> float:
+def _tie_term(ties: np.ndarray) -> float:
     """Sum of t^3 - t over tie groups."""
-    _, counts = np.unique(pooled, return_counts=True)
-    return float((counts.astype(np.float64) ** 3 - counts).sum())
+    return float((ties.astype(np.float64) ** 3 - ties).sum())
 
 
 def kruskal_wallis(groups: Mapping[str, Sequence[float]]) -> HypothesisTestResult:
@@ -119,7 +110,7 @@ def kruskal_wallis(groups: Mapping[str, Sequence[float]]) -> HypothesisTestResul
         raise ValueError("kruskal_wallis groups must all be nonempty")
     pooled = np.concatenate(samples)
     n_total = pooled.size
-    ranks = _midranks(pooled)
+    ranks, ties = _ranks(pooled)
     h = 0.0
     start = 0
     for s in samples:
@@ -127,7 +118,7 @@ def kruskal_wallis(groups: Mapping[str, Sequence[float]]) -> HypothesisTestResul
         h += r * r / s.size
         start += s.size
     h = 12.0 / (n_total * (n_total + 1.0)) * h - 3.0 * (n_total + 1.0)
-    correction = 1.0 - _tie_term(pooled) / (n_total**3 - n_total)
+    correction = 1.0 - _tie_term(ties) / (n_total**3 - n_total)
     if correction <= 0.0:
         return HypothesisTestResult(0.0, 1.0, METHOD_CHI_SQUARE, labels)
     h /= correction
@@ -139,24 +130,18 @@ def kruskal_wallis(groups: Mapping[str, Sequence[float]]) -> HypothesisTestResul
 def _u_counts(n: int, m: int) -> list[int]:
     """Count of rank configurations per Mann-Whitney U value, exact integers.
 
-    c[i][j] is the coefficient list over u = 0..i*j; recurrence
-    c_{i,j}(u) = c_{i-1,j}(u-j) + c_{i,j-1}(u).
+    The counts are the coefficients of the Gaussian binomial
+    [n+m choose n]_q = prod_{i=1..n} (1 - q^(m+i)) / (1 - q^i), built
+    over the smaller sample in O(n * nm) integer operations.
     """
-    prev_row: list[list[int]] = [[1] for _ in range(m + 1)]
+    n, m = min(n, m), max(n, m)
+    c = [1] + [0] * (n * m)
     for i in range(1, n + 1):
-        row: list[list[int]] = [[1]]
-        for j in range(1, m + 1):
-            size = i * j + 1
-            counts = [0] * size
-            up = prev_row[j]      # c_{i-1, j}, length (i-1)*j + 1
-            left = row[j - 1]     # c_{i, j-1}, length i*(j-1) + 1
-            for u, c in enumerate(up):
-                counts[u + j] += c
-            for u, c in enumerate(left):
-                counts[u] += c
-            row.append(counts)
-        prev_row = row
-    return prev_row[m]
+        for u in range(n * m, m + i - 1, -1):
+            c[u] -= c[u - m - i]
+        for u in range(i, n * m + 1):
+            c[u] += c[u - i]
+    return c
 
 
 def _normal_sf(z: float) -> float:
@@ -171,10 +156,10 @@ def wilcoxon_rank_sum_exact(
     """Two-sided two-sample rank test.
 
     Tie-free samples with min(n, m) <= 50 get the exact p-value
-    p = min(1, 2 * min(P(U <= u), P(U >= u))) from the U-count dynamic
-    program. Ties (or larger samples) use the normal approximation with
-    tie-corrected variance and continuity correction, and the method
-    flag says so.
+    p = min(1, 2 * min(P(U <= u), P(U >= u))) from the exact U counts,
+    whatever the size of the larger sample. Ties (or both samples above
+    the limit) use the normal approximation with tie-corrected variance
+    and continuity correction, and the method flag says so.
     """
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
@@ -182,12 +167,11 @@ def wilcoxon_rank_sum_exact(
         raise ValueError("both samples must be nonempty")
     n, m = int(xa.size), int(ya.size)
     pooled = np.concatenate([xa, ya])
-    ranks = _midranks(pooled)
+    ranks, ties = _ranks(pooled)
     r_x = float(ranks[:n].sum())
     u = r_x - n * (n + 1) / 2.0
 
-    has_ties = np.unique(pooled).size < pooled.size
-    if not has_ties and min(n, m) <= EXACT_LIMIT:
+    if ties.size == pooled.size and min(n, m) <= EXACT_LIMIT:
         counts = _u_counts(n, m)
         total = sum(counts)
         u_int = int(round(u))
@@ -197,7 +181,7 @@ def wilcoxon_rank_sum_exact(
         return HypothesisTestResult(u, p, METHOD_EXACT, labels)
 
     mean_u = n * m / 2.0
-    var_u = n * m / 12.0 * ((n + m + 1.0) - _tie_term(pooled) / ((n + m) * (n + m - 1.0)))
+    var_u = n * m / 12.0 * ((n + m + 1.0) - _tie_term(ties) / ((n + m) * (n + m - 1.0)))
     if var_u <= 0.0:
         return HypothesisTestResult(u, 1.0, METHOD_NORMAL_TIES, labels)
     shift = u - mean_u

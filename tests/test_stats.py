@@ -1,4 +1,5 @@
 import math
+import time
 from itertools import combinations
 
 import numpy as np
@@ -11,7 +12,7 @@ from claimdist import (
     median_iqr,
     wilcoxon_rank_sum_exact,
 )
-from claimdist.stats import _midranks, _u_counts
+from claimdist.stats import _ranks, _u_counts
 
 # 32 similarity scores from the case-study's h-index group; the known
 # summary row gives median 0.5763 and lower quartile 0.5208.
@@ -274,7 +275,7 @@ class TestPinnedBits:
     def test_kruskal_wallis_all_equal(self):
         assert hexes(kruskal_wallis(ALL_EQUAL_KW)) == ("0x0.0p+0", "0x1.0000000000000p+0")
 
-    def test_midranks_equal_scipy_rankdata(self):
+    def test_ranks_equal_scipy_rankdata(self):
         rng = np.random.default_rng(8)
         for _ in range(300):
             size = int(rng.integers(1, 80))
@@ -282,8 +283,10 @@ class TestPinnedBits:
                 pooled = rng.integers(0, int(rng.integers(1, 6)), size=size).astype(np.float64)
             else:
                 pooled = rng.normal(size=size)
-            expected = scipy_stats.rankdata(pooled, method="average")
-            assert np.array_equal(_midranks(pooled), expected)
+            ranks, ties = _ranks(pooled)
+            assert np.array_equal(ranks, scipy_stats.rankdata(pooled, method="average"))
+            assert ties.sum() == size
+            assert np.array_equal(ties, np.unique(pooled, return_counts=True)[1])
 
     @pytest.mark.parametrize("n,m", [(3, 7), (9, 4), (32, 32), (50, 50), (10, 200), (50, 120)])
     def test_exact_p_matches_scipy(self, n, m):
@@ -296,6 +299,19 @@ class TestPinnedBits:
             assert res.method == "exact"
             assert res.statistic == ref.statistic
             assert res.p_value == pytest.approx(ref.pvalue, rel=1e-12, abs=0.0)
+
+    def test_exact_on_unbalanced_groups_is_fast(self):
+        # min(n, m) <= 50 is exact however large the other group is; the
+        # old 2-D U-count table took seconds here.
+        rng = np.random.default_rng(2000)
+        x, y = rng.normal(size=5), rng.normal(size=2000)
+        start = time.perf_counter()
+        res = wilcoxon_rank_sum_exact(x, y)
+        elapsed = time.perf_counter() - start
+        ref = scipy_stats.mannwhitneyu(x, y, alternative="two-sided", method="exact")
+        assert res.method == "exact"
+        assert res.p_value == pytest.approx(ref.pvalue, rel=1e-12, abs=0.0)
+        assert elapsed < 1.0
 
 
 class TestChiSquareSf:

@@ -161,7 +161,8 @@ class _Rows:
             if token in self.index:
                 self.duplicate_lines.append(lineno)
                 continue
-            norm = float(np.linalg.norm(vec))
+            with np.errstate(over="ignore"):
+                norm = float(np.linalg.norm(vec))
             if not math.isfinite(norm):
                 raise EmbeddingParseError(
                     f"non-finite value or norm in row for {token!r}", lineno

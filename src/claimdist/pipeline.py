@@ -206,7 +206,7 @@ def load_manifest(path: str | Path) -> CorpusManifest:
     query_id = str(_field(query, "id", "query", _LABEL))
     query_path = base / _field(query, "path", "query", str)
     selector_raw = _field(query, "selector", "query", dict, None)
-    selector = _parse_selector(selector_raw) if selector_raw else None
+    selector = _parse_selector(selector_raw) if selector_raw is not None else None
 
     documents_raw = _field(raw, "documents", "", list)
     if not documents_raw:

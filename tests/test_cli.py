@@ -50,10 +50,15 @@ class TestRunCommand:
             ({"query": {"selector": {"method": "lda", "n_topics": 0}}}, "selector n_topics"),
             ({"query": {"selector": {"method": "lda", "iterations": 0}}}, "selector iterations"),
             ({"query": {"selector": {"method": "lda", "alpha": -1}}}, "selector alpha"),
+            (
+                {"query": {"selector": {}}},
+                "manifest query.selector is missing required key 'method'",
+            ),
         ],
         ids=[
             "top_k", "options", "documents",
             "top_k=0", "window=2", "n_topics=0", "iterations=0", "alpha=-1",
+            "empty-selector",
         ],
     )
     def test_mistyped_manifest_exit_1(self, tmp_path, capsys, extra, message):

@@ -78,10 +78,6 @@ class LdaModel:
     sentence_topic: np.ndarray  # (S, K) counts
     topic_totals: np.ndarray    # (K,) counts
 
-    def top_words(self, topic: int, n: int = 5) -> list[str]:
-        order = np.argsort(-self.word_topic[topic], kind="stable")[:n]
-        return [self.vocabulary[i] for i in order]
-
 
 def _guarded(prefix_lower: str) -> bool:
     for abbr in _ABBREVIATIONS:

@@ -406,32 +406,6 @@ def load_embeddings(
     return table
 
 
-def vector_of(table: EmbeddingTable, word: str) -> np.ndarray | None:
-    """Stored row for ``word``, or None when out of vocabulary.
-
-    Matching is exact: no case folding happens here (preprocessing owns
-    normalization).
-    """
-    i = table.vocabulary.get(word)
-    if i is None:
-        return None
-    return table.matrix[i]
-
-
-def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
-    """cos(u, v), clamped to [-1, 1] against round-off."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise ValueError("cosine similarity undefined for zero-norm input")
-    c = float(np.dot(u, v) / (nu * nv))
-    return max(-1.0, min(1.0, c))
-
-
 def similarity_matrix(
     table: EmbeddingTable,
     words_a: Sequence[str],
@@ -439,8 +413,8 @@ def similarity_matrix(
 ) -> np.ndarray:
     """|A| x |B| matrix of pairwise cosine similarities.
 
-    All words must be in vocabulary; callers filter first. Entry (i, j)
-    agrees with :func:`cosine_similarity` on the same vectors to 1e-12.
+    All words must be in vocabulary; callers filter first. Each entry is
+    the cosine of the two rows, clamped to [-1, 1] against round-off.
     """
     ia = table.row_indices(words_a)
     ib = table.row_indices(words_b)

@@ -55,22 +55,6 @@ class DistanceResult:
         return cls(distance=d, similarity=1.0 - d, variant=variant)
 
 
-@dataclass(frozen=True)
-class TransportPlan:
-    """Nonnegative flow matrix whose marginals match the two documents."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-    def row_sums(self) -> np.ndarray:
-        return self.matrix.sum(axis=1)
-
-    def col_sums(self) -> np.ndarray:
-        return self.matrix.sum(axis=0)
-
-
 def ground_cost(similarities: np.ndarray) -> np.ndarray:
     """Element-wise word-pair cost ``1 - clamp(cos, 0, 1)``."""
     return 1.0 - np.clip(np.asarray(similarities, dtype=np.float64), 0.0, 1.0)
@@ -201,13 +185,14 @@ def wmd_exact(
     b: NBow,
     table: EmbeddingTable,
     max_words: int = DEFAULT_ORACLE_LIMIT,
-) -> tuple[DistanceResult, TransportPlan]:
+) -> tuple[DistanceResult, np.ndarray]:
     """Exact optimal-transport distance with full marginal constraints.
 
     This is a verification oracle, not a production scorer: instances
     with more than ``max_words`` unique words on either side are
-    refused. The returned plan is checked to reproduce the objective
-    within 1e-9 and to satisfy both marginals within 1e-7.
+    refused. The returned plan is a read-only |a| x |b| flow matrix,
+    checked to reproduce the objective within 1e-9 and to satisfy both
+    marginals within 1e-7.
     """
     n, m = len(a), len(b)
     if n > max_words or m > max_words:
@@ -224,7 +209,8 @@ def wmd_exact(
         or np.abs(plan.sum(axis=0) - b.weights).max() > 1e-7
     ):
         raise InternalInvariantError("transport plan violates marginal constraints")
-    return DistanceResult.from_distance(objective, EXACT), TransportPlan(matrix=plan)
+    plan.setflags(write=False)
+    return DistanceResult.from_distance(objective, EXACT), plan
 
 
 def _normalized_rows(table: EmbeddingTable, indices: np.ndarray) -> np.ndarray:

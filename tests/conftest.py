@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from claimdist import EmbeddingTable, NBow
+from claimdist.embeddings import EmbeddingTable
+from claimdist.textprep import NBow
 
 
 @pytest.fixture(autouse=True)
@@ -24,6 +25,17 @@ def make_table(words, matrix, name="<fixture>") -> EmbeddingTable:
         row_norms=np.linalg.norm(matrix, axis=1),
         source_name=name,
     )
+
+
+def cosine_similarity(u, v) -> float:
+    """Reference cos(u, v) of two nonzero vectors, clamped to [-1, 1] against round-off.
+
+    The per-pair oracle that ``similarity_matrix`` is checked against.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    c = float(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)))
+    return max(-1.0, min(1.0, c))
 
 
 def random_unit_table(rng, n_words, dim, prefix="w") -> EmbeddingTable:

@@ -4,8 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from claimdist import (
-    DataError,
+from claimdist.claimselect import (
     SentenceRecord,
     fit_lda,
     lda_select,
@@ -13,6 +12,7 @@ from claimdist import (
     moving_average,
     split_sentences,
 )
+from claimdist.errors import DataError
 
 from conftest import lcg_token_lists, make_table
 
@@ -121,7 +121,10 @@ class TestFitLda:
             token_lists.append(list(rng.choice(src, size=6)))
         sents = records(*token_lists)
         model = fit_lda(sents, n_topics=2, iterations=200, seed=11)
-        tops = [set(model.top_words(k, 4)) for k in range(2)]
+        tops = [
+            {model.vocabulary[i] for i in np.argsort(-model.word_topic[k], kind="stable")[:4]}
+            for k in range(2)
+        ]
         assert {frozenset(t) for t in tops} == {frozenset(set_a), frozenset(set_b)}
 
     def test_all_empty_sentences_error(self):

@@ -4,21 +4,19 @@ import logging
 import numpy as np
 import pytest
 
-from claimdist import (
-    EmbeddingParseError,
-    OutOfVocabularyError,
-    cosine_similarity,
-    load_embeddings,
-    similarity_matrix,
-    vector_of,
-)
+from claimdist.embeddings import load_embeddings, similarity_matrix
+from claimdist.errors import EmbeddingParseError, OutOfVocabularyError
 from claimdist import embeddings
 
-from conftest import make_table, random_unit_table
+from conftest import cosine_similarity, make_table, random_unit_table
 
 
 def load_from_text(text: str, **kwargs):
     return load_embeddings(io.BytesIO(text.encode("utf-8")), **kwargs)
+
+
+def row(table, word):
+    return table.matrix[table.vocabulary[word]]
 
 
 class TestLoadEmbeddings:
@@ -26,7 +24,7 @@ class TestLoadEmbeddings:
         table = load_from_text("a 1 0\nb 0 1\n")
         assert table.dimension == 2
         assert len(table) == 2
-        np.testing.assert_array_equal(vector_of(table, "a"), [1.0, 0.0])
+        np.testing.assert_array_equal(row(table, "a"), [1.0, 0.0])
 
     def test_header_line_skipped(self):
         rows = "\n".join(f"tok{i} " + " ".join(["0.5"] * 300) for i in range(2))
@@ -68,7 +66,7 @@ class TestLoadEmbeddings:
             table = load_from_text("a 1 2\na 9 9\nb 3 4\n")
         assert len(table) == 2
         assert table.n_duplicates == 1
-        np.testing.assert_array_equal(vector_of(table, "a"), [1.0, 2.0])
+        np.testing.assert_array_equal(row(table, "a"), [1.0, 2.0])
         assert caplog.messages == ["<stream>: duplicate tokens ignored: 1 (line 2)"]
 
     def test_zero_vector_dropped_with_warning(self, caplog):
@@ -102,7 +100,7 @@ class TestLoadEmbeddings:
         path.write_text("\n".join(lines) + "\n")
         table = load_embeddings(path)
         for w, v in zip(words, vecs):
-            np.testing.assert_array_equal(vector_of(table, w), v)
+            np.testing.assert_array_equal(row(table, w), v)
 
     def test_small_chunks_equivalent(self, monkeypatch):
         rng = np.random.default_rng(5)
@@ -322,18 +320,19 @@ class TestEmbeddingCache:
         assert str(info.value) == "line 1: dimension 50 does not match expected 3"
 
 
-class TestVectorOf:
+class TestVocabulary:
     def test_present(self):
         table = load_from_text("a 1 2\n")
-        np.testing.assert_array_equal(vector_of(table, "a"), [1.0, 2.0])
+        assert "a" in table
+        np.testing.assert_array_equal(row(table, "a"), [1.0, 2.0])
 
-    def test_absent_returns_none(self):
+    def test_absent(self):
         table = load_from_text("a 1 2\n")
-        assert vector_of(table, "zzz") is None
+        assert "zzz" not in table
 
     def test_exact_match_no_case_folding(self):
         table = load_from_text("the 1 2\n")
-        assert vector_of(table, "The") is None
+        assert "The" not in table
 
 
 class TestCosineSimilarity:
@@ -345,14 +344,6 @@ class TestCosineSimilarity:
 
     def test_hand_value(self):
         assert abs(cosine_similarity([1.0, 1.0], [1.0, 0.0]) - 0.707107) < 1e-6
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            cosine_similarity([1.0, 0.0], [1.0, 0.0, 0.0])
-
-    def test_zero_norm(self):
-        with pytest.raises(ValueError):
-            cosine_similarity([0.0, 0.0], [1.0, 0.0])
 
     def test_self_similarity_is_one(self):
         rng = np.random.default_rng(3)
@@ -404,7 +395,7 @@ class TestSimilarityMatrix:
         s = similarity_matrix(table, a, b)
         for i, wa in enumerate(a):
             for j, wb in enumerate(b):
-                expected = cosine_similarity(vector_of(table, wa), vector_of(table, wb))
+                expected = cosine_similarity(row(table, wa), row(table, wb))
                 assert abs(s[i, j] - expected) <= 1e-12
 
     def test_elementwise_on_random_fixtures(self):
@@ -418,7 +409,7 @@ class TestSimilarityMatrix:
             s = similarity_matrix(table, a, b)
             for i, wa in enumerate(a):
                 for j, wb in enumerate(b):
-                    ref = cosine_similarity(vector_of(table, wa), vector_of(table, wb))
+                    ref = cosine_similarity(row(table, wa), row(table, wb))
                     assert abs(s[i, j] - ref) <= 1e-12
 
     def test_oov_word_is_error(self, ortho_table):

@@ -2,20 +2,18 @@ import json
 
 import pytest
 
-from claimdist import (
-    ConfigError,
-    DataError,
-    EmptyDocumentError,
+from claimdist.errors import ConfigError, DataError, EmptyDocumentError
+from claimdist.pipeline import (
     SelectorConfig,
     bench_scaling,
-    default_stopwords,
     emit_report,
     load_corpus,
     load_manifest,
-    median_iqr,
     run_experiment,
+    select_claims,
 )
-from claimdist.pipeline import select_claims
+from claimdist.stats import median_iqr
+from claimdist.textprep import default_stopwords
 
 from conftest import lcg_token_lists, write_corpus
 

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from claimdist import (
+from claimdist.stats import (
+    _ranks,
+    _u_counts,
     chi_square_sf,
     kruskal_wallis,
     median_iqr,
     wilcoxon_rank_sum_exact,
 )
-from claimdist.stats import _ranks, _u_counts
 
 # 32 similarity scores from the case-study's h-index group; the known
 # summary row gives median 0.5763 and lower quartile 0.5208.

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from claimdist import (
-    EmptyDocumentError,
+from claimdist.errors import EmptyDocumentError
+from claimdist.textprep import (
     build_nbow,
     default_stopwords,
     load_stopwords,

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from claimdist import (
+from claimdist.errors import InternalInvariantError, OracleSizeError
+from claimdist.textprep import NBow
+from claimdist.transport import (
     DistanceResult,
-    InternalInvariantError,
-    NBow,
-    OracleSizeError,
     ground_cost,
     lc_rwmd_batch,
     rwmd_distance,
@@ -111,21 +110,22 @@ class TestWmdExact:
         b = nbow(["d"], [1.0])  # cost 1 - 0.8 = 0.2
         res, plan = wmd_exact(a, b, gram_table)
         assert res.distance == pytest.approx(0.2, abs=1e-9)
-        np.testing.assert_allclose(plan.matrix, [[1.0]], atol=1e-9)
+        np.testing.assert_allclose(plan, [[1.0]], atol=1e-9)
+        assert not plan.flags.writeable
 
     def test_2x2_all_plans_cost_quarter(self, pair_2x2):
         a, b, table = pair_2x2
         res, plan = wmd_exact(a, b, table)
         assert res.distance == pytest.approx(0.25, abs=1e-9)
         assert res.distance > rwmd_distance(a, b, table).distance
-        np.testing.assert_allclose(plan.row_sums(), a.weights, atol=1e-7)
-        np.testing.assert_allclose(plan.col_sums(), b.weights, atol=1e-7)
+        np.testing.assert_allclose(plan.sum(axis=1), a.weights, atol=1e-7)
+        np.testing.assert_allclose(plan.sum(axis=0), b.weights, atol=1e-7)
 
     def test_identity_diagonal_plan(self, gram_table):
         d = nbow(["a", "b"], [0.6, 0.4])
         res, plan = wmd_exact(d, d, gram_table)
         assert res.distance <= 1e-9
-        np.testing.assert_allclose(plan.matrix, np.diag([0.6, 0.4]), atol=1e-7)
+        np.testing.assert_allclose(plan, np.diag([0.6, 0.4]), atol=1e-7)
 
     def test_size_cap_refusal(self):
         rng = np.random.default_rng(0)
@@ -273,8 +273,8 @@ class TestTransportProperties:
             relaxed = rwmd_distance(a, b, table)
             exact, plan = wmd_exact(a, b, table)
             assert relaxed.distance <= exact.distance + 1e-9
-            np.testing.assert_allclose(plan.row_sums(), a.weights, atol=1e-7)
-            np.testing.assert_allclose(plan.col_sums(), b.weights, atol=1e-7)
+            np.testing.assert_allclose(plan.sum(axis=1), a.weights, atol=1e-7)
+            np.testing.assert_allclose(plan.sum(axis=0), b.weights, atol=1e-7)
 
     def test_one_sided_dominance_symmetry_identity_range(self):
         rng = np.random.default_rng(43)

@@ -135,6 +135,9 @@ def _u_counts(n: int, m: int) -> list[int]:
     over the smaller sample in O(n * nm) integer operations.
     """
     n, m = min(n, m), max(n, m)
+    # Power-series arithmetic modulo q^(nm+1): the downward pass multiplies
+    # by (1 - q^(m+i)), the upward pass divides by (1 - q^i). Each partial
+    # product is a polynomial of degree i*m <= nm, so the cut loses nothing.
     c = [1] + [0] * (n * m)
     for i in range(1, n + 1):
         for u in range(n * m, m + i - 1, -1):

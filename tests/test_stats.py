@@ -302,8 +302,8 @@ class TestPinnedBits:
             assert res.p_value == pytest.approx(ref.pvalue, rel=1e-12, abs=0.0)
 
     def test_exact_on_unbalanced_groups_is_fast(self):
-        # min(n, m) <= 50 is exact however large the other group is; the
-        # old 2-D U-count table took seconds here.
+        # min(n, m) <= 50 is exact however large the other group is, so the
+        # cost of the counts must not grow with the square of the larger one.
         rng = np.random.default_rng(2000)
         x, y = rng.normal(size=5), rng.normal(size=2000)
         start = time.perf_counter()

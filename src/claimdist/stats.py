@@ -127,22 +127,22 @@ def kruskal_wallis(groups: Mapping[str, Sequence[float]]) -> HypothesisTestResul
     return HypothesisTestResult(h, p, METHOD_CHI_SQUARE, labels)
 
 
-def _u_counts(n: int, m: int) -> list[int]:
-    """Count of rank configurations per Mann-Whitney U value, exact integers.
+def _u_counts(n: int, m: int, degree: int) -> list[int]:
+    """Counts of rank configurations per Mann-Whitney U value 0..degree, exact integers.
 
     The counts are the coefficients of the Gaussian binomial
     [n+m choose n]_q = prod_{i=1..n} (1 - q^(m+i)) / (1 - q^i), built
-    over the smaller sample in O(n * nm) integer operations.
+    over the smaller sample in O(n * degree) integer operations.
     """
     n, m = min(n, m), max(n, m)
-    # Power-series arithmetic modulo q^(nm+1): the downward pass multiplies
-    # by (1 - q^(m+i)), the upward pass divides by (1 - q^i). Each partial
-    # product is a polynomial of degree i*m <= nm, so the cut loses nothing.
-    c = [1] + [0] * (n * m)
+    # Power-series arithmetic modulo q^(degree+1): the downward pass
+    # multiplies by (1 - q^(m+i)), the upward pass divides by (1 - q^i).
+    # Each step reads only lower coefficients, so the cut loses nothing.
+    c = [1] + [0] * degree
     for i in range(1, n + 1):
-        for u in range(n * m, m + i - 1, -1):
+        for u in range(degree, m + i - 1, -1):
             c[u] -= c[u - m - i]
-        for u in range(i, n * m + 1):
+        for u in range(i, degree + 1):
             c[u] += c[u - i]
     return c
 
@@ -175,12 +175,11 @@ def wilcoxon_rank_sum_exact(
     u = r_x - n * (n + 1) / 2.0
 
     if ties.size == pooled.size and min(n, m) <= EXACT_LIMIT:
-        counts = _u_counts(n, m)
-        total = sum(counts)
+        # The counts are a palindrome, so the smaller tail P(U <= u) or
+        # P(U >= u) is the sum of the counts up to min(u, nm - u).
         u_int = int(round(u))
-        lower = sum(counts[: u_int + 1])
-        upper = sum(counts[u_int:])
-        p = min(1.0, 2.0 * min(lower, upper) / total)
+        tail = sum(_u_counts(n, m, min(u_int, n * m - u_int)))
+        p = min(1.0, 2.0 * tail / math.comb(n + m, n))
         return HypothesisTestResult(u, p, METHOD_EXACT, labels)
 
     mean_u = n * m / 2.0

@@ -419,6 +419,18 @@ def test_unwritable_cache_warns_once_and_scores(tmp_path, capsys, caplog, monkey
     assert "cannot write embedding cache" in caplog.messages[0]
 
 
+
+def test_unwritable_cache_and_temporary_directory_exit_1(tmp_path, capsys, monkeypatch):
+    manifest = write_corpus(tmp_path)
+    (tmp_path / "blocker").write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "blocker" / "cache"))
+    missing = tmp_path / "no-such-tmp"
+    monkeypatch.setattr("tempfile.tempdir", str(missing))
+    rc, out, err = run_cli(capsys, "run", str(manifest))
+    assert (rc, out) == (1, "")
+    assert "cannot create a temporary file" in err and str(missing) in err
+
+
 class TestVersionFlag:
     def test_version_exits_zero(self, capsys):
         rc = main(["--version"])

@@ -111,18 +111,23 @@ class TestLoadEmbeddings:
         text = "\n".join(lines) + "\n"
         kept = [i for i in range(10) if i not in (3, 6)]
         full = load_from_text(text)
-        np.testing.assert_array_equal(full.matrix, vecs[kept])
+        np.testing.assert_array_equal(full.matrix[:], vecs[kept])
         for rows in (1, 3):
             monkeypatch.setattr(embeddings, "_BATCH_BYTES", rows * 8 * 4)
             tiny = load_from_text(text)
             assert tiny.vocabulary == full.vocabulary
-            np.testing.assert_array_equal(tiny.matrix, full.matrix)
+            np.testing.assert_array_equal(tiny.matrix[:], full.matrix[:])
             np.testing.assert_array_equal(tiny.row_norms, full.row_norms)
 
     def test_table_is_immutable(self):
         table = load_from_text("a 1 0\nb 0 1\n")
+        with pytest.raises(TypeError):
+            table.matrix[0] = 5.0
+        rows = table.matrix[:]
+        rows[0, 0] = 5.0
+        np.testing.assert_array_equal(table.matrix[:], [[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            table.matrix[0, 0] = 5.0
+            table.row_norms[0] = 5.0
 
 
 # Parser edge cases. Each input maps to the exact table (words, matrix
@@ -189,9 +194,10 @@ def _check_parse(load, data, *expected):
     assert list(table.vocabulary) == [w for w, _ in rows]
     assert list(table.vocabulary.values()) == list(range(len(rows)))
     want = np.array([v for _, v in rows], dtype=np.float64)
-    assert table.matrix.dtype == np.float64
-    assert table.matrix.shape == want.shape
-    assert table.matrix.tobytes() == want.tobytes()
+    matrix = table.matrix[:]
+    assert table.matrix.dtype == matrix.dtype == np.float64
+    assert table.matrix.shape == matrix.shape == want.shape
+    assert matrix.tobytes() == want.tobytes()
     assert table.row_norms.tobytes() == np.linalg.norm(want, axis=1).tobytes()
     assert (table.n_duplicates, table.n_zero_dropped) == (n_dup, n_zero)
 
@@ -239,7 +245,7 @@ def _entry(cache_home):
 
 def _assert_same_table(a, b):
     assert list(a.vocabulary.items()) == list(b.vocabulary.items())
-    assert np.array_equal(a.matrix, b.matrix)
+    assert np.array_equal(a.matrix[:], b.matrix[:])
     assert np.array_equal(a.row_norms, b.row_norms)
     assert (a.dimension, a.n_duplicates, a.n_zero_dropped, a.source_name) == (
         b.dimension, b.n_duplicates, b.n_zero_dropped, b.source_name,
@@ -255,14 +261,15 @@ class TestEmbeddingCache:
         path = _table_file(tmp_path / "emb.txt")
         with caplog.at_level(logging.WARNING):
             cold = load_embeddings(path)
-            assert _entry(private_cache_home).name == f"v1-{embeddings.file_sha256(path)}"
+            assert _entry(private_cache_home).name == f"v2-{embeddings.file_sha256(path)}"
             monkeypatch.setattr(embeddings, "_parse", _no_parse)
             hit = load_embeddings(path)
         _assert_same_table(hit, cold)
         assert hit.source_name == str(path)
-        assert not hit.matrix.flags.writeable
-        # the block-wise norms equal the whole-matrix norm exactly
-        assert np.array_equal(cold.row_norms, np.linalg.norm(cold.matrix, axis=1))
+        with pytest.raises(TypeError):
+            hit.matrix[0] = 0.0
+        # the batch-wise norms equal the whole-matrix norm exactly
+        assert np.array_equal(cold.row_norms, np.linalg.norm(cold.matrix[:], axis=1))
         summary = (
             f"{path}: duplicate tokens ignored: 1 (line 8); all-zero vectors dropped: 1 (line 12)"
         )
@@ -289,15 +296,20 @@ class TestEmbeddingCache:
         self, tmp_path, private_cache_home, monkeypatch
     ):
         path = _table_file(tmp_path / "emb.txt")
+        with open(path, "rb") as stream:
+            parsed = load_embeddings(stream)  # outside the cache
         cold = load_embeddings(path)
-        matrix_file = _entry(private_cache_home) / "matrix.npy"
+        matrix_file = _entry(private_cache_home) / "matrix.f64"
         size = matrix_file.stat().st_size
         with open(matrix_file, "r+b") as fh:
             fh.truncate(size // 2)
-        _assert_same_table(load_embeddings(path), cold)
+        # the cold table reads its rows from that file: a short read fails
+        with pytest.raises(OSError, match="ends before row"):
+            cold.matrix[:]
+        _assert_same_table(load_embeddings(path), parsed)
         assert matrix_file.stat().st_size == size
         monkeypatch.setattr(embeddings, "_parse", _no_parse)
-        _assert_same_table(load_embeddings(path), cold)
+        _assert_same_table(load_embeddings(path), parsed)
 
     def test_entry_written_meanwhile_is_left_in_place(
         self, tmp_path, private_cache_home, monkeypatch
@@ -318,6 +330,117 @@ class TestEmbeddingCache:
         with pytest.raises(EmbeddingParseError) as info:
             load_embeddings(path, expected_dim=3)
         assert str(info.value) == "line 1: dimension 50 does not match expected 3"
+
+    def test_writing_an_entry_removes_the_previous_format(self, tmp_path, private_cache_home):
+        path = _table_file(tmp_path / "emb.txt", n_words=20)
+        root = private_cache_home / "claimdist"
+        old = root / f"v1-{embeddings.file_sha256(path)}"
+        other = root / f"v1-{'0' * 64}"
+        for entry in (old, other):
+            entry.mkdir(parents=True)
+            (entry / "matrix.npy").write_bytes(b"\0" * 64)
+        load_embeddings(path)
+        assert sorted(e.name for e in root.iterdir()) == sorted(
+            [other.name, f"v2-{embeddings.file_sha256(path)}"]
+        )
+
+
+def _kept_rows(path):
+    """The rows a load keeps, parsed independently: first occurrences, nonzero."""
+    rows = {}
+    for line in path.read_text().splitlines():
+        token, *values = line.split()
+        vec = [float(v) for v in values]
+        if token not in rows and any(vec):
+            rows[token] = vec
+    return np.array(list(rows.values()))
+
+
+def _load_as(kind, path, monkeypatch, tmp_path):
+    if kind == "stream":
+        with open(path, "rb") as stream:
+            return load_embeddings(stream)
+    if kind == "unwritable":
+        (tmp_path / "blocker").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "blocker" / "cache"))
+    if kind == "hit":
+        load_embeddings(path)
+        monkeypatch.setattr(embeddings, "_parse", _no_parse)
+    return load_embeddings(path)
+
+
+READER_KINDS = ["cold", "hit", "stream", "unwritable"]
+
+
+class TestRowReader:
+    @pytest.mark.parametrize("kind", READER_KINDS)
+    def test_rows_equal_the_parsed_rows(self, tmp_path, monkeypatch, kind):
+        path = _table_file(tmp_path / "emb.txt")
+        want = _kept_rows(path)
+        table = _load_as(kind, path, monkeypatch, tmp_path)
+        assert table.matrix.shape == want.shape and len(table.matrix) == len(want)
+        assert table.matrix.dtype == np.float64
+        unsorted = np.array([17, 3, 17, len(want) - 1, 0, 4, 3, -1])
+        for key in (5, -2, unsorted, [2, 1], np.array([], dtype=np.intp), slice(10, 400, 7),
+                    slice(None, None, -3), slice(None)):
+            got = table.matrix[key]
+            assert got.dtype == np.float64 and got.shape == want[key].shape
+            assert got.tobytes() == want[key].tobytes()
+
+    @pytest.mark.parametrize("kind", READER_KINDS)
+    def test_bad_index_raises(self, tmp_path, monkeypatch, kind):
+        path = _table_file(tmp_path / "emb.txt", n_words=20)
+        table = _load_as(kind, path, monkeypatch, tmp_path)
+        n = len(table)
+        for key in (n, -n - 1, [0, n], np.array([-n - 1, 0])):
+            with pytest.raises(IndexError):
+                table.matrix[key]
+        with pytest.raises(TypeError):
+            table.matrix[0, 1]  # one element of an ndarray; rows only here
+
+    @pytest.mark.parametrize("kind", READER_KINDS)
+    def test_reads_only_the_requested_rows(self, tmp_path, monkeypatch, kind):
+        path = _table_file(tmp_path / "emb.txt")
+        table = _load_as(kind, path, monkeypatch, tmp_path)
+        row_bytes = 8 * table.dimension
+        read_rows = []
+        real_preadv = embeddings.os.preadv
+
+        def counting_preadv(fd, buffers, offset):
+            n = real_preadv(fd, buffers, offset)
+            assert offset % row_bytes == 0 and n % row_bytes == 0
+            read_rows.extend(range(offset // row_bytes, (offset + n) // row_bytes))
+            return n
+
+        monkeypatch.setattr(embeddings.os, "preadv", counting_preadv)
+        index = [1500, 7, 8, 9, 7, 1200, 3]
+        table.matrix[index]
+        assert sorted(read_rows) == sorted(index)
+
+    @pytest.mark.parametrize("source", ["file", "stream"])
+    def test_parse_error_leaves_no_directory_and_no_open_file(
+        self, tmp_path, private_cache_home, monkeypatch, source
+    ):
+        path = _table_file(tmp_path / "emb.txt", n_words=200)
+        path.write_text(path.read_text() + "late 1 oops\n" + "after 1 2\n" * 5)
+        monkeypatch.setattr(embeddings, "_BATCH_BYTES", 4096)
+        sinks = []
+        rows_init = embeddings._Rows.__init__
+
+        def recording_init(self, expected_dim, sink, sink_dir):
+            sinks.append(sink)
+            rows_init(self, expected_dim, sink, sink_dir)
+
+        monkeypatch.setattr(embeddings._Rows, "__init__", recording_init)
+        with pytest.raises(EmbeddingParseError, match="line 201"):
+            if source == "file":
+                load_embeddings(path)
+            else:
+                with open(path, "rb") as stream:
+                    load_embeddings(stream)
+        assert len(sinks) == 1 and sinks[0].closed
+        root = private_cache_home / "claimdist"
+        assert not root.exists() or list(root.iterdir()) == []
 
 
 class TestVocabulary:

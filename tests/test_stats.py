@@ -235,14 +235,34 @@ class TestWilcoxonExact:
 class TestUCounts:
     @pytest.mark.parametrize("n,m", U_COUNT_GRID)
     def test_matches_two_dimensional_recurrence(self, n, m):
-        assert _u_counts(n, m) == reference_u_counts(max(n, m), min(n, m))
+        assert _u_counts(n, m, n * m) == reference_u_counts(max(n, m), min(n, m))
 
     @pytest.mark.parametrize("n,m", U_COUNT_GRID)
     def test_total_and_symmetry(self, n, m):
-        counts = _u_counts(n, m)
+        counts = _u_counts(n, m, n * m)
         assert len(counts) == n * m + 1
         assert sum(counts) == math.comb(n + m, n)
         assert counts == counts[::-1]
+
+    @pytest.mark.parametrize("n,m", [(5, 7), (13, 40), (32, 32), (5, 2000)])
+    def test_lower_degree_is_a_prefix(self, n, m):
+        full = _u_counts(n, m, n * m)
+        for degree in (0, 1, n * m // 3, n * m // 2, n * m - 1, n * m):
+            assert _u_counts(n, m, degree) == full[: degree + 1]
+
+    @pytest.mark.parametrize("n,m", [(5, 7), (13, 40), (32, 32)])
+    def test_exact_p_equals_the_full_count_formula(self, n, m):
+        counts = reference_u_counts(max(n, m), min(n, m))
+        for u in (0, 1, n * m // 3, n * m // 2, n * m - 1, n * m):
+            # x_i has k_i of the y values 0..m-1 below it; the k_i sum to u
+            q, r = divmod(u, m)
+            k = [0] * (n - q - 1) + [r] + [m] * q if q < n else [m] * n
+            x = [k_i - 0.5 + i * 1e-6 for i, k_i in enumerate(k)]
+            res = wilcoxon_rank_sum_exact(x, list(range(m)))
+            assert (res.method, res.statistic) == ("exact", u)
+            lower, upper = sum(counts[: u + 1]), sum(counts[u:])
+            want = min(1.0, 2.0 * min(lower, upper) / sum(counts))
+            assert res.p_value.hex() == want.hex()
 
     def test_reference_is_symmetric_in_its_sizes(self):
         for n, m in [(1, 4), (3, 5), (6, 2), (7, 9)]:

@@ -524,15 +524,14 @@ def load_embeddings(
         return cached[0]
     sink, sink_dir, tmp = _cache_sink(entry, name)
     try:
-        try:
-            with open(source, "rb") as stream:
-                table, rows = _parse(stream, expected_dim, sink, sink_dir, name)
-        except OSError as exc:
-            sink.close()
-            raise ConfigError(f"cannot read embedding file {name}: {exc}") from None
-    except BaseException:
+        with open(source, "rb") as stream:
+            table, rows = _parse(stream, expected_dim, sink, sink_dir, name)
+    except BaseException as exc:
+        sink.close()
         if tmp is not None:
             shutil.rmtree(tmp, ignore_errors=True)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot read embedding file {name}: {exc}") from None
         raise
     if tmp is not None:
         _write_entry(entry, tmp, digest, rows, table)

@@ -6,6 +6,13 @@ header line, as written by word2vec-style text exports, is detected and
 skipped. The loaded table is immutable and every query operation is
 pure, so concurrent readers are safe.
 
+The text is parsed in batches of whole lines by one parser. One
+``np.loadtxt`` call reads each batch's numbers; only a batch it rejects
+is read line by line, up to its first bad row, so that the error names
+that row's line. One row norm, ``np.linalg.norm(values, axis=1)``,
+both rejects a row (not finite) or drops it (zero) and is the norm
+stored for it.
+
 A loaded matrix stays on disk. The parser streams the kept rows, as raw
 little-endian float64, into a file, and the table's ``matrix`` reads
 just the rows it is indexed with (``os.preadv``, so POSIX only). A
@@ -16,8 +23,10 @@ file, under ``$XDG_CACHE_HOME/claimdist`` (``~/.cache/claimdist`` when
 that is unset). An entry ``v2-<sha256>`` holds ``matrix.f64`` (the
 rows), ``norms.npy``, ``vocab.txt`` and ``meta.json``; the parse writes
 ``matrix.f64`` straight into it. A later load of the same file opens the
-stored rows instead of parsing the text again. Deleting the cache is
-always safe: a missing or damaged entry is parsed and written again.
+stored rows instead of parsing the text again, and writing an entry
+removes the other entries parsed from the same file path. Deleting the
+cache is always safe: a missing or damaged entry is parsed and written
+again.
 When the cache cannot be written, and for streams, the rows go to an
 anonymous temporary file under ``TMPDIR``.
 """
@@ -46,11 +55,6 @@ log = logging.getLogger(__name__)
 # batch as UCS-4, four times its size, so large batches raise the peak
 # memory of a load; about 1 MiB keeps that small next to the matrix.
 _BATCH_BYTES = 1 << 20
-
-# A row norm at or above this, or zero, sends its batch to the row-by-row
-# parser. Below it the sum of squares is far from overflow in any
-# summation order, so the row-by-row norm check would accept the row too.
-_SAFE_NORM = 1e150
 
 # Directory name prefix of a cache entry; change it when the layout does.
 _CACHE_FORMAT = "v2"
@@ -183,6 +187,11 @@ class _RowFile:
             raise OSError(f"embedding row file ends before row {first + len(buffers)}")
 
 
+def _row_values(rest: str) -> np.ndarray:
+    """The numbers after one row's token, as ``float`` reads them; raises ValueError."""
+    return np.array(rest.split(), dtype=np.float64)
+
+
 class _Rows:
     """The rows of a table being parsed.
 
@@ -201,13 +210,6 @@ class _Rows:
         self.duplicate_lines: list[int] = []
         self.zero_lines: list[int] = []
 
-    def _set_dim(self, dim: int, lineno: int):
-        if self.expected_dim is not None and dim != self.expected_dim:
-            raise EmbeddingParseError(
-                f"dimension {dim} does not match expected {self.expected_dim}", lineno
-            )
-        self.dim = dim
-
     def _write(self, kept: np.ndarray | None):
         """Append ``kept`` to the sink, or flush it when None."""
         try:
@@ -220,111 +222,97 @@ class _Rows:
                 f"cannot write parsed embedding rows to {self.sink_dir}: {exc}"
             ) from None
 
-    def add_lines(self, lines: list[bytes], first_lineno: int):
-        """Parse ``lines`` one by one; the only source of parse errors."""
-        kept = []
-        for lineno, raw in enumerate(lines, start=first_lineno):
-            try:
-                line = raw.decode("utf-8").rstrip("\r\n")
-            except UnicodeDecodeError as exc:
-                raise EmbeddingParseError(f"not valid UTF-8: {exc}", lineno) from None
-            if not line.strip():
-                continue
-            fields = line.split()
-            if lineno == 1 and _is_header(fields):
-                continue
-            token, values = fields[0], fields[1:]
-            if not values:
-                raise EmbeddingParseError("row has a token but no values", lineno)
-            try:
-                vec = np.array(values, dtype=np.float64)
-            except ValueError:
-                raise EmbeddingParseError(
-                    f"non-numeric field in row for {token!r}", lineno
-                ) from None
-            if self.dim is None:
-                self._set_dim(vec.size, lineno)
-            elif vec.size != self.dim:
-                raise EmbeddingParseError(
-                    f"row has dimension {vec.size}, table has {self.dim}", lineno
-                )
-            if token in self.index:
-                self.duplicate_lines.append(lineno)
-                continue
-            with np.errstate(over="ignore"):
-                norm = float(np.linalg.norm(vec))
-            if not math.isfinite(norm):
-                raise EmbeddingParseError(
-                    f"non-finite value or norm in row for {token!r}", lineno
-                )
-            if norm == 0.0:
-                self.zero_lines.append(lineno)
-                continue
-            self.index[token] = len(self.index)
-            kept.append(vec)
-        if kept:
-            kept = np.array(kept)
-            self._write(kept)
-            self.norms.append(np.linalg.norm(kept, axis=1))
+    def add(self, batch: bytes, first_lineno: int):
+        """Parse the whole lines in ``batch``, the first of them numbered ``first_lineno``.
 
-    def add_batch(self, batch: bytes, first_lineno: int) -> bool:
-        """Parse the whole lines in ``batch`` with one ``np.loadtxt`` call.
-
-        Returns False, having changed nothing, when the batch holds
-        anything this path cannot prove :meth:`add_lines` would take the
-        same way: bytes that are not UTF-8, a row without values, a field
-        ``loadtxt`` rejects (``float`` also takes ``1_0`` and non-ASCII
-        digits), a dimension change or mismatch, or a kept row whose norm
-        is zero or not safely finite. Both parsers split on the same
-        whitespace and round every number the same way.
+        A line that is not UTF-8, has a token but no values, has a
+        non-numeric field or changes the row length ends the batch; the
+        rows before it are checked before its error is raised, so every
+        error names the first bad line. One row norm both rejects a row
+        (not finite) or drops it (zero) and is the norm stored for it. A
+        duplicate token is skipped unchecked.
         """
+        error = None
         try:
-            text = batch.decode("utf-8")
+            lines = batch.decode("utf-8").split("\n")
         except UnicodeDecodeError:
-            return False
-        tokens: list[str] = []
-        rests: list[str] = []
-        linenos: list[int] = []
-        for lineno, line in enumerate(text.split("\n"), start=first_lineno):
+            lines = []
+            for lineno, raw in enumerate(batch.split(b"\n"), start=first_lineno):
+                try:
+                    lines.append(raw.decode("utf-8"))
+                except UnicodeDecodeError as exc:
+                    error = EmbeddingParseError(f"not valid UTF-8: {exc}", lineno)
+                    break
+        rows = []
+        for lineno, line in enumerate(lines, start=first_lineno):
             parts = line.split(None, 1)
             if not parts or (lineno == 1 and _is_header(line.split())):
                 continue
             if len(parts) == 1:
-                return False
-            tokens.append(parts[0])
-            rests.append(parts[1])
-            linenos.append(lineno)
-        if not rests:
-            return True
+                error = EmbeddingParseError("row has a token but no values", lineno)
+                break
+            rows.append((lineno, *parts))
+        if not rows:
+            if error is not None:
+                raise error
+            return
+        linenos, tokens, rests = zip(*rows)
+
         try:
             values = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2)
         except ValueError:
-            return False
-        dim = self.dim if self.dim is not None else self.expected_dim
-        if values.shape[0] != len(rests) or dim not in (None, values.shape[1]):
-            return False
+            values = ()
+        if len(values) != len(rests):
+            # Read the rows one by one, up to the first that is not numeric
+            # or not as long as the first row.
+            values = []
+            for lineno, token, rest in rows:
+                try:
+                    row = _row_values(rest)
+                except ValueError:
+                    error = EmbeddingParseError(f"non-numeric field in row for {token!r}", lineno)
+                    break
+                if values and row.size != values[0].size:
+                    error = EmbeddingParseError(
+                        f"row has dimension {row.size}, table has {values[0].size}", lineno
+                    )
+                    break
+                values.append(row)
+            if not values:
+                raise error
+            values = np.array(values)
 
+        dim = values.shape[1]
+        if self.dim is None and self.expected_dim not in (None, dim):
+            raise EmbeddingParseError(
+                f"dimension {dim} does not match expected {self.expected_dim}", linenos[0]
+            )
+        if self.dim not in (None, dim):
+            raise EmbeddingParseError(f"row has dimension {dim}, table has {self.dim}", linenos[0])
+        self.dim = dim
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(values, axis=1)
         new: dict[str, int] = {}
-        duplicates: list[int] = []
-        for i, token in enumerate(tokens):
+        for i, (token, lineno, norm) in enumerate(zip(tokens, linenos, norms.tolist())):
             if token in self.index or token in new:
-                duplicates.append(linenos[i])
+                self.duplicate_lines.append(lineno)
+            elif not math.isfinite(norm):
+                raise EmbeddingParseError(
+                    f"non-finite value or norm in row for {token!r}", lineno
+                )
+            elif norm == 0.0:
+                self.zero_lines.append(lineno)
             else:
                 new[token] = i
-        kept = values if len(new) == len(tokens) else values[list(new.values())]
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(kept, axis=1)
-        if not np.all((norms > 0.0) & (norms < _SAFE_NORM)):
-            return False
-
-        if self.dim is None:
-            self._set_dim(values.shape[1], linenos[0])
-        self._write(kept)
+        if len(new) < len(values):
+            kept = list(new.values())
+            values, norms = values[kept], norms[kept]
+        self._write(values)
         self.norms.append(norms)
         start = len(self.index)
         self.index.update(zip(new, range(start, start + len(new))))
-        self.duplicate_lines += duplicates
-        return True
+        if error is not None:
+            raise error
 
     def table(self, name: str) -> EmbeddingTable:
         """The parsed table; its matrix reads the rows back from the sink."""
@@ -354,8 +342,7 @@ def _parse(
         lineno = 1
         while batch := stream.read(_BATCH_BYTES):
             batch += stream.readline()
-            if not rows.add_batch(batch, lineno):
-                rows.add_lines(batch.split(b"\n"), lineno)
+            rows.add(batch, lineno)
             lineno += batch.count(b"\n")
         table = rows.table(name)
     except BaseException:
@@ -395,7 +382,8 @@ def _read_entry(
     """The table stored in ``entry``, reading its rows on demand, and its dropped-row lines.
 
     A missing entry gives None. So does an unreadable, truncated or
-    inconsistent one, which is removed so that it is written again.
+    inconsistent one, such as one with a row norm that is not finite and
+    positive, which is removed so that it is written again.
     """
     if not entry.is_dir():
         return None
@@ -412,6 +400,7 @@ def _read_entry(
             and norms.dtype == np.float64
             and rows == len(words) == len(vocabulary)
             and norms.shape == (rows,)
+            and np.all((norms > 0.0) & (norms < np.inf))
             and os.fstat(file.fileno()).st_size == _ROW_DTYPE.itemsize * rows * dim
         ):
             raise ValueError("entry does not match its key or its own shape")
@@ -464,8 +453,10 @@ def _cache_sink(entry: Path, name: str) -> tuple[BinaryIO, str, Path | None]:
 
 def _write_entry(entry: Path, tmp: Path, digest: str, rows: _Rows, table: EmbeddingTable):
     """Complete the entry whose rows were parsed into ``tmp``; rename it into place."""
+    source = os.path.realpath(table.source_name)
     meta = {
         "key": digest,
+        "source": source,
         "rows": len(table),
         "dimension": table.dimension,
         "duplicates": table.n_duplicates,
@@ -486,7 +477,15 @@ def _write_entry(entry: Path, tmp: Path, digest: str, rows: _Rows, table: Embedd
             log.warning("%s: cannot write embedding cache %s: %s", table.source_name, entry, exc)
         shutil.rmtree(tmp, ignore_errors=True)
         return
-    # The same table's entry in the previous format would never be read again.
+    # Entries of earlier contents of the same file, and the same table's
+    # entry in the previous format, would never be read again.
+    for other in entry.parent.glob(f"{_CACHE_FORMAT}-*"):
+        try:
+            same = json.loads((other / "meta.json").read_text(encoding="utf-8"))["source"] == source
+        except (OSError, ValueError, KeyError, TypeError):
+            same = False
+        if same and other != entry:
+            shutil.rmtree(other, ignore_errors=True)
     shutil.rmtree(entry.with_name(f"{_OLD_CACHE_FORMAT}-{digest}"), ignore_errors=True)
 
 

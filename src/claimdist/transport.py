@@ -244,32 +244,31 @@ def lc_rwmd_batch(
     if not candidates:
         return []
 
-    union_words = dict.fromkeys(
-        w for cand in candidates if cand is not None for w in cand.words
-    )
-    if not union_words:
+    cand_rows = [None if cand is None else table.row_indices(cand.words) for cand in candidates]
+    # The union in table-row order, so each block reads runs of adjacent
+    # rows. A mask, not np.unique: its first call imports numpy.ma, which
+    # would then count towards the scan's peak memory.
+    in_union = np.zeros(len(table), dtype=bool)
+    for idx in cand_rows:
+        if idx is not None:
+            in_union[idx] = True
+    union_idx = np.flatnonzero(in_union)
+    if not union_idx.size:
         return [None] * len(candidates)
-    union = {w: i for i, w in enumerate(union_words)}
-    positions = [
-        None
-        if cand is None
-        else np.fromiter(map(union.__getitem__, cand.words), dtype=np.intp, count=len(cand))
-        for cand in candidates
-    ]
+    positions = [None if idx is None else np.searchsorted(union_idx, idx) for idx in cand_rows]
 
-    union_idx = table.row_indices(list(union_words))
     q_norm = _normalized_rows(table, table.row_indices(query.words))
     rows = max(1, _BLOCK_BYTES // (8 * len(query)))
 
-    best_into_query = np.empty(len(union))
+    best_into_query = np.empty(len(union_idx))
     best_per_query_word = np.full((len(candidates), len(query)), -np.inf)
     # The block and the rows picked from it reuse two buffers, so the scan
     # allocates nothing large per block and its peak memory is fixed.
-    block_buf = np.empty((min(rows, len(union)), len(query)))
+    block_buf = np.empty((min(rows, len(union_idx)), len(query)))
     picked_buf = np.empty_like(block_buf)
     col_max = np.empty(len(query))
-    for start in range(0, len(union), rows):
-        stop = min(len(union), start + rows)
+    for start in range(0, len(union_idx), rows):
+        stop = min(len(union_idx), start + rows)
         sims = np.matmul(
             _normalized_rows(table, union_idx[start:stop]), q_norm.T, out=block_buf[: stop - start]
         )

@@ -150,6 +150,12 @@ PARSE_CASES = {
     "nan": (b"a nan 1\nb 0 1\n", 1, "non-finite value or norm in row for 'a'"),
     "infinity": (b"b 0 1\na Infinity 1\n", 2, "non-finite value or norm in row for 'a'"),
     "overflowing-norm": (b"b 0 1\na 1e200 1e200\n", 2, "non-finite value or norm in row for 'a'"),
+    # the rounded squares sum past the largest float, so the row-wise norm
+    # is inf, though a BLAS dot product of the row with itself is finite
+    "norm-overflows-in-one-order": (
+        b"b 0 1\nbig 8.256162486418872e+153 1.0564331236953966e+154\n", 2,
+        "non-finite value or norm in row for 'big'",
+    ),
     "comment-sign": (b"b 0 1\na #0 1\n", 2, "non-numeric field in row for 'a'"),
     "hex-float": (b"a 0x1p1 1\n", 1, "non-numeric field in row for 'a'"),
     "short-row": (b"a 1 2\nb\n", 2, "row has a token but no values"),
@@ -278,7 +284,8 @@ class TestEmbeddingCache:
     def test_clean_rows_take_the_batch_parser(self, tmp_path, monkeypatch):
         path = tmp_path / "emb.txt"
         path.write_text("".join(f"w{i} {i + 1} 0.5 -2e-3\n" for i in range(5000)))
-        monkeypatch.setattr(embeddings._Rows, "add_lines", _no_parse)
+        # the per-line number conversion is only the fallback for odd rows
+        monkeypatch.setattr(embeddings, "_row_values", _no_parse)
         assert len(load_embeddings(path)) == 5000
 
     def test_digest_passed_in_keys_the_same_entry(self, tmp_path, private_cache_home):
@@ -310,6 +317,37 @@ class TestEmbeddingCache:
         assert matrix_file.stat().st_size == size
         monkeypatch.setattr(embeddings, "_parse", _no_parse)
         _assert_same_table(load_embeddings(path), parsed)
+
+    @pytest.mark.parametrize("bad_norm", [np.inf, np.nan, 0.0])
+    def test_bad_stored_norm_is_a_miss_and_rewritten(
+        self, tmp_path, private_cache_home, monkeypatch, bad_norm
+    ):
+        path = _table_file(tmp_path / "emb.txt")
+        cold = load_embeddings(path)
+        norms_file = _entry(private_cache_home) / "norms.npy"
+        norms = np.load(norms_file)
+        norms[5] = bad_norm
+        np.save(norms_file, norms)
+        parses = []
+        real_parse = embeddings._parse
+        monkeypatch.setattr(
+            embeddings, "_parse", lambda *args: parses.append(1) or real_parse(*args)
+        )
+        _assert_same_table(load_embeddings(path), cold)
+        assert parses == [1]
+        assert np.array_equal(np.load(norms_file), cold.row_norms)
+
+    def test_editing_a_table_leaves_one_entry_for_it(self, tmp_path, private_cache_home):
+        path = tmp_path / "emb.txt"
+        gone = _table_file(tmp_path / "gone.txt", n_words=20, seed=3)
+        load_embeddings(gone)
+        digests = {embeddings.file_sha256(gone)}
+        gone.unlink()  # the entry of a deleted table stays
+        for seed in (4, 5):
+            load_embeddings(_table_file(path, n_words=20, seed=seed))
+        digests.add(embeddings.file_sha256(path))
+        root = private_cache_home / "claimdist"
+        assert {e.name for e in root.iterdir()} == {f"v2-{d}" for d in digests}
 
     def test_entry_written_meanwhile_is_left_in_place(
         self, tmp_path, private_cache_home, monkeypatch

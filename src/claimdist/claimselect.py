@@ -15,12 +15,13 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import accumulate
+from operator import mul, truediv
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .errors import DataError
+from .errors import DataError, EmptyDocumentError
 from .textprep import normalize_and_tokenize, remove_stopwords
 
 DEFAULT_CUE_WORDS = frozenset(
@@ -171,31 +172,55 @@ def fit_lda(
             st[k] += 1
             topic_totals[k] += 1
 
-    # One uniform draw per token update; rng.random(n) yields the same
-    # doubles as n scalar rng.random() calls.
+    # A count never exceeds the token count, so each sum of the conditional
+    # is looked up: a_beta[n] is the same double as n + beta. Each count
+    # table has a float mirror holding those sums, updated with it.
     n_tokens = sum(map(len, docs))
     beta_total = beta * n_words
+    a_beta = [n + beta for n in range(n_tokens + 1)]
+    b_beta = [n + beta_total for n in range(n_tokens + 1)]
+    c_alpha = [n + alpha for n in range(n_tokens + 1)]
+    word_f = [[a_beta[n] for n in wt] for wt in word_topic]
+    sentence_f = [[c_alpha[n] for n in st] for st in sentence_topic]
+    totals_f = [b_beta[n] for n in topic_totals]
+
+    # One uniform draw per token update; rng.random(n) yields the same
+    # doubles as n scalar rng.random() calls.
     last = n_topics - 1
     for _ in range(iterations):
         draws = iter(rng.random(n_tokens).tolist())
-        for doc, z, st in zip(docs, assignments, sentence_topic):
-            for pos, w in enumerate(doc):
-                k = z[pos]
+        for doc, z, st, sf in zip(docs, assignments, sentence_topic, sentence_f):
+            new_z = []
+            for w, k in zip(doc, z):
                 wt = word_topic[w]
-                wt[k] -= 1
-                st[k] -= 1
-                topic_totals[k] -= 1
-                # Keep this float order: another order changes last bits,
-                # which can move a draw across a bin edge and fork the chain.
-                cum = list(accumulate([
-                    (a + beta) / (b + beta_total) * (c + alpha)
-                    for a, b, c in zip(wt, topic_totals, st)
-                ]))
-                k = min(bisect_right(cum, next(draws) * cum[-1]), last)
-                wt[k] += 1
-                st[k] += 1
-                topic_totals[k] += 1
-                z[pos] = k
+                wf = word_f[w]
+                n = wt[k] - 1
+                wt[k] = n
+                wf[k] = a_beta[n]
+                n = st[k] - 1
+                st[k] = n
+                sf[k] = c_alpha[n]
+                n = topic_totals[k] - 1
+                topic_totals[k] = n
+                totals_f[k] = b_beta[n]
+                # (a + beta) / (b + beta_total) * (c + alpha), in this float
+                # order: another order changes last bits, which can move a
+                # draw across a bin edge and fork the chain.
+                cum = list(accumulate(map(mul, map(truediv, wf, totals_f), sf)))
+                k = bisect_right(cum, next(draws) * cum[-1])
+                if k > last:  # the product can round up to cum[-1]
+                    k = last
+                n = wt[k] + 1
+                wt[k] = n
+                wf[k] = a_beta[n]
+                n = st[k] + 1
+                st[k] = n
+                sf[k] = c_alpha[n]
+                n = topic_totals[k] + 1
+                topic_totals[k] = n
+                totals_f[k] = b_beta[n]
+                new_z.append(k)
+            z[:] = new_z
 
     return LdaModel(
         n_topics=n_topics,
@@ -294,7 +319,7 @@ def ma_select(
         doc_sum += rows.sum(axis=0)
         doc_count += len(idx)
     if not any_tokens:
-        raise DataError("no sentence has any in-vocabulary token")
+        raise EmptyDocumentError("no sentence has any in-vocabulary token")
     centroid = doc_sum / doc_count
     centroid_norm = float(np.linalg.norm(centroid))
 

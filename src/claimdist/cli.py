@@ -13,7 +13,7 @@ import sys
 import traceback
 
 from . import __version__
-from .errors import ConfigError, DataError, InternalInvariantError
+from .errors import ConfigError, DataError, EmptyDocumentError, InternalInvariantError
 from .embeddings import load_embeddings
 from .pipeline import (
     REPORT_FORMATS,
@@ -59,6 +59,14 @@ def _read_doc_tokens(path: str, label: str, stopwords) -> list[str]:
     return remove_stopwords(normalize_and_tokenize(read_text(path, label)), stopwords.words)
 
 
+def _nbow(tokens: list[str], table, label: str, path: str):
+    """``build_nbow``, with an unembeddable document named by ``label`` and ``path``."""
+    try:
+        return build_nbow(tokens, table)
+    except EmptyDocumentError as exc:
+        raise EmptyDocumentError(f"{label} {path}: {exc}") from None
+
+
 def _write_out(data: bytes, out: str | None):
     if out:
         try:
@@ -86,8 +94,8 @@ def _cmd_dist(args) -> int:
     query = _read_doc_tokens(args.query_file, "query file", stopwords)
     candidate = _read_doc_tokens(args.candidate_file, "candidate file", stopwords)
     table = load_embeddings(args.embeddings, args.expected_dim)
-    a = build_nbow(query, table)
-    b = build_nbow(candidate, table)
+    a = _nbow(query, table, "query file", args.query_file)
+    b = _nbow(candidate, table, "candidate file", args.candidate_file)
     res = rwmd_distance(a, b, table, args.variant)
     _print_json(
         {"distance": res.distance, "similarity": res.similarity, "variant": res.variant}
@@ -106,7 +114,10 @@ def _cmd_extract(args) -> int:
     if cfg.method == "ma" and not args.embeddings:
         raise _UsageError("--embeddings is required with --selector ma")
     table = load_embeddings(args.embeddings) if cfg.method == "ma" else None
-    selected = select_claims(text, cfg, stopwords, table, args.seed)
+    try:
+        selected = select_claims(text, cfg, stopwords, table, args.seed)
+    except DataError as exc:
+        raise type(exc)(f"input file {args.file}: {exc}") from None
     _print_json(
         [{"index": s.index, "score": s.score, "text": s.text} for s in selected]
     )
@@ -119,7 +130,7 @@ def _cmd_preprocess(args) -> int:
     doc = {"tokens": tokens, "filtered_tokens": filtered, "nbow": None}
     if args.embeddings:
         table = load_embeddings(args.embeddings)
-        nbow = build_nbow(filtered, table)
+        nbow = _nbow(filtered, table, "input file", args.file)
         doc["nbow"] = {
             "words": list(nbow.words),
             "weights": [float(w) for w in nbow.weights],

@@ -23,10 +23,10 @@ file, under ``$XDG_CACHE_HOME/claimdist`` (``~/.cache/claimdist`` when
 that is unset). An entry ``v2-<sha256>`` holds ``matrix.f64`` (the
 rows), ``norms.npy``, ``vocab.txt`` and ``meta.json``; the parse writes
 ``matrix.f64`` straight into it. A later load of the same file opens the
-stored rows instead of parsing the text again, and writing an entry
-removes the other entries parsed from the same file path. Deleting the
-cache is always safe: a missing or damaged entry is parsed and written
-again.
+stored rows instead of parsing the text again. Writing an entry removes
+every other entry that can no longer be hit, because its table file is
+gone or changed since it was parsed. Deleting the cache is always safe:
+a missing or damaged entry is parsed and written again.
 When the cache cannot be written, and for streams, the rows go to an
 anonymous temporary file under ``TMPDIR``.
 """
@@ -58,7 +58,6 @@ _BATCH_BYTES = 1 << 20
 
 # Directory name prefix of a cache entry; change it when the layout does.
 _CACHE_FORMAT = "v2"
-_OLD_CACHE_FORMAT = "v1"
 
 # Byte order and type of the stored rows.
 _ROW_DTYPE = np.dtype("<f8")
@@ -317,7 +316,7 @@ class _Rows:
     def table(self, name: str) -> EmbeddingTable:
         """The parsed table; its matrix reads the rows back from the sink."""
         if not self.index:
-            raise EmbeddingParseError("no usable vector rows in input")
+            raise EmbeddingParseError(f"no usable vector rows in {name}")
         self._write(None)
         return EmbeddingTable(
             dimension=self.dim,
@@ -451,20 +450,43 @@ def _cache_sink(entry: Path, name: str) -> tuple[BinaryIO, str, Path | None]:
     return *_temporary_sink(), None
 
 
-def _write_entry(entry: Path, tmp: Path, digest: str, rows: _Rows, table: EmbeddingTable):
-    """Complete the entry whose rows were parsed into ``tmp``; rename it into place."""
-    source = os.path.realpath(table.source_name)
-    meta = {
-        "key": digest,
-        "source": source,
-        "rows": len(table),
-        "dimension": table.dimension,
-        "duplicates": table.n_duplicates,
-        "duplicate_lines": rows.duplicate_lines[:_SHOWN_LINES],
-        "zero_rows": table.n_zero_dropped,
-        "zero_lines": rows.zero_lines[:_SHOWN_LINES],
-    }
+def _stale(entry: Path, source: str) -> bool:
+    """Whether ``entry``, parsed from another file than ``source``, can no longer be hit.
+
+    It can be hit only if its table file still holds the bytes it was
+    parsed from, so it is stale when it names no file, when its file is
+    ``source`` (which now holds other bytes), or when its file is gone or
+    no longer has the size and mtime recorded with it.
+    """
     try:
+        meta = json.loads((entry / "meta.json").read_text(encoding="utf-8"))
+        st = os.stat(meta["source"])
+        recorded = (meta["source_size"], meta["source_mtime_ns"])
+    except (OSError, ValueError, KeyError, TypeError):
+        return True
+    return meta["source"] == source or (st.st_size, st.st_mtime_ns) != recorded
+
+
+def _write_entry(entry: Path, tmp: Path, digest: str, rows: _Rows, table: EmbeddingTable):
+    """Complete the entry whose rows were parsed into ``tmp``; rename it into place.
+
+    Then remove every other entry that can no longer be hit (``_stale``).
+    """
+    source = os.path.realpath(table.source_name)
+    try:
+        st = os.stat(source)
+        meta = {
+            "key": digest,
+            "source": source,
+            "source_size": st.st_size,
+            "source_mtime_ns": st.st_mtime_ns,
+            "rows": len(table),
+            "dimension": table.dimension,
+            "duplicates": table.n_duplicates,
+            "duplicate_lines": rows.duplicate_lines[:_SHOWN_LINES],
+            "zero_rows": table.n_zero_dropped,
+            "zero_lines": rows.zero_lines[:_SHOWN_LINES],
+        }
         np.save(tmp / "norms.npy", table.row_norms)
         # a token never contains whitespace, so newlines separate them
         (tmp / "vocab.txt").write_text("\n".join(table.vocabulary), encoding="utf-8")
@@ -477,16 +499,9 @@ def _write_entry(entry: Path, tmp: Path, digest: str, rows: _Rows, table: Embedd
             log.warning("%s: cannot write embedding cache %s: %s", table.source_name, entry, exc)
         shutil.rmtree(tmp, ignore_errors=True)
         return
-    # Entries of earlier contents of the same file, and the same table's
-    # entry in the previous format, would never be read again.
     for other in entry.parent.glob(f"{_CACHE_FORMAT}-*"):
-        try:
-            same = json.loads((other / "meta.json").read_text(encoding="utf-8"))["source"] == source
-        except (OSError, ValueError, KeyError, TypeError):
-            same = False
-        if same and other != entry:
+        if other != entry and _stale(other, source):
             shutil.rmtree(other, ignore_errors=True)
-    shutil.rmtree(entry.with_name(f"{_OLD_CACHE_FORMAT}-{digest}"), ignore_errors=True)
 
 
 def load_embeddings(

@@ -400,8 +400,8 @@ def _select_query_tokens(
         return list(corpus.query.tokens)
     try:
         selected = select_claims(corpus.query_text, cfg, corpus.stopwords, table, manifest.seed)
-    except EmptyDocumentError as exc:
-        raise EmptyDocumentError(f"query {manifest.query_id!r}: {exc}") from None
+    except DataError as exc:
+        raise type(exc)(f"query {manifest.query_id!r}: {exc}") from None
     return [t for s in sorted(selected, key=lambda s: s.index) for t in s.tokens]
 
 

@@ -14,7 +14,7 @@ from claimdist.claimselect import (
 )
 from claimdist.errors import DataError
 
-from conftest import lcg_token_lists, make_table
+from conftest import lcg_token_lists, make_table, reference_fit_lda
 
 
 def records(*token_lists):
@@ -176,6 +176,68 @@ class TestFitLda:
             assert hashlib.sha256(table.astype("<i8").tobytes()).hexdigest() == sha, name
         assert (model.topic_totals.dtype, model.topic_totals.shape) == (np.int64, (n_topics,))
         assert model.topic_totals.tolist() == totals
+
+
+# Corpora for the differential test against reference_fit_lda: one with
+# empty sentences and words repeated within a sentence, the 40-sentence
+# golden corpus, and one of 2,000+ tokens so that counts grow large.
+_CHAIN_CORPORA = {
+    "handmade": [
+        ["a", "a", "b"], [], ["c", "a", "a", "a"], ["b"], [],
+        ["d", "d", "d", "d", "c"], ["e", "b", "e"], [], ["a"], ["c", "c", "f", "a"],
+    ],
+    "lcg40": lcg_token_lists(40, 60, seed=2024),
+    "lcg-large": lcg_token_lists(400, 300, seed=11),
+}
+
+
+class TestFitLdaMatchesReference:
+    @pytest.mark.parametrize(
+        "corpus, n_topics, alpha, beta, iterations, seed",
+        [
+            ("handmade", 1, 0.1, 0.01, 30, 0),
+            ("handmade", 2, 0.05, 0.001, 30, 1),
+            ("handmade", 5, 0.3, 2.0, 30, 2),
+            ("handmade", 8, 50.0, 0.1, 30, 3),
+            ("handmade", 2, 50.0, 0.1, 30, 4),
+            ("handmade", 8, 0.05, 0.001, 30, 5),
+            ("lcg40", 1, 0.05, 0.001, 25, 6),
+            ("lcg40", 2, 0.3, 2.0, 25, 7),
+            ("lcg40", 2, 0.1, 0.01, 25, 8),
+            ("lcg40", 5, 0.05, 0.001, 25, 9),
+            ("lcg40", 5, 50.0, 0.1, 25, 10),
+            ("lcg40", 5, 0.3, 2.0, 25, 11),
+            ("lcg40", 8, 0.3, 2.0, 25, 12),
+            ("lcg40", 8, 0.05, 0.001, 25, 13),
+            ("lcg40", 8, 50.0, 0.1, 25, 14),
+            ("lcg40", 2, 0.07, 0.003, 25, 15),
+            ("lcg-large", 5, 0.1, 0.01, 12, 16),
+            ("lcg-large", 8, 0.05, 0.001, 8, 17),
+            ("lcg-large", 2, 50.0, 0.1, 8, 18),
+            ("lcg-large", 8, 0.3, 2.0, 8, 19),
+            # A last-bit change in a weight moves a draw across a bin edge
+            # about once in 2**52 updates, so the cases above cannot tell
+            # float orders apart. Here (c + alpha) * (a + beta) overflows
+            # once a + beta > 17.9, while the stated order stays finite.
+            ("lcg-large", 5, 1e307, 0.5, 8, 20),
+        ],
+    )
+    def test_same_count_tables_as_reference(
+        self, corpus, n_topics, alpha, beta, iterations, seed
+    ):
+        token_lists = _CHAIN_CORPORA[corpus]
+        model = fit_lda(
+            records(*token_lists),
+            n_topics=n_topics, alpha=alpha, beta=beta, iterations=iterations, seed=seed,
+        )
+        expected = reference_fit_lda(token_lists, n_topics, alpha, beta, iterations, seed)
+        got = (model.word_topic, model.sentence_topic, model.topic_totals)
+        for name, table, want in zip(("word_topic", "sentence_topic", "topic_totals"), got, expected):
+            assert table.dtype == want.dtype and np.array_equal(table, want), name
+
+    def test_large_corpus_is_large(self):
+        assert sum(map(len, _CHAIN_CORPORA["lcg-large"])) >= 2000
+        assert any(not toks for toks in _CHAIN_CORPORA["handmade"])
 
 
 class TestLdaSelect:

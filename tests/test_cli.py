@@ -326,6 +326,70 @@ def test_bad_input_exit_code_names_it(tmp_path, capsys, argv, code, message):
 
 
 @pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["dist", "{q}", "{oov}", "--embeddings", "{emb}"], "candidate file {oov}"),
+        (["dist", "{oov}", "{q}", "--embeddings", "{emb}"], "query file {oov}"),
+        (["preprocess", "{oov}", "--embeddings", "{emb}"], "input file {oov}"),
+        (["extract", "{oov}", "--selector", "ma", "--embeddings", "{emb}"], "input file {oov}"),
+        (["extract", "{stop}", "--selector", "lda"], "input file {stop}"),
+        (["extract", "{nocue}", "--selector", "lda", "--iters", "2"], "input file {nocue}"),
+        (["run", "{ma_manifest}"], "query 'q'"),
+        (["run", "{lda_manifest}"], "query 'q'"),
+    ],
+    ids=[
+        "dist-candidate", "dist-query", "preprocess", "extract-ma", "extract-lda-empty",
+        "extract-lda-no-cue", "run-ma", "run-lda-no-cue",
+    ],
+)
+def test_unusable_document_exit_2_names_it(tmp_path, capsys, argv, named):
+    files = {
+        "emb": ("v.txt", "alpha 1 0\nbeta 0 1\n"),
+        "q": ("q.txt", "alpha beta"),
+        "oov": ("oov.txt", "gamma delta"),
+        "stop": ("stop.txt", "The and of. It is the."),
+        "nocue": ("nocue.txt", "Alpha beta here. Beta alpha there."),
+    }
+    paths = {}
+    for key, (name, text) in files.items():
+        paths[key] = tmp_path / name
+        paths[key].write_text(text)
+    for method, query in (("ma", "oov.txt"), ("lda", "nocue.txt")):
+        manifest = {
+            "query": {"id": "q", "path": query, "selector": {"method": method, "iterations": 2}},
+            "documents": [{"id": "1", "group": "a", "path": "q.txt"}],
+            "embedding": {"path": "v.txt"},
+        }
+        paths[f"{method}_manifest"] = tmp_path / f"{method}.json"
+        paths[f"{method}_manifest"].write_text(json.dumps(manifest))
+    rc, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert (rc, out) == (2, "")
+    assert named.format(**paths) + ": " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "{doc}", "{doc}", "--embeddings", "{emb}"],
+        ["run", "{manifest}"],
+        ["embeddings", "info", "{emb}"],
+    ],
+    ids=["dist", "run", "embeddings-info"],
+)
+@pytest.mark.parametrize("table", [b"", b"2 2\n"], ids=["empty", "header-only"])
+def test_table_without_usable_rows_exit_2_names_it(tmp_path, capsys, argv, table):
+    manifest = write_corpus(tmp_path)
+    emb = tmp_path / "emb.txt"
+    emb.write_bytes(table)
+    paths = {"doc": tmp_path / "docs" / "alpha1.txt", "emb": emb, "manifest": manifest}
+    rc, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert (rc, out) == (2, "")
+    assert f"no usable vector rows in {emb}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["dist", "{doc}", "{doc}", "--embeddings", "{path}"],

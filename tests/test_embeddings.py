@@ -1,5 +1,8 @@
 import io
+import json
 import logging
+import os
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +59,19 @@ class TestLoadEmbeddings:
     def test_empty_input_is_error(self):
         with pytest.raises(EmbeddingParseError):
             load_from_text("")
+
+    @pytest.mark.parametrize("text", [b"", b"2 2\n"], ids=["empty", "header-only"])
+    def test_no_usable_rows_names_the_table(self, tmp_path, text):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(text)
+        named = f"no usable vector rows in {re.escape(str(path))}$"
+        with pytest.raises(EmbeddingParseError, match=named):
+            load_embeddings(path)  # a cache miss
+        with open(path, "rb") as stream:
+            with pytest.raises(EmbeddingParseError, match=named):
+                load_embeddings(stream)
+        with pytest.raises(EmbeddingParseError, match="no usable vector rows in <stream>$"):
+            load_embeddings(io.BytesIO(text))
 
     def test_expected_dim_mismatch(self):
         with pytest.raises(EmbeddingParseError, match="expected 3"):
@@ -339,15 +355,45 @@ class TestEmbeddingCache:
 
     def test_editing_a_table_leaves_one_entry_for_it(self, tmp_path, private_cache_home):
         path = tmp_path / "emb.txt"
-        gone = _table_file(tmp_path / "gone.txt", n_words=20, seed=3)
-        load_embeddings(gone)
-        digests = {embeddings.file_sha256(gone)}
-        gone.unlink()  # the entry of a deleted table stays
+        kept = _table_file(tmp_path / "kept.txt", n_words=20, seed=3)
+        load_embeddings(kept)
         for seed in (4, 5):
             load_embeddings(_table_file(path, n_words=20, seed=seed))
-        digests.add(embeddings.file_sha256(path))
+        digests = {embeddings.file_sha256(kept), embeddings.file_sha256(path)}
         root = private_cache_home / "claimdist"
         assert {e.name for e in root.iterdir()} == {f"v2-{d}" for d in digests}
+
+    def test_entry_of_a_deleted_table_is_removed(self, tmp_path, private_cache_home):
+        a = _table_file(tmp_path / "a.txt", n_words=20, seed=3)
+        load_embeddings(a)
+        a.unlink()
+        b = _table_file(tmp_path / "b.txt", n_words=20, seed=4)
+        load_embeddings(b)
+        assert _entry(private_cache_home).name == f"v2-{embeddings.file_sha256(b)}"
+
+    @pytest.mark.parametrize("change", ["mtime", "size", "no-source", "no-meta"])
+    def test_entry_that_cannot_be_hit_is_removed(
+        self, tmp_path, private_cache_home, change
+    ):
+        a = _table_file(tmp_path / "a.txt", n_words=20, seed=3)
+        load_embeddings(a)
+        meta_file = _entry(private_cache_home) / "meta.json"
+        if change == "mtime":
+            st = a.stat()
+            os.utime(a, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000_000))
+        elif change == "size":
+            meta = json.loads(meta_file.read_text())
+            meta["source_size"] += 1
+            meta_file.write_text(json.dumps(meta))
+        elif change == "no-source":
+            meta = json.loads(meta_file.read_text())
+            del meta["source"]
+            meta_file.write_text(json.dumps(meta))
+        else:
+            meta_file.unlink()
+        b = _table_file(tmp_path / "b.txt", n_words=20, seed=4)
+        load_embeddings(b)
+        assert _entry(private_cache_home).name == f"v2-{embeddings.file_sha256(b)}"
 
     def test_entry_written_meanwhile_is_left_in_place(
         self, tmp_path, private_cache_home, monkeypatch
@@ -368,19 +414,6 @@ class TestEmbeddingCache:
         with pytest.raises(EmbeddingParseError) as info:
             load_embeddings(path, expected_dim=3)
         assert str(info.value) == "line 1: dimension 50 does not match expected 3"
-
-    def test_writing_an_entry_removes_the_previous_format(self, tmp_path, private_cache_home):
-        path = _table_file(tmp_path / "emb.txt", n_words=20)
-        root = private_cache_home / "claimdist"
-        old = root / f"v1-{embeddings.file_sha256(path)}"
-        other = root / f"v1-{'0' * 64}"
-        for entry in (old, other):
-            entry.mkdir(parents=True)
-            (entry / "matrix.npy").write_bytes(b"\0" * 64)
-        load_embeddings(path)
-        assert sorted(e.name for e in root.iterdir()) == sorted(
-            [other.name, f"v2-{embeddings.file_sha256(path)}"]
-        )
 
 
 def _kept_rows(path):

@@ -159,17 +159,15 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"claimdist {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", help="run the full experiment from a manifest")
-    p.add_argument("manifest")
-    p.add_argument("--format", choices=REPORT_FORMATS, default="text")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_run)
-
-    p = sub.add_parser("rank", help="rank candidates against the query (no significance block)")
-    p.add_argument("manifest")
-    p.add_argument("--format", choices=REPORT_FORMATS, default="text")
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_run)
+    for name, summary in (
+        ("run", "run the full experiment from a manifest"),
+        ("rank", "rank candidates against the query (no significance block)"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("manifest")
+        p.add_argument("--format", choices=REPORT_FORMATS, default="text")
+        p.add_argument("--out", default=None)
+        p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("dist", help="distance between two text files")
     p.add_argument("query_file")

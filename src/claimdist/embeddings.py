@@ -27,8 +27,8 @@ stored rows instead of parsing the text again. Writing an entry removes
 every other entry that can no longer be hit, because its table file is
 gone or changed since it was parsed. Deleting the cache is always safe:
 a missing or damaged entry is parsed and written again.
-When the cache cannot be written, and for streams, the rows go to an
-anonymous temporary file under ``TMPDIR``.
+When the cache cannot be written, the rows go to an anonymous
+temporary file under ``TMPDIR``.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ class EmbeddingTable:
     """Vocabulary -> row map plus a |V| x d matrix of word vectors.
 
     ``matrix`` is a read-only ndarray for a table built in memory, and a
-    :class:`_RowFile` for a loaded one; both give rows as arrays when
-    indexed with an int, an index sequence or a slice. ``row_norms``
+    :class:`_RowFile` for a loaded one; both give a |rows| x d array when
+    indexed with a 1-D sequence or array of row numbers. ``row_norms``
     caches the Euclidean norm of every row; rows with zero norm are
     rejected at load time, so all cached norms are positive.
     """
@@ -134,42 +134,33 @@ def _is_header(fields: list[str]) -> bool:
 class _RowFile:
     """Read-only rows of a float64 matrix stored raw in a file, read on demand.
 
-    Indexing with an int, an index sequence or array, or a slice returns
-    a new array of those rows, shaped as the same index into an ndarray
-    would give them, and reads only their bytes. The reader holds the
-    file open for its lifetime and closes it when it is collected.
+    Indexing with a 1-D sequence or array of row numbers returns a new
+    |rows| x d array of those rows and reads only their bytes. The
+    reader holds the file open for its lifetime and closes it when it is
+    collected.
     """
 
-    dtype = _ROW_DTYPE
-
     def __init__(self, file: BinaryIO, rows: int, dim: int):
-        self.shape = (rows, dim)
+        self._rows = rows
+        self._dim = dim
         self._fd = file.fileno()
-        self._row_bytes = dim * self.dtype.itemsize
+        self._row_bytes = dim * _ROW_DTYPE.itemsize
         weakref.finalize(self, file.close)
 
-    def __len__(self) -> int:
-        return self.shape[0]
-
     def __getitem__(self, key) -> np.ndarray:
-        n, dim = self.shape
-        if isinstance(key, tuple):
-            raise TypeError("embedding rows are indexed by row only")
-        if isinstance(key, slice):
-            index = np.arange(*key.indices(n))
-        else:
-            index = np.asarray(key, dtype=np.intp)
-        flat = index.reshape(-1)
-        if flat.size and (flat.min() < -n or flat.max() >= n):
-            raise IndexError(f"row index out of range for a table of {n} rows")
-        flat = np.where(flat < 0, flat + n, flat)
-        out = np.empty((flat.size, dim), dtype=self.dtype)
+        # an ndarray reads a tuple as one index per axis, not as rows
+        index = None if isinstance(key, tuple) else np.asarray(key, dtype=np.intp)
+        if index is None or index.ndim != 1:
+            raise TypeError("embedding rows are indexed by a 1-D sequence of row numbers")
+        if index.size and (index.min() < 0 or index.max() >= self._rows):
+            raise IndexError(f"row index out of range for a table of {self._rows} rows")
+        out = np.empty((index.size, self._dim), dtype=_ROW_DTYPE)
         # In file order, each run of consecutive rows is one read that
         # scatters them into their places in ``out``.
-        order = np.argsort(flat, kind="stable")
+        order = np.argsort(index, kind="stable")
         run: list[np.ndarray] = []
         first = 0
-        for pos, row in zip(order.tolist(), flat[order].tolist()):
+        for pos, row in zip(order.tolist(), index[order].tolist()):
             if run and (row != first + len(run) or len(run) == _IOV_MAX):
                 self._read(run, first)
                 run = []
@@ -178,7 +169,7 @@ class _RowFile:
             run.append(out[pos])
         if run:
             self._read(run, first)
-        return out.reshape(index.shape + (dim,))
+        return out
 
     def _read(self, buffers: list[np.ndarray], first: int):
         want = len(buffers) * self._row_bytes
@@ -329,28 +320,6 @@ class _Rows:
         )
 
 
-def _parse(
-    stream: BinaryIO, expected_dim: int | None, sink: BinaryIO, sink_dir: str, name: str
-) -> tuple[EmbeddingTable, _Rows]:
-    """Parse ``stream`` into ``sink``, which the table then owns.
-
-    On any failure the sink is closed before the error propagates.
-    """
-    try:
-        rows = _Rows(expected_dim, sink, sink_dir)
-        lineno = 1
-        while batch := stream.read(_BATCH_BYTES):
-            batch += stream.readline()
-            rows.add(batch, lineno)
-            lineno += batch.count(b"\n")
-        table = rows.table(name)
-    except BaseException:
-        sink.close()
-        raise
-    _log_dropped(table, rows.duplicate_lines, rows.zero_lines)
-    return table, rows
-
-
 def _log_dropped(table: EmbeddingTable, duplicate_lines: list[int], zero_lines: list[int]):
     """One WARNING per load for the duplicate and all-zero rows it skipped.
 
@@ -421,16 +390,6 @@ def _read_entry(
     return table, *dropped
 
 
-def _temporary_sink() -> tuple[BinaryIO, str]:
-    """An anonymous temporary file for parsed rows, and its directory."""
-    try:
-        return tempfile.TemporaryFile(), tempfile.gettempdir()
-    except OSError as exc:
-        raise ConfigError(
-            f"cannot create a temporary file for embedding rows in {tempfile.gettempdir()}: {exc}"
-        ) from None
-
-
 def _cache_sink(entry: Path, name: str) -> tuple[BinaryIO, str, Path | None]:
     """A file for parsed rows, its directory, and the unfinished entry holding it.
 
@@ -447,7 +406,12 @@ def _cache_sink(entry: Path, name: str) -> tuple[BinaryIO, str, Path | None]:
         if tmp is not None:
             shutil.rmtree(tmp, ignore_errors=True)
         log.warning("%s: cannot write embedding cache %s: %s", name, entry, exc)
-    return *_temporary_sink(), None
+    try:
+        return tempfile.TemporaryFile(), tempfile.gettempdir(), None
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create a temporary file for embedding rows in {tempfile.gettempdir()}: {exc}"
+        ) from None
 
 
 def _stale(entry: Path, source: str) -> bool:
@@ -505,7 +469,7 @@ def _write_entry(entry: Path, tmp: Path, digest: str, rows: _Rows, table: Embedd
 
 
 def load_embeddings(
-    source: str | Path | BinaryIO,
+    source: str | Path,
     expected_dim: int | None = None,
     sha256: str | None = None,
 ) -> EmbeddingTable:
@@ -515,19 +479,15 @@ def load_embeddings(
     dropped. Both are counted on the returned table and summarized in
     one logged warning. Inconsistent dimensions, non-numeric or
     non-finite fields and bytes that are not UTF-8 raise
-    :class:`EmbeddingParseError` carrying the offending line number. A
-    file that cannot be opened or read, such as a directory, raises
-    :class:`ConfigError` naming it, and so does a file for the parsed
-    rows that cannot be created or written.
+    :class:`EmbeddingParseError` naming the file and carrying the
+    offending line number. A file that cannot be opened or read, such as
+    a directory, raises :class:`ConfigError` naming it, and so does a
+    file for the parsed rows that cannot be created or written.
 
-    A file path goes through the on-disk cache, keyed by ``sha256``, the
+    The load goes through the on-disk cache, keyed by ``sha256``, the
     file's digest when the caller already has it (computed here
-    otherwise). Streams are always parsed, into a temporary file.
+    otherwise).
     """
-    if hasattr(source, "read"):
-        sink, sink_dir = _temporary_sink()
-        return _parse(source, expected_dim, sink, sink_dir, getattr(source, "name", "<stream>"))[0]
-
     name = str(source)
     digest = sha256 or file_sha256(source)
     entry = _cache_entry(digest)
@@ -538,18 +498,35 @@ def load_embeddings(
         return cached[0]
     sink, sink_dir, tmp = _cache_sink(entry, name)
     try:
+        rows = _Rows(expected_dim, sink, sink_dir)
         with open(source, "rb") as stream:
-            table, rows = _parse(stream, expected_dim, sink, sink_dir, name)
+            lineno = 1
+            while batch := stream.read(_BATCH_BYTES):
+                batch += stream.readline()
+                rows.add(batch, lineno)
+                lineno += batch.count(b"\n")
+        table = rows.table(name)
     except BaseException as exc:
+        # the table owns the sink only once it is returned
         sink.close()
         if tmp is not None:
             shutil.rmtree(tmp, ignore_errors=True)
         if isinstance(exc, OSError):
             raise ConfigError(f"cannot read embedding file {name}: {exc}") from None
+        if isinstance(exc, EmbeddingParseError) and exc.line_number is not None:
+            exc.args = (f"{name}: {exc}",)  # the parser knows the line, not the file
         raise
+    _log_dropped(table, rows.duplicate_lines, rows.zero_lines)
     if tmp is not None:
         _write_entry(entry, tmp, digest, rows, table)
     return table
+
+
+def normalized_rows(table: EmbeddingTable, indices: np.ndarray) -> np.ndarray:
+    """The rows at ``indices``, each divided by its norm, as a new array."""
+    rows = table.matrix[indices]
+    rows /= table.row_norms[indices, None]
+    return rows
 
 
 def similarity_matrix(
@@ -562,8 +539,6 @@ def similarity_matrix(
     All words must be in vocabulary; callers filter first. Each entry is
     the cosine of the two rows, clamped to [-1, 1] against round-off.
     """
-    ia = table.row_indices(words_a)
-    ib = table.row_indices(words_b)
-    a = table.matrix[ia] / table.row_norms[ia, None]
-    b = table.matrix[ib] / table.row_norms[ib, None]
+    a = normalized_rows(table, table.row_indices(words_a))
+    b = normalized_rows(table, table.row_indices(words_b))
     return np.clip(a @ b.T, -1.0, 1.0)

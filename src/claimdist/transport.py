@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, similarity_matrix
+from .embeddings import EmbeddingTable, normalized_rows, similarity_matrix
 from .errors import InternalInvariantError, OracleSizeError
 from .textprep import NBow
 
@@ -213,12 +213,6 @@ def wmd_exact(
     return DistanceResult.from_distance(objective, EXACT), plan
 
 
-def _normalized_rows(table: EmbeddingTable, indices: np.ndarray) -> np.ndarray:
-    rows = table.matrix[indices]
-    rows /= table.row_norms[indices, None]
-    return rows
-
-
 def lc_rwmd_batch(
     query: NBow,
     candidates: Sequence[NBow | None],
@@ -257,7 +251,7 @@ def lc_rwmd_batch(
         return [None] * len(candidates)
     positions = [None if idx is None else np.searchsorted(union_idx, idx) for idx in cand_rows]
 
-    q_norm = _normalized_rows(table, table.row_indices(query.words))
+    q_norm = normalized_rows(table, table.row_indices(query.words))
     rows = max(1, _BLOCK_BYTES // (8 * len(query)))
 
     best_into_query = np.empty(len(union_idx))
@@ -270,7 +264,7 @@ def lc_rwmd_batch(
     for start in range(0, len(union_idx), rows):
         stop = min(len(union_idx), start + rows)
         sims = np.matmul(
-            _normalized_rows(table, union_idx[start:stop]), q_norm.T, out=block_buf[: stop - start]
+            normalized_rows(table, union_idx[start:stop]), q_norm.T, out=block_buf[: stop - start]
         )
         sims.max(axis=1, out=best_into_query[start:stop])
         for best, pos in zip(best_per_query_word, positions):

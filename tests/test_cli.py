@@ -368,24 +368,57 @@ def test_unusable_document_exit_2_names_it(tmp_path, capsys, argv, named):
     assert "Traceback" not in err
 
 
+# Every subcommand that loads a table, and each way a table can fail to
+# load, with what stderr must say about it.
+TABLE_COMMANDS = {
+    "dist": ["dist", "{doc}", "{doc}", "--embeddings", "{emb}"],
+    "run": ["run", "{manifest}"],
+    "embeddings-info": ["embeddings", "info", "{emb}"],
+    "extract-ma": ["extract", "{doc}", "--selector", "ma", "--embeddings", "{emb}"],
+    "preprocess": ["preprocess", "{doc}", "--embeddings", "{emb}"],
+}
+BAD_TABLES = {
+    "empty": (b"", "no usable vector rows in {emb}"),
+    "header-only": (b"2 2\n", "no usable vector rows in {emb}"),
+    "non-numeric": (b"a 1 2\nb 1 two\n", "{emb}: line 2: non-numeric field in row for 'b'"),
+    "not-utf8": (b"a 1 0\nb\xff 0 1\n", "{emb}: line 2: not valid UTF-8"),
+    "non-finite": (b"a 1 0\nb nan 1\n", "{emb}: line 2: non-finite value or norm in row for 'b'"),
+    "dimension-change": (b"a 1 0\nb 1 2 3\n", "{emb}: line 2: row has dimension 3, table has 2"),
+}
+EXPECTED_DIM_MISMATCH = (b"a 1 0\nb 0 1\n", "{emb}: line 1: dimension 2 does not match expected 3")
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "table, argv",
     [
-        ["dist", "{doc}", "{doc}", "--embeddings", "{emb}"],
-        ["run", "{manifest}"],
-        ["embeddings", "info", "{emb}"],
+        pytest.param(table, argv, id=f"{table_id}-{command}")
+        for table_id, table in BAD_TABLES.items()
+        for command, argv in TABLE_COMMANDS.items()
+    ]
+    + [  # the commands that take an expected dimension
+        pytest.param(
+            EXPECTED_DIM_MISMATCH, TABLE_COMMANDS["dist"] + ["--expected-dim", "3"],
+            id="expected-dim-dist",
+        ),
+        pytest.param(EXPECTED_DIM_MISMATCH, ["run", "{dim3_manifest}"], id="expected-dim-run"),
     ],
-    ids=["dist", "run", "embeddings-info"],
 )
-@pytest.mark.parametrize("table", [b"", b"2 2\n"], ids=["empty", "header-only"])
 def test_table_without_usable_rows_exit_2_names_it(tmp_path, capsys, argv, table):
+    data, named = table
     manifest = write_corpus(tmp_path)
+    dim3_manifest = tmp_path / "dim3.json"
+    spec = json.loads(manifest.read_text())
+    spec["embedding"]["expected_dim"] = 3
+    dim3_manifest.write_text(json.dumps(spec))
     emb = tmp_path / "emb.txt"
-    emb.write_bytes(table)
-    paths = {"doc": tmp_path / "docs" / "alpha1.txt", "emb": emb, "manifest": manifest}
+    emb.write_bytes(data)
+    paths = {
+        "doc": tmp_path / "docs" / "alpha1.txt", "emb": emb, "manifest": manifest,
+        "dim3_manifest": dim3_manifest,
+    }
     rc, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert (rc, out) == (2, "")
-    assert f"no usable vector rows in {emb}" in err
+    assert named.format(emb=emb) in err
     assert "Traceback" not in err
 
 

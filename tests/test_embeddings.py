@@ -1,4 +1,3 @@
-import io
 import json
 import logging
 import os
@@ -14,32 +13,44 @@ from claimdist import embeddings
 from conftest import cosine_similarity, make_table, random_unit_table
 
 
-def load_from_text(text: str, **kwargs):
-    return load_embeddings(io.BytesIO(text.encode("utf-8")), **kwargs)
+@pytest.fixture
+def load_from_text(tmp_path):
+    """Write ``text`` (str or bytes) to ``emb.txt`` under the test's directory and load it."""
+
+    def load(text, **kwargs):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
+        return load_embeddings(path, **kwargs)
+
+    return load
 
 
 def row(table, word):
-    return table.matrix[table.vocabulary[word]]
+    return table.matrix[[table.vocabulary[word]]][0]
+
+
+def all_rows(table):
+    return table.matrix[list(range(len(table)))]
 
 
 class TestLoadEmbeddings:
-    def test_minimal_two_rows(self):
+    def test_minimal_two_rows(self, load_from_text):
         table = load_from_text("a 1 0\nb 0 1\n")
         assert table.dimension == 2
         assert len(table) == 2
         np.testing.assert_array_equal(row(table, "a"), [1.0, 0.0])
 
-    def test_header_line_skipped(self):
+    def test_header_line_skipped(self, load_from_text):
         rows = "\n".join(f"tok{i} " + " ".join(["0.5"] * 300) for i in range(2))
         table = load_from_text("400000 300\n" + rows + "\n")
         assert table.dimension == 300
         assert len(table) == 2
 
-    def test_non_numeric_field_names_line(self):
+    def test_non_numeric_field_names_line(self, load_from_text):
         with pytest.raises(EmbeddingParseError, match="line 2"):
             load_from_text("a 1 2\nc 1 two\n")
 
-    def test_inconsistent_dimension_names_line(self):
+    def test_inconsistent_dimension_names_line(self, load_from_text):
         with pytest.raises(EmbeddingParseError, match="line 3"):
             load_from_text("a 1 2\nb 3 4\nc 1 2 3\n")
 
@@ -48,15 +59,15 @@ class TestLoadEmbeddings:
         [("a nan 1\nb 1 0\nc 0 1\n", "line 1"), ("a 1 0\nb inf 1\n", "line 2")],
         ids=["nan", "inf"],
     )
-    def test_non_finite_row_names_line(self, text, line):
+    def test_non_finite_row_names_line(self, load_from_text, text, line):
         with pytest.raises(EmbeddingParseError, match=line):
             load_from_text(text)
 
-    def test_non_utf8_byte_names_line(self):
+    def test_non_utf8_byte_names_line(self, load_from_text):
         with pytest.raises(EmbeddingParseError, match="line 2.*UTF-8"):
-            load_embeddings(io.BytesIO(b"a 1 0\nb\xff 0 1\n"))
+            load_from_text(b"a 1 0\nb\xff 0 1\n")
 
-    def test_empty_input_is_error(self):
+    def test_empty_input_is_error(self, load_from_text):
         with pytest.raises(EmbeddingParseError):
             load_from_text("")
 
@@ -67,43 +78,41 @@ class TestLoadEmbeddings:
         named = f"no usable vector rows in {re.escape(str(path))}$"
         with pytest.raises(EmbeddingParseError, match=named):
             load_embeddings(path)  # a cache miss
-        with open(path, "rb") as stream:
-            with pytest.raises(EmbeddingParseError, match=named):
-                load_embeddings(stream)
-        with pytest.raises(EmbeddingParseError, match="no usable vector rows in <stream>$"):
-            load_embeddings(io.BytesIO(text))
 
-    def test_expected_dim_mismatch(self):
-        with pytest.raises(EmbeddingParseError, match="expected 3"):
+    def test_expected_dim_mismatch(self, load_from_text, tmp_path):
+        with pytest.raises(EmbeddingParseError) as info:
             load_from_text("a 1 2\n", expected_dim=3)
+        path = tmp_path / "emb.txt"
+        assert str(info.value) == f"{path}: line 1: dimension 2 does not match expected 3"
+        assert info.value.line_number == 1
 
-    def test_duplicates_keep_first(self, caplog):
+    def test_duplicates_keep_first(self, load_from_text, tmp_path, caplog):
         with caplog.at_level(logging.WARNING):
             table = load_from_text("a 1 2\na 9 9\nb 3 4\n")
         assert len(table) == 2
         assert table.n_duplicates == 1
         np.testing.assert_array_equal(row(table, "a"), [1.0, 2.0])
-        assert caplog.messages == ["<stream>: duplicate tokens ignored: 1 (line 2)"]
+        assert caplog.messages == [f"{tmp_path / 'emb.txt'}: duplicate tokens ignored: 1 (line 2)"]
 
-    def test_zero_vector_dropped_with_warning(self, caplog):
+    def test_zero_vector_dropped_with_warning(self, load_from_text, tmp_path, caplog):
         with caplog.at_level(logging.WARNING):
             table = load_from_text("a 0 0\nb 1 1\n")
         assert len(table) == 1
         assert table.n_zero_dropped == 1
         assert "a" not in table
-        assert caplog.messages == ["<stream>: all-zero vectors dropped: 1 (line 1)"]
+        assert caplog.messages == [f"{tmp_path / 'emb.txt'}: all-zero vectors dropped: 1 (line 1)"]
 
-    def test_one_summary_line_per_load(self, caplog):
+    def test_one_summary_line_per_load(self, load_from_text, tmp_path, caplog):
         text = "a 1 2\n" + "a 3 4\n" * 7 + "z 0 0\ny 0 0\nb 0 1\n"
         with caplog.at_level(logging.WARNING):
             table = load_from_text(text)
         assert (table.n_duplicates, table.n_zero_dropped) == (7, 2)
         assert caplog.messages == [
-            "<stream>: duplicate tokens ignored: 7 (lines 2, 3, 4, 5, 6, ...); "
+            f"{tmp_path / 'emb.txt'}: duplicate tokens ignored: 7 (lines 2, 3, 4, 5, 6, ...); "
             "all-zero vectors dropped: 2 (lines 9, 10)"
         ]
 
-    def test_crlf_and_blank_lines(self):
+    def test_crlf_and_blank_lines(self, load_from_text):
         table = load_from_text("a 1 0\r\n\r\nb 0 1\r\n")
         assert len(table) == 2
 
@@ -118,7 +127,7 @@ class TestLoadEmbeddings:
         for w, v in zip(words, vecs):
             np.testing.assert_array_equal(row(table, w), v)
 
-    def test_small_chunks_equivalent(self, monkeypatch):
+    def test_small_chunks_equivalent(self, load_from_text, monkeypatch):
         rng = np.random.default_rng(5)
         vecs = rng.normal(size=(10, 4))
         lines = [f"t{i} " + " ".join(repr(float(x)) for x in v) for i, v in enumerate(vecs)]
@@ -127,21 +136,22 @@ class TestLoadEmbeddings:
         text = "\n".join(lines) + "\n"
         kept = [i for i in range(10) if i not in (3, 6)]
         full = load_from_text(text)
-        np.testing.assert_array_equal(full.matrix[:], vecs[kept])
+        np.testing.assert_array_equal(all_rows(full), vecs[kept])
+        monkeypatch.setattr(embeddings, "_read_entry", lambda *args: None)  # parse every load
         for rows in (1, 3):
             monkeypatch.setattr(embeddings, "_BATCH_BYTES", rows * 8 * 4)
             tiny = load_from_text(text)
             assert tiny.vocabulary == full.vocabulary
-            np.testing.assert_array_equal(tiny.matrix[:], full.matrix[:])
+            np.testing.assert_array_equal(all_rows(tiny), all_rows(full))
             np.testing.assert_array_equal(tiny.row_norms, full.row_norms)
 
-    def test_table_is_immutable(self):
+    def test_table_is_immutable(self, load_from_text):
         table = load_from_text("a 1 0\nb 0 1\n")
         with pytest.raises(TypeError):
             table.matrix[0] = 5.0
-        rows = table.matrix[:]
+        rows = all_rows(table)
         rows[0, 0] = 5.0
-        np.testing.assert_array_equal(table.matrix[:], [[1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(all_rows(table), [[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
             table.row_norms[0] = 5.0
 
@@ -203,22 +213,23 @@ def _with_filler(case):
     return data, filler + expected[0], *expected[1:]
 
 
-def _check_parse(load, data, *expected):
+def _check_parse(path, data, *expected):
+    """Write ``data`` to ``path``, load it, and check the table or the error it gives."""
+    path.write_bytes(data)
     if isinstance(expected[0], int):
         line, message = expected
         with pytest.raises(EmbeddingParseError) as info:
-            load(data)
-        assert str(info.value) == f"line {line}: {message}"
+            load_embeddings(path)
+        assert str(info.value) == f"{path}: line {line}: {message}"
         assert info.value.line_number == line
         return
     rows, n_dup, n_zero = expected
-    table = load(data)
+    table = load_embeddings(path)
     assert list(table.vocabulary) == [w for w, _ in rows]
     assert list(table.vocabulary.values()) == list(range(len(rows)))
     want = np.array([v for _, v in rows], dtype=np.float64)
-    matrix = table.matrix[:]
-    assert table.matrix.dtype == matrix.dtype == np.float64
-    assert table.matrix.shape == matrix.shape == want.shape
+    matrix = all_rows(table)
+    assert matrix.dtype == np.float64 and matrix.shape == want.shape
     assert matrix.tobytes() == want.tobytes()
     assert table.row_norms.tobytes() == np.linalg.norm(want, axis=1).tobytes()
     assert (table.n_duplicates, table.n_zero_dropped) == (n_dup, n_zero)
@@ -226,27 +237,22 @@ def _check_parse(load, data, *expected):
 
 class TestParseEdgeCases:
     @pytest.mark.parametrize("case", list(PARSE_CASES))
-    def test_stream(self, case):
-        _check_parse(lambda data: load_embeddings(io.BytesIO(data)), *PARSE_CASES[case])
+    def test_stream(self, tmp_path, case):
+        # the case as the whole file, so its odd row is in the first batch
+        _check_parse(tmp_path / "emb.txt", *PARSE_CASES[case])
 
     @pytest.mark.parametrize("batch_bytes", [1, 20])
     @pytest.mark.parametrize("case", list(PARSE_CASES))
-    def test_in_a_later_batch(self, monkeypatch, case, batch_bytes):
+    def test_in_a_later_batch(self, tmp_path, monkeypatch, case, batch_bytes):
         # one line per batch, or the odd row after filler rows in its batch
         monkeypatch.setattr(embeddings, "_BATCH_BYTES", batch_bytes)
-        _check_parse(lambda data: load_embeddings(io.BytesIO(data)), *_with_filler(case))
+        _check_parse(tmp_path / "emb.txt", *_with_filler(case))
 
     @pytest.mark.parametrize("case", list(PARSE_CASES))
     def test_file_twice(self, tmp_path, case):
         # the second load of the same file may come from the embedding cache
-        path = tmp_path / "emb.txt"
-
-        def load(data):
-            path.write_bytes(data)
-            return load_embeddings(path)
-
         for _ in range(2):
-            _check_parse(load, *_with_filler(case))
+            _check_parse(tmp_path / "emb.txt", *_with_filler(case))
 
 
 def _table_file(path, n_words=2000, dim=50, seed=2):
@@ -267,7 +273,7 @@ def _entry(cache_home):
 
 def _assert_same_table(a, b):
     assert list(a.vocabulary.items()) == list(b.vocabulary.items())
-    assert np.array_equal(a.matrix[:], b.matrix[:])
+    assert np.array_equal(all_rows(a), all_rows(b))
     assert np.array_equal(a.row_norms, b.row_norms)
     assert (a.dimension, a.n_duplicates, a.n_zero_dropped, a.source_name) == (
         b.dimension, b.n_duplicates, b.n_zero_dropped, b.source_name,
@@ -284,14 +290,14 @@ class TestEmbeddingCache:
         with caplog.at_level(logging.WARNING):
             cold = load_embeddings(path)
             assert _entry(private_cache_home).name == f"v2-{embeddings.file_sha256(path)}"
-            monkeypatch.setattr(embeddings, "_parse", _no_parse)
+            monkeypatch.setattr(embeddings, "_Rows", _no_parse)
             hit = load_embeddings(path)
         _assert_same_table(hit, cold)
         assert hit.source_name == str(path)
         with pytest.raises(TypeError):
             hit.matrix[0] = 0.0
         # the batch-wise norms equal the whole-matrix norm exactly
-        assert np.array_equal(cold.row_norms, np.linalg.norm(cold.matrix[:], axis=1))
+        assert np.array_equal(cold.row_norms, np.linalg.norm(all_rows(cold), axis=1))
         summary = (
             f"{path}: duplicate tokens ignored: 1 (line 8); all-zero vectors dropped: 1 (line 12)"
         )
@@ -311,16 +317,13 @@ class TestEmbeddingCache:
         _assert_same_table(hit, cold)
         assert len(list((private_cache_home / "claimdist").iterdir())) == 1
 
-    def test_streams_skip_the_cache(self, private_cache_home):
-        load_from_text("a 1 0\nb 0 1\n")
-        assert not private_cache_home.exists()
-
     def test_truncated_matrix_is_a_miss_and_rewritten(
         self, tmp_path, private_cache_home, monkeypatch
     ):
         path = _table_file(tmp_path / "emb.txt")
-        with open(path, "rb") as stream:
-            parsed = load_embeddings(stream)  # outside the cache
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "other-cache"))
+        parsed = load_embeddings(path)  # outside the cache under test
+        monkeypatch.setenv("XDG_CACHE_HOME", str(private_cache_home))
         cold = load_embeddings(path)
         matrix_file = _entry(private_cache_home) / "matrix.f64"
         size = matrix_file.stat().st_size
@@ -328,10 +331,10 @@ class TestEmbeddingCache:
             fh.truncate(size // 2)
         # the cold table reads its rows from that file: a short read fails
         with pytest.raises(OSError, match="ends before row"):
-            cold.matrix[:]
+            all_rows(cold)
         _assert_same_table(load_embeddings(path), parsed)
         assert matrix_file.stat().st_size == size
-        monkeypatch.setattr(embeddings, "_parse", _no_parse)
+        monkeypatch.setattr(embeddings, "_Rows", _no_parse)
         _assert_same_table(load_embeddings(path), parsed)
 
     @pytest.mark.parametrize("bad_norm", [np.inf, np.nan, 0.0])
@@ -345,9 +348,9 @@ class TestEmbeddingCache:
         norms[5] = bad_norm
         np.save(norms_file, norms)
         parses = []
-        real_parse = embeddings._parse
+        real_rows = embeddings._Rows
         monkeypatch.setattr(
-            embeddings, "_parse", lambda *args: parses.append(1) or real_parse(*args)
+            embeddings, "_Rows", lambda *args: parses.append(1) or real_rows(*args)
         )
         _assert_same_table(load_embeddings(path), cold)
         assert parses == [1]
@@ -413,7 +416,7 @@ class TestEmbeddingCache:
         load_embeddings(path)
         with pytest.raises(EmbeddingParseError) as info:
             load_embeddings(path, expected_dim=3)
-        assert str(info.value) == "line 1: dimension 50 does not match expected 3"
+        assert str(info.value) == f"{path}: line 1: dimension 50 does not match expected 3"
 
 
 def _kept_rows(path):
@@ -427,20 +430,22 @@ def _kept_rows(path):
     return np.array(list(rows.values()))
 
 
+def _block_cache(tmp_path, monkeypatch):
+    """Point the cache below a plain file, so that it cannot be written."""
+    (tmp_path / "blocker").write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "blocker" / "cache"))
+
+
 def _load_as(kind, path, monkeypatch, tmp_path):
-    if kind == "stream":
-        with open(path, "rb") as stream:
-            return load_embeddings(stream)
     if kind == "unwritable":
-        (tmp_path / "blocker").write_text("")
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "blocker" / "cache"))
+        _block_cache(tmp_path, monkeypatch)
     if kind == "hit":
         load_embeddings(path)
-        monkeypatch.setattr(embeddings, "_parse", _no_parse)
+        monkeypatch.setattr(embeddings, "_Rows", _no_parse)
     return load_embeddings(path)
 
 
-READER_KINDS = ["cold", "hit", "stream", "unwritable"]
+READER_KINDS = ["cold", "hit", "unwritable"]
 
 
 class TestRowReader:
@@ -449,11 +454,11 @@ class TestRowReader:
         path = _table_file(tmp_path / "emb.txt")
         want = _kept_rows(path)
         table = _load_as(kind, path, monkeypatch, tmp_path)
-        assert table.matrix.shape == want.shape and len(table.matrix) == len(want)
-        assert table.matrix.dtype == np.float64
-        unsorted = np.array([17, 3, 17, len(want) - 1, 0, 4, 3, -1])
-        for key in (5, -2, unsorted, [2, 1], np.array([], dtype=np.intp), slice(10, 400, 7),
-                    slice(None, None, -3), slice(None)):
+        assert len(table) == len(want)
+        last = len(want) - 1
+        every = list(range(len(want)))
+        for key in (np.array([17, 3, 17, last, 0, 4, 3, last]), [2, 1], [5], [],
+                    np.array([], dtype=np.intp), every[10:400:7], every[::-3], every):
             got = table.matrix[key]
             assert got.dtype == np.float64 and got.shape == want[key].shape
             assert got.tobytes() == want[key].tobytes()
@@ -463,11 +468,13 @@ class TestRowReader:
         path = _table_file(tmp_path / "emb.txt", n_words=20)
         table = _load_as(kind, path, monkeypatch, tmp_path)
         n = len(table)
-        for key in (n, -n - 1, [0, n], np.array([-n - 1, 0])):
+        for key in ([n], [-1], [0, n], np.array([-n - 1, 0])):
             with pytest.raises(IndexError):
                 table.matrix[key]
-        with pytest.raises(TypeError):
-            table.matrix[0, 1]  # one element of an ndarray; rows only here
+        # an element, a row, a slice or a 2-D block of an ndarray; 1-D row numbers only here
+        for key in ((0, 1), 0, np.intp(1), slice(None), [[0, 1]], np.zeros((2, 2), np.intp)):
+            with pytest.raises(TypeError):
+                table.matrix[key]
 
     @pytest.mark.parametrize("kind", READER_KINDS)
     def test_reads_only_the_requested_rows(self, tmp_path, monkeypatch, kind):
@@ -488,9 +495,9 @@ class TestRowReader:
         table.matrix[index]
         assert sorted(read_rows) == sorted(index)
 
-    @pytest.mark.parametrize("source", ["file", "stream"])
+    @pytest.mark.parametrize("kind", ["file", "unwritable"])
     def test_parse_error_leaves_no_directory_and_no_open_file(
-        self, tmp_path, private_cache_home, monkeypatch, source
+        self, tmp_path, private_cache_home, monkeypatch, kind
     ):
         path = _table_file(tmp_path / "emb.txt", n_words=200)
         path.write_text(path.read_text() + "late 1 oops\n" + "after 1 2\n" * 5)
@@ -503,28 +510,26 @@ class TestRowReader:
             rows_init(self, expected_dim, sink, sink_dir)
 
         monkeypatch.setattr(embeddings._Rows, "__init__", recording_init)
+        if kind == "unwritable":  # the rows go to a temporary file, not the cache
+            _block_cache(tmp_path, monkeypatch)
         with pytest.raises(EmbeddingParseError, match="line 201"):
-            if source == "file":
-                load_embeddings(path)
-            else:
-                with open(path, "rb") as stream:
-                    load_embeddings(stream)
+            load_embeddings(path)
         assert len(sinks) == 1 and sinks[0].closed
         root = private_cache_home / "claimdist"
         assert not root.exists() or list(root.iterdir()) == []
 
 
 class TestVocabulary:
-    def test_present(self):
+    def test_present(self, load_from_text):
         table = load_from_text("a 1 2\n")
         assert "a" in table
         np.testing.assert_array_equal(row(table, "a"), [1.0, 2.0])
 
-    def test_absent(self):
+    def test_absent(self, load_from_text):
         table = load_from_text("a 1 2\n")
         assert "zzz" not in table
 
-    def test_exact_match_no_case_folding(self):
+    def test_exact_match_no_case_folding(self, load_from_text):
         table = load_from_text("the 1 2\n")
         assert "The" not in table
 

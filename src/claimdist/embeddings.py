@@ -148,12 +148,14 @@ class _RowFile:
         weakref.finalize(self, file.close)
 
     def __getitem__(self, key) -> np.ndarray:
-        # an ndarray reads a tuple as one index per axis, not as rows
-        index = None if isinstance(key, tuple) else np.asarray(key, dtype=np.intp)
-        if index is None or index.ndim != 1:
+        # an ndarray reads a tuple as one index per axis, not as rows, and
+        # a boolean key as a mask; an empty list comes in as float64
+        index = None if isinstance(key, tuple) else np.asarray(key)
+        if index is None or index.ndim != 1 or (index.size and index.dtype.kind not in "iu"):
             raise TypeError("embedding rows are indexed by a 1-D sequence of row numbers")
         if index.size and (index.min() < 0 or index.max() >= self._rows):
             raise IndexError(f"row index out of range for a table of {self._rows} rows")
+        index = index.astype(np.intp, copy=False)
         out = np.empty((index.size, self._dim), dtype=_ROW_DTYPE)
         # In file order, each run of consecutive rows is one read that
         # scatters them into their places in ``out``.

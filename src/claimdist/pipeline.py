@@ -290,18 +290,26 @@ def read_text(path: str | Path, label: str) -> str:
 
 
 def load_corpus(manifest: CorpusManifest) -> LoadedCorpus:
-    """Read and preprocess every manifest document."""
+    """Read and preprocess every manifest document.
+
+    Each distinct token is kept as one string object, shared by the query
+    and every document, instead of one per occurrence.
+    """
     stopwords = stopwords_from(manifest.stopwords_path)
+    shared: dict[str, str] = {}
+
+    def tokenize(text: str) -> tuple[str, ...]:
+        tokens = remove_stopwords(normalize_and_tokenize(text), stopwords.words)
+        return tuple(map(shared.setdefault, tokens, tokens))
+
     query_text = read_text(manifest.query_path, f"query {manifest.query_id!r}")
-    query_tokens = remove_stopwords(normalize_and_tokenize(query_text), stopwords.words)
-    query = TokenizedDoc(id=manifest.query_id, group="query", tokens=tuple(query_tokens))
+    query = TokenizedDoc(id=manifest.query_id, group="query", tokens=tokenize(query_text))
 
     groups: dict[str, list[TokenizedDoc]] = {}
     for doc in manifest.documents:
         text = read_text(doc.path, f"document {doc.id!r}")
-        tokens = remove_stopwords(normalize_and_tokenize(text), stopwords.words)
         groups.setdefault(doc.group, []).append(
-            TokenizedDoc(id=doc.id, group=doc.group, tokens=tuple(tokens))
+            TokenizedDoc(id=doc.id, group=doc.group, tokens=tokenize(text))
         )
     return LoadedCorpus(query=query, query_text=query_text, groups=groups, stopwords=stopwords)
 

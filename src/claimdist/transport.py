@@ -277,15 +277,19 @@ def lc_rwmd_batch(
                 picked = np.take(sims, local, axis=0, out=picked_buf[: local.size], mode="clip")
                 np.maximum(best, picked.max(axis=0, out=col_max), out=best)
 
-    to_query_cost = ground_cost(best_into_query)
-    from_query_cost = ground_cost(best_per_query_word)
+    # ground_cost's two operations, in place, so both arrays now hold
+    # costs: the |candidates| x |query| table is the largest array the
+    # kernel holds, and a copy of it would set the peak.
+    for best in (best_into_query, best_per_query_word):
+        np.clip(best, 0.0, 1.0, out=best)
+        np.subtract(1.0, best, out=best)
     results: list[DistanceResult | None] = []
-    for cand, pos, q_cost in zip(candidates, positions, from_query_cost):
+    for cand, pos, q_cost in zip(candidates, positions, best_per_query_word):
         if cand is None:
             results.append(None)
             continue
         d = float(query.weights @ q_cost)
         if variant == SYMMETRIC_MAX:
-            d = max(d, float(cand.weights @ to_query_cost[pos]))
+            d = max(d, float(cand.weights @ best_into_query[pos]))
         results.append(DistanceResult.from_distance(d, variant))
     return results

@@ -471,8 +471,12 @@ class TestRowReader:
         for key in ([n], [-1], [0, n], np.array([-n - 1, 0])):
             with pytest.raises(IndexError):
                 table.matrix[key]
-        # an element, a row, a slice or a 2-D block of an ndarray; 1-D row numbers only here
-        for key in ((0, 1), 0, np.intp(1), slice(None), [[0, 1]], np.zeros((2, 2), np.intp)):
+        # an element, a row, a slice, a 2-D block or a mask of an ndarray, or
+        # a float an ndarray rejects; 1-D row numbers only here
+        mask = np.zeros(n, dtype=bool)
+        mask[1] = True
+        for key in ((0, 1), 0, np.intp(1), slice(None), [[0, 1]], np.zeros((2, 2), np.intp),
+                    mask, [False, True], [1.7], np.array([1.0])):
             with pytest.raises(TypeError):
                 table.matrix[key]
 

@@ -13,7 +13,7 @@ from claimdist.pipeline import (
     select_claims,
 )
 from claimdist.stats import median_iqr
-from claimdist.textprep import default_stopwords
+from claimdist.textprep import default_stopwords, normalize_and_tokenize, remove_stopwords
 
 from conftest import lcg_token_lists, write_corpus
 
@@ -89,6 +89,25 @@ class TestLoadCorpus:
         for docs in corpus.groups.values():
             for doc in docs:
                 assert all(t == t.lower() and t for t in doc.tokens)
+
+    def test_each_distinct_token_is_one_string(self, tmp_path):
+        path = write_corpus(tmp_path, groups=("alpha",), docs_per_group=2)
+        texts = {
+            "query.txt": "Graphene sheets: the GRAPHENE lattice.",
+            "alpha1.txt": "A graphene lattice, graphene-based.",
+            "alpha2.txt": "Graphene and the lattice of graphene.",
+        }
+        for name, text in texts.items():
+            (tmp_path / "docs" / name).write_text(text)
+        corpus = load_corpus(load_manifest(path))
+        docs = [corpus.query, *corpus.groups["alpha"]]
+        stopwords = default_stopwords().words
+        for doc, text in zip(docs, texts.values()):
+            assert doc.tokens == tuple(remove_stopwords(normalize_and_tokenize(text), stopwords))
+        for word in ("graphene", "lattice"):
+            occurrences = [t for doc in docs for t in doc.tokens if t == word]
+            assert len(occurrences) >= 3
+            assert all(t is occurrences[0] for t in occurrences)
 
 
 class TestRunExperiment:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,30 @@ class TestLcRwmdBatch:
             tiny = lc_rwmd_batch(q, cands, table)
             for x, y in zip(full, tiny):
                 assert abs(x.distance - y.distance) <= 1e-12
+
+    def test_peak_memory_holds_one_candidates_by_query_table(self):
+        # A query wider than the dimension and more candidates than union
+        # words make the |candidates| x |query| table the largest array.
+        rng = np.random.default_rng(23)
+        dim, n_query, n_union, n_cands = 8, 600, 100, 400
+        table = random_unit_table(rng, n_query + n_union, dim)
+        vocab = [f"w{i}" for i in range(n_query + n_union)]
+        q = random_nbow(rng, vocab[:n_query], n_query)
+        cands = [random_nbow(rng, vocab[n_query:], 3) for _ in range(n_cands)]
+        rows = max(1, transport._BLOCK_BYTES // (8 * n_query))
+        block = 8 * min(rows, n_union) * n_query
+        table_bytes = 8 * n_cands * n_query
+        assert table_bytes > block
+        tracemalloc.start()
+        try:
+            lc_rwmd_batch(q, cands, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Beyond the query's normalized rows and the two block buffers, the
+        # kernel may hold one such table and small arrays, not a second one.
+        q_norm = 8 * n_query * dim
+        assert peak < q_norm + 2 * block + 2 * table_bytes
 
 
 class TestRankAgainstQuery:

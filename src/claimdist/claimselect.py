@@ -7,22 +7,43 @@ that topic's share of their tokens. The moving-average selector scores
 each sentence by how far its token centroid sits from the document
 centroid and smooths the signal with a centered window so contiguous
 claim passages are preferred over isolated spikes.
+
+The topic model's count tables are a pure function of the sentences'
+tokens, the parameters and the seed, so they are kept in the on-disk
+cache beside the embedding entries (``lda-<sha256>.npy``) and a later
+fit of the same inputs reads them back instead of sampling again.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import logging
+import operator
+import os
 import re
+import tempfile
 from bisect import bisect_right
+from contextlib import suppress
 from dataclasses import dataclass, replace
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import mul, truediv
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingTable
+from .embeddings import EmbeddingTable, cache_dir
 from .errors import DataError, EmptyDocumentError
 from .textprep import normalize_and_tokenize, remove_stopwords
+
+log = logging.getLogger(__name__)
+
+# First field of a fit entry's key; change it when the entry's layout does.
+_FIT_FORMAT = "lda-fit-1"
+
+# Fit entries kept in the cache; writing one removes the oldest beyond this.
+_FIT_ENTRIES = 32
 
 DEFAULT_CUE_WORDS = frozenset(
     {"propose", "proposes", "proposed", "introduce", "introduces", "new", "novel", "index"}
@@ -146,7 +167,11 @@ def fit_lda(
     """Collapsed Gibbs sampling with each sentence as one document.
 
     The chain is run single-threaded and seeded, so identical inputs and
-    parameters reproduce bit-identical count tables.
+    parameters reproduce bit-identical count tables. Those tables are
+    kept in the on-disk cache, keyed by every input the chain reads
+    (:func:`_fit_key`), and a later call with the same inputs reads them
+    back instead of running the chain. When the cache cannot be written,
+    one WARNING is logged and the computed model is returned.
     """
     if n_topics < 1:
         raise ValueError("n_topics must be >= 1")
@@ -157,10 +182,41 @@ def fit_lda(
     if not vocab:
         raise DataError("all sentences are empty after preprocessing; nothing to model")
 
+    entry = cache_dir() / f"lda-{_fit_key(sentences, n_topics, alpha, beta, iterations, seed)}.npy"
+    frequencies = np.bincount(list(chain.from_iterable(docs)), minlength=len(vocab))
+    tables = _read_fit(entry, n_topics, list(map(len, docs)), frequencies)
+    if tables is None:
+        tables = _gibbs_counts(docs, len(vocab), n_topics, alpha, beta, iterations, seed)
+        _write_fit(entry, tables)
+    return LdaModel(
+        n_topics=n_topics,
+        alpha=alpha,
+        beta=beta,
+        iterations=iterations,
+        seed=seed,
+        vocabulary=tuple(vocab),
+        word_topic=tables[0],
+        sentence_topic=tables[1],
+        topic_totals=tables[2],
+    )
+
+
+def _gibbs_counts(
+    docs: list[list[int]],
+    n_words: int,
+    n_topics: int,
+    alpha: float,
+    beta: float,
+    iterations: int,
+    seed: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chain's final word_topic (K, V), sentence_topic (S, K) and topic_totals (K,).
+
+    ``docs`` holds each sentence's tokens as word numbers below ``n_words``.
+    """
     # The counts are plain lists while sampling: per-token numpy calls on
     # K-element arrays cost far more than the arithmetic they do.
     # word_topic is word-major here, one K-list per word.
-    n_words = len(vocab)
     rng = np.random.default_rng(seed)
     word_topic = [[0] * n_topics for _ in range(n_words)]
     sentence_topic = [[0] * n_topics for _ in docs]
@@ -222,17 +278,113 @@ def fit_lda(
                 new_z.append(k)
             z[:] = new_z
 
-    return LdaModel(
-        n_topics=n_topics,
-        alpha=alpha,
-        beta=beta,
-        iterations=iterations,
-        seed=seed,
-        vocabulary=tuple(vocab),
-        word_topic=np.ascontiguousarray(np.array(word_topic, dtype=np.int64).T),
-        sentence_topic=np.array(sentence_topic, dtype=np.int64),
-        topic_totals=np.array(topic_totals, dtype=np.int64),
+    return (
+        np.ascontiguousarray(np.array(word_topic, dtype=np.int64).T),
+        np.array(sentence_topic, dtype=np.int64),
+        np.array(topic_totals, dtype=np.int64),
     )
+
+
+def _fit_key(
+    sentences: Sequence[SentenceRecord],
+    n_topics: int,
+    alpha: float,
+    beta: float,
+    iterations: int,
+    seed: int,
+) -> str:
+    """Hex SHA-256 over every input of the chain.
+
+    The sampler is this module's source and the random stream is numpy's,
+    so an edited sampler or another numpy never reads an older entry. The
+    token lists go in as JSON, which keeps sentence boundaries and escapes
+    every character, and the rates as ``float.hex``, which keeps every bit.
+    """
+    key = json.dumps([
+        _FIT_FORMAT,
+        hashlib.sha256(Path(__file__).read_bytes()).hexdigest(),
+        np.__version__,
+        operator.index(n_topics),
+        float(alpha).hex(),
+        float(beta).hex(),
+        operator.index(iterations),
+        operator.index(seed),
+        [s.tokens for s in sentences],
+    ])
+    return hashlib.sha256(key.encode("ascii")).hexdigest()
+
+
+def _read_fit(
+    entry: Path, n_topics: int, lengths: list[int], frequencies: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The count tables stored in ``entry``, or None when it holds none.
+
+    An entry is used only if it is int64 of exactly the length these
+    sentences give, has no negative count, each sentence's counts sum to
+    its length, each word's to its frequency, and ``topic_totals`` is
+    both tables' topic sums. Any other entry is removed so that it is
+    written again. A hit refreshes the entry's mtime, which eviction reads.
+    """
+    if not entry.is_file():
+        return None
+    n_words, n_sentences = len(frequencies), len(lengths)
+    ends = [n_topics * n_words, n_topics * (n_words + n_sentences)]
+    try:
+        flat = np.load(entry, allow_pickle=False)
+        if flat.dtype != np.int64 or flat.shape != (ends[1] + n_topics,):
+            raise ValueError("entry does not have the shape of these sentences")
+        word_topic, sentence_topic, topic_totals = np.split(flat, ends)
+        word_topic = word_topic.reshape(n_topics, n_words)
+        sentence_topic = sentence_topic.reshape(n_sentences, n_topics)
+        if not (
+            flat.min() >= 0
+            and np.array_equal(sentence_topic.sum(axis=1), lengths)
+            and np.array_equal(word_topic.sum(axis=0), frequencies)
+            and np.array_equal(word_topic.sum(axis=1), topic_totals)
+            and np.array_equal(sentence_topic.sum(axis=0), topic_totals)
+        ):
+            raise ValueError("entry's counts do not match these sentences")
+    except (OSError, ValueError, EOFError):
+        with suppress(OSError):
+            entry.unlink()
+        return None
+    with suppress(OSError):
+        os.utime(entry)
+    return word_topic, sentence_topic, topic_totals
+
+
+def _write_fit(entry: Path, tables: tuple[np.ndarray, np.ndarray, np.ndarray]):
+    """Store ``tables`` in ``entry`` through a temporary file, then keep the newest entries.
+
+    An entry is the three tables' values, in order, as one 1-D int64
+    ``.npy`` array. Writing it removes the least recently written or hit
+    fit entries beyond ``_FIT_ENTRIES``; embedding entries are not touched.
+    """
+    tmp = None
+    try:
+        entry.parent.mkdir(parents=True, exist_ok=True)
+        with tempfile.NamedTemporaryFile(
+            dir=entry.parent, prefix=f".{entry.name}.", delete=False
+        ) as fh:
+            tmp = fh.name
+            np.save(fh, np.concatenate([t.ravel() for t in tables]))
+        os.replace(tmp, entry)
+        tmp = None
+    except OSError as exc:
+        log.warning("cannot write topic-model cache %s: %s", entry, exc)
+        return
+    finally:
+        if tmp is not None:
+            with suppress(OSError):
+                os.unlink(tmp)
+    others = []
+    for other in entry.parent.glob("lda-*.npy"):
+        if other != entry:
+            with suppress(OSError):  # another process may remove it meanwhile
+                others.append((other.stat().st_mtime_ns, other))
+    for _, other in sorted(others, reverse=True)[_FIT_ENTRIES - 1 :]:
+        with suppress(OSError):
+            other.unlink()
 
 
 def lda_select(

@@ -214,15 +214,16 @@ class _Rows:
                 f"cannot write parsed embedding rows to {self.sink_dir}: {exc}"
             ) from None
 
-    def add(self, batch: bytes, first_lineno: int):
+    def add(self, batch: bytes, first_lineno: int) -> int:
         """Parse the whole lines in ``batch``, the first of them numbered ``first_lineno``.
 
-        A line that is not UTF-8, has a token but no values, has a
-        non-numeric field or changes the row length ends the batch; the
-        rows before it are checked before its error is raised, so every
-        error names the first bad line. One row norm both rejects a row
-        (not finite) or drops it (zero) and is the norm stored for it. A
-        duplicate token is skipped unchecked.
+        Returns the number of newlines in ``batch``, which the next
+        batch's first line number adds. A line that is not UTF-8, has a
+        token but no values, has a non-numeric field or changes the row
+        length ends the batch; the rows before it are checked before its
+        error is raised, so every error names the first bad line. One row
+        norm both rejects a row (not finite) or drops it (zero) and is the
+        norm stored for it. A duplicate token is skipped unchecked.
         """
         error = None
         try:
@@ -247,7 +248,7 @@ class _Rows:
         if not rows:
             if error is not None:
                 raise error
-            return
+            return len(lines) - 1
         linenos, tokens, rests = zip(*rows)
 
         try:
@@ -305,6 +306,7 @@ class _Rows:
         self.index.update(zip(new, range(start, start + len(new))))
         if error is not None:
             raise error
+        return len(lines) - 1
 
     def table(self, name: str) -> EmbeddingTable:
         """The parsed table; its matrix reads the rows back from the sink."""
@@ -340,10 +342,11 @@ def _log_dropped(table: EmbeddingTable, duplicate_lines: list[int], zero_lines: 
         log.warning("%s: %s", table.source_name, "; ".join(parts))
 
 
-def _cache_entry(digest: str) -> Path:
+def cache_dir() -> Path:
+    """The directory of claimdist's on-disk cache entries (it may not exist yet)."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     root = Path(base) if os.path.isabs(base) else Path.home() / ".cache"
-    return root / "claimdist" / f"{_CACHE_FORMAT}-{digest}"
+    return root / "claimdist"
 
 
 def _read_entry(
@@ -492,7 +495,7 @@ def load_embeddings(
     """
     name = str(source)
     digest = sha256 or file_sha256(source)
-    entry = _cache_entry(digest)
+    entry = cache_dir() / f"{_CACHE_FORMAT}-{digest}"
     cached = _read_entry(entry, digest, name)
     # on a dimension mismatch the parse below raises the error, line included
     if cached is not None and expected_dim in (None, cached[0].dimension):
@@ -505,8 +508,7 @@ def load_embeddings(
             lineno = 1
             while batch := stream.read(_BATCH_BYTES):
                 batch += stream.readline()
-                rows.add(batch, lineno)
-                lineno += batch.count(b"\n")
+                lineno += rows.add(batch, lineno)
         table = rows.table(name)
     except BaseException as exc:
         # the table owns the sink only once it is returned

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -72,21 +73,17 @@ def build_nbow(tokens: Sequence[str], table: EmbeddingTable) -> NBow:
     renormalized. Raises :class:`EmptyDocumentError` when nothing
     survives, which signals the document cannot be scored.
     """
-    counts: dict[str, int] = {}
-    dropped = 0
-    for t in tokens:
-        if t in table:
-            counts[t] = counts.get(t, 0) + 1
-        else:
-            dropped += 1
+    # Counter counts in C and keeps first-appearance order; the vocabulary
+    # is then checked once per distinct word.
+    vocabulary = table.vocabulary
+    counts = {w: n for w, n in Counter(tokens).items() if w in vocabulary}
     if not counts:
         raise EmptyDocumentError(
             f"no token of {len(tokens)} is in the embedding vocabulary"
         )
     total = sum(counts.values())
-    words = tuple(counts)
-    weights = np.array([counts[w] / total for w in words], dtype=np.float64)
-    return NBow(words=words, weights=weights, oov_dropped=dropped)
+    weights = np.array([n / total for n in counts.values()], dtype=np.float64)
+    return NBow(words=tuple(counts), weights=weights, oov_dropped=len(tokens) - total)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 import hashlib
+import os
 import time
 
 import numpy as np
 import pytest
 
+from claimdist import claimselect
 from claimdist.claimselect import (
     SentenceRecord,
     fit_lda,
@@ -12,9 +14,16 @@ from claimdist.claimselect import (
     moving_average,
     split_sentences,
 )
+from claimdist.embeddings import load_embeddings
 from claimdist.errors import DataError
 
-from conftest import lcg_token_lists, make_table, reference_fit_lda
+from conftest import (
+    count_chains,
+    fit_in_fresh_caches,
+    lcg_token_lists,
+    make_table,
+    reference_fit_lda,
+)
 
 
 def records(*token_lists):
@@ -86,10 +95,11 @@ class TestFitLda:
         assert model.topic_totals.tolist() == [5]
         np.testing.assert_array_equal(model.sentence_topic[:, 0], [3, 2])
 
-    def test_seed_determinism(self):
+    def test_seed_determinism(self, monkeypatch, tmp_path):
         sents = records(["a", "b"], ["b", "c", "d"], ["a", "d"])
-        m1 = fit_lda(sents, n_topics=3, iterations=30, seed=9)
-        m2 = fit_lda(sents, n_topics=3, iterations=30, seed=9)
+        m1, m2 = fit_in_fresh_caches(
+            monkeypatch, tmp_path, sents, n_topics=3, iterations=30, seed=9
+        )
         np.testing.assert_array_equal(m1.word_topic, m2.word_topic)
         np.testing.assert_array_equal(m1.sentence_topic, m2.sentence_topic)
 
@@ -191,6 +201,15 @@ _CHAIN_CORPORA = {
 }
 
 
+_TABLES = ("word_topic", "sentence_topic", "topic_totals")
+
+
+def assert_reference_tables(model, token_lists, **params):
+    expected = reference_fit_lda(token_lists, **params)
+    for name, want in zip(_TABLES, expected):
+        assert np.array_equal(getattr(model, name), want), name
+
+
 class TestFitLdaMatchesReference:
     @pytest.mark.parametrize(
         "corpus, n_topics, alpha, beta, iterations, seed",
@@ -223,21 +242,200 @@ class TestFitLdaMatchesReference:
         ],
     )
     def test_same_count_tables_as_reference(
-        self, corpus, n_topics, alpha, beta, iterations, seed
+        self, monkeypatch, corpus, n_topics, alpha, beta, iterations, seed
     ):
+        # The first fit runs the chain and the second reads its cache entry;
+        # both must give the reference's tables, as arrays of the same form.
         token_lists = _CHAIN_CORPORA[corpus]
-        model = fit_lda(
-            records(*token_lists),
-            n_topics=n_topics, alpha=alpha, beta=beta, iterations=iterations, seed=seed,
-        )
-        expected = reference_fit_lda(token_lists, n_topics, alpha, beta, iterations, seed)
-        got = (model.word_topic, model.sentence_topic, model.topic_totals)
-        for name, table, want in zip(("word_topic", "sentence_topic", "topic_totals"), got, expected):
-            assert table.dtype == want.dtype and np.array_equal(table, want), name
+        params = dict(n_topics=n_topics, alpha=alpha, beta=beta, iterations=iterations, seed=seed)
+        calls = count_chains(monkeypatch)
+        miss, hit = (fit_lda(records(*token_lists), **params) for _ in range(2))
+        assert len(calls) == 1
+        assert hit.vocabulary == miss.vocabulary
+        expected = reference_fit_lda(token_lists, **params)
+        for name, want in zip(_TABLES, expected):
+            forms = {
+                (table.dtype, table.shape, table.flags.c_contiguous)
+                for table in (getattr(miss, name), getattr(hit, name))
+            }
+            assert forms == {(np.dtype(np.int64), want.shape, True)}, name
+            assert np.array_equal(getattr(miss, name), want), name
+            assert np.array_equal(getattr(hit, name), want), name
 
     def test_large_corpus_is_large(self):
         assert sum(map(len, _CHAIN_CORPORA["lcg-large"])) >= 2000
         assert any(not toks for toks in _CHAIN_CORPORA["handmade"])
+
+
+# Word numbers: a 0, b 1, c 2, d 3, e 4; sentence 2 is empty.
+_FIT_TOKENS = [["a", "b", "c"], ["b", "d"], [], ["a", "a", "e"]]
+_FIT_PARAMS = dict(n_topics=2, alpha=0.1, beta=0.01, iterations=10, seed=3)
+
+
+def _denied(*args, **kwargs):
+    raise PermissionError(13, "Permission denied")
+
+
+def fit_entries(cache_home):
+    return sorted((cache_home / "claimdist").glob("lda-*.npy"))
+
+
+class TestFitCache:
+    @pytest.mark.parametrize(
+        "tokens, change",
+        [
+            ([["a", "b", "x"], ["b", "d"], [], ["a", "a", "e"]], {}),
+            ([["a", "b"], ["c", "b", "d"], [], ["a", "a", "e"]], {}),
+            (_FIT_TOKENS, {"n_topics": 3}),
+            (_FIT_TOKENS, {"alpha": float(np.nextafter(0.1, 1.0))}),
+            (_FIT_TOKENS, {"beta": 0.02}),
+            (_FIT_TOKENS, {"iterations": 11}),
+            (_FIT_TOKENS, {"seed": 4}),
+        ],
+        ids=["token", "sentence-boundary", "n_topics", "alpha", "beta", "iterations", "seed"],
+    )
+    def test_changing_one_key_input_is_a_miss(
+        self, monkeypatch, private_cache_home, tokens, change
+    ):
+        fit_lda(records(*_FIT_TOKENS), **_FIT_PARAMS)
+        calls = count_chains(monkeypatch)
+        params = {**_FIT_PARAMS, **change}
+        model = fit_lda(records(*tokens), **params)
+        assert len(calls) == 1
+        assert len(fit_entries(private_cache_home)) == 2
+        assert_reference_tables(model, tokens, **params)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "truncated", "not-npy", "object-array", "int32", "one-short", "one-long",
+            "negative", "sentence-sums", "word-sums", "sentence-topics", "word-topics",
+            "topic-totals",
+        ],
+    )
+    def test_damaged_entry_is_a_miss_and_rewritten(
+        self, monkeypatch, private_cache_home, damage
+    ):
+        sents = records(*_FIT_TOKENS)
+        fit_lda(sents, **_FIT_PARAMS)
+        [entry] = fit_entries(private_cache_home)
+        good = entry.read_bytes()
+        flat = np.load(entry)
+        k, v, s = 2, 5, 4
+        word_topic = flat[: k * v].reshape(k, v)
+        sentence_topic = flat[k * v : k * (v + s)].reshape(s, k)
+        totals = flat[k * (v + s) :]
+        if damage == "truncated":
+            entry.write_bytes(good[: len(good) // 2])
+        elif damage == "not-npy":
+            entry.write_bytes(b"not an array")
+        elif damage == "object-array":
+            np.save(entry, flat.astype(object), allow_pickle=True)
+        elif damage == "int32":
+            np.save(entry, flat.astype(np.int32))
+        elif damage == "one-short":
+            np.save(entry, flat[:-1])
+        elif damage == "one-long":
+            np.save(entry, np.append(flat, 0))
+        else:
+            if damage == "negative":
+                # Move more than word a's topic-0 count to topic 1 in all
+                # three tables: every sum still holds.
+                n = word_topic[0, 0] + 1
+                for row in (word_topic[:, 0], sentence_topic[0], totals):
+                    row[0] -= n
+                    row[1] += n
+                assert flat.min() < 0
+            elif damage == "sentence-sums":
+                topic = sentence_topic[0].argmax()
+                sentence_topic[0, topic] -= 1
+                sentence_topic[1, topic] += 1
+            elif damage == "word-sums":
+                topic = word_topic[:, 0].argmax()
+                word_topic[topic, 0] -= 1
+                word_topic[topic, 1] += 1
+            elif damage == "sentence-topics":
+                topic = sentence_topic[0].argmax()
+                sentence_topic[0, topic] -= 1
+                sentence_topic[0, 1 - topic] += 1
+            elif damage == "word-topics":
+                topic = word_topic[:, 0].argmax()
+                word_topic[topic, 0] -= 1
+                word_topic[1 - topic, 0] += 1
+            else:
+                topic = totals.argmax()
+                totals[topic] -= 1
+                totals[1 - topic] += 1
+            np.save(entry, flat)
+        calls = count_chains(monkeypatch)
+        model = fit_lda(sents, **_FIT_PARAMS)
+        assert len(calls) == 1
+        assert entry.read_bytes() == good
+        assert_reference_tables(model, _FIT_TOKENS, **_FIT_PARAMS)
+
+    def test_damaged_entry_is_removed_when_it_cannot_be_rewritten(
+        self, monkeypatch, caplog, private_cache_home
+    ):
+        sents = records(*_FIT_TOKENS)
+        fit_lda(sents, **_FIT_PARAMS)
+        [entry] = fit_entries(private_cache_home)
+        entry.write_bytes(b"not an array")
+        monkeypatch.setattr("os.replace", _denied)
+        model = fit_lda(sents, **_FIT_PARAMS)
+        assert not entry.exists()
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert_reference_tables(model, _FIT_TOKENS, **_FIT_PARAMS)
+
+    @pytest.mark.parametrize("how", ["not-a-directory", "permission-denied", "rename-fails"])
+    def test_unwritable_cache_warns_once_and_fits(
+        self, tmp_path, monkeypatch, caplog, private_cache_home, how
+    ):
+        if how == "not-a-directory":
+            blocker = tmp_path / "blocker"
+            blocker.write_text("")
+            monkeypatch.setenv("XDG_CACHE_HOME", str(blocker / "cache"))
+        elif how == "permission-denied":
+            monkeypatch.setattr("tempfile.NamedTemporaryFile", _denied)
+        else:
+            monkeypatch.setattr("os.replace", _denied)
+        model = fit_lda(records(*_FIT_TOKENS), **_FIT_PARAMS)
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "cannot write topic-model cache" in caplog.messages[0]
+        assert_reference_tables(model, _FIT_TOKENS, **_FIT_PARAMS)
+        if how != "not-a-directory":
+            # no entry, and no temporary file left behind
+            assert list((private_cache_home / "claimdist").iterdir()) == []
+
+    def test_eviction_keeps_the_newest_fit_entries_and_no_table_entry(
+        self, tmp_path, monkeypatch, private_cache_home
+    ):
+        monkeypatch.setattr(claimselect, "_FIT_ENTRIES", 3)
+        sents = records(*_FIT_TOKENS)
+        cache = private_cache_home / "claimdist"
+
+        def fit(seed):
+            params = {**_FIT_PARAMS, "seed": seed}
+            fit_lda(sents, **params)
+            return cache / f"lda-{claimselect._fit_key(sents, **params)}.npy"
+
+        tables = []
+        for i in range(2):
+            tables.append(tmp_path / f"emb{i}.txt")
+            tables[i].write_text(f"w{i} 1 0\nx 0 1\n")
+        load_embeddings(tables[0])
+        [table_entry] = cache.glob("v2-*")
+        entries = {}
+        for seed in range(3):
+            entries[seed] = fit(seed)
+            os.utime(entries[seed], ns=((seed + 1) * 10**9,) * 2)  # oldest first
+        assert fit(0) == entries[0]  # a hit, which makes entry 0 the newest
+        entries[3] = fit(3)  # a fourth entry: the oldest, seed 1's, goes
+        kept = [entries[seed] for seed in (0, 2, 3)]
+        assert fit_entries(private_cache_home) == sorted(kept)
+        assert table_entry.is_dir()
+        load_embeddings(tables[1])  # writing a table entry leaves fit entries alone
+        assert fit_entries(private_cache_home) == sorted(kept)
+        assert len(list(cache.glob("v2-*"))) == 2
 
 
 class TestLdaSelect:
@@ -273,14 +471,15 @@ class TestLdaSelect:
         with pytest.raises(DataError, match="cue"):
             lda_select(model, sents, top_k=1)
 
-    def test_selection_determinism(self):
+    def test_selection_determinism(self, monkeypatch, tmp_path):
         rng = np.random.default_rng(8)
         vocab = ["novel", "x", "y", "z", "w"]
         sents = records(
             *[list(rng.choice(vocab, size=5)) for _ in range(8)]
         )
-        m1 = fit_lda(sents, n_topics=3, iterations=50, seed=7)
-        m2 = fit_lda(sents, n_topics=3, iterations=50, seed=7)
+        m1, m2 = fit_in_fresh_caches(
+            monkeypatch, tmp_path, sents, n_topics=3, iterations=50, seed=7
+        )
         s1 = lda_select(m1, sents, top_k=3)
         s2 = lda_select(m2, sents, top_k=3)
         assert [(s.index, s.score) for s in s1] == [(s.index, s.score) for s in s2]

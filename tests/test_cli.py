@@ -5,7 +5,7 @@ import pytest
 
 from claimdist.cli import main
 
-from conftest import write_corpus
+from conftest import count_chains, write_corpus
 
 
 def run_cli(capsys, *argv):
@@ -524,6 +524,33 @@ def test_unwritable_cache_warns_once_and_scores(tmp_path, capsys, caplog, monkey
     assert caplog.records[0].levelname == "WARNING"
     assert "cannot write embedding cache" in caplog.messages[0]
 
+
+
+def test_lda_fit_is_read_from_the_cache_by_run_and_extract(tmp_path, capsys, monkeypatch):
+    manifest = write_corpus(
+        tmp_path,
+        manifest_extra={
+            "query": {"selector": {"method": "lda", "iterations": 20, "n_topics": 3, "top_k": 2}}
+        },
+    )
+    query = tmp_path / "docs" / "query.txt"
+    query.write_text(
+        "We propose word0 word1 word2 here. Data word3 word4 were collected. "
+        "A novel word5 word6 word7 method. Results show word8 word9 gains."
+    )
+    calls = count_chains(monkeypatch)
+    first = run_cli(capsys, "run", str(manifest))
+    second = run_cli(capsys, "run", str(manifest))
+    assert first[0] == 0 and second == first
+    assert len(calls) == 1
+    extract = [
+        "extract", str(query), "--selector", "lda", "--k", "3", "--iters", "20", "--top-k", "2",
+    ]
+    rc, out, _ = run_cli(capsys, *extract, "--seed", "3")  # the manifest's seed
+    assert rc == 0 and len(json.loads(out)) == 2
+    assert len(calls) == 1
+    rc, _, _ = run_cli(capsys, *extract, "--seed", "4")
+    assert rc == 0 and len(calls) == 2
 
 
 def test_unwritable_cache_and_temporary_directory_exit_1(tmp_path, capsys, monkeypatch):

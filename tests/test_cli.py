@@ -1,11 +1,13 @@
 import json
+import platform
 
 import numpy as np
 import pytest
 
+from claimdist import claimselect
 from claimdist.cli import main
 
-from conftest import count_chains, write_corpus
+from conftest import write_corpus
 
 
 def run_cli(capsys, *argv):
@@ -526,31 +528,26 @@ def test_unwritable_cache_warns_once_and_scores(tmp_path, capsys, caplog, monkey
 
 
 
-def test_lda_fit_is_read_from_the_cache_by_run_and_extract(tmp_path, capsys, monkeypatch):
+def test_lda_runs_leave_one_sweep_library_and_no_fit_entry(
+    tmp_path, capsys, private_cache_home, rebuilt_sweep
+):
     manifest = write_corpus(
         tmp_path,
         manifest_extra={
             "query": {"selector": {"method": "lda", "iterations": 20, "n_topics": 3, "top_k": 2}}
         },
     )
-    query = tmp_path / "docs" / "query.txt"
-    query.write_text(
+    (tmp_path / "docs" / "query.txt").write_text(
         "We propose word0 word1 word2 here. Data word3 word4 were collected. "
         "A novel word5 word6 word7 method. Results show word8 word9 gains."
     )
-    calls = count_chains(monkeypatch)
     first = run_cli(capsys, "run", str(manifest))
     second = run_cli(capsys, "run", str(manifest))
     assert first[0] == 0 and second == first
-    assert len(calls) == 1
-    extract = [
-        "extract", str(query), "--selector", "lda", "--k", "3", "--iters", "20", "--top-k", "2",
-    ]
-    rc, out, _ = run_cli(capsys, *extract, "--seed", "3")  # the manifest's seed
-    assert rc == 0 and len(json.loads(out)) == 2
-    assert len(calls) == 1
-    rc, _, _ = run_cli(capsys, *extract, "--seed", "4")
-    assert rc == 0 and len(calls) == 2
+    cache = private_cache_home / "claimdist"
+    libraries = list(cache.glob("sweep-*.so"))
+    assert len(libraries) == (platform.machine() in claimselect._SWEEP_MACHINES)
+    assert list(cache.glob("lda-*")) == [] and list(cache.glob(".sweep-*")) == []
 
 
 def test_unwritable_cache_and_temporary_directory_exit_1(tmp_path, capsys, monkeypatch):

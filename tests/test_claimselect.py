@@ -47,6 +47,21 @@ def sweep(request, monkeypatch):
 BOTH_SWEEPS = pytest.mark.parametrize("sweep", ["compiled", "python"], indirect=True)
 
 
+# Corpora for the golden and differential chain tests: one with
+# empty sentences and words repeated within a sentence, the 40-sentence
+# golden corpus, one of 2,000+ tokens so that counts grow large, and one
+# of one-token sentences, each with its own word.
+_CHAIN_CORPORA = {
+    "handmade": [
+        ["a", "a", "b"], [], ["c", "a", "a", "a"], ["b"], [],
+        ["d", "d", "d", "d", "c"], ["e", "b", "e"], [], ["a"], ["c", "c", "f", "a"],
+    ],
+    "lcg40": lcg_token_lists(40, 60, seed=2024),
+    "lcg-large": lcg_token_lists(400, 300, seed=11),
+    "hapax": [[f"h{i}"] for i in range(120)],
+}
+
+
 class TestSplitSentences:
     def test_two_sentences(self):
         out = split_sentences("We propose X. It works.")
@@ -160,60 +175,55 @@ class TestFitLda:
         with pytest.raises(ValueError):
             fit_lda(sents, iterations=0)
 
-    # Count tables of the seeded chain on a fixed 40-sentence corpus (197
-    # tokens over 50 words, 8 empty sentences). topic_totals is literal;
-    # the (K, 50) word_topic and (40, K) sentence_topic tables are pinned
-    # by the SHA-256 of their little-endian int64 bytes.
+    # Count tables of the seeded chain. topic_totals is literal; the (K, V)
+    # word_topic and (S, K) sentence_topic tables are pinned by the SHA-256
+    # of their little-endian int64 bytes. lcg40 has 197 tokens over 50 words
+    # and 8 empty sentences. The last two cases pin the float order and the
+    # search independently of the differential test below (see its cases).
     @BOTH_SWEEPS
     @pytest.mark.parametrize(
-        "n_topics, alpha, beta, iterations, seed, totals, word_sha, sentence_sha",
+        "corpus, n_topics, alpha, beta, iterations, seed, totals, word_sha, sentence_sha",
         [
-            (1, 0.1, 0.01, 20, 0, [197],
+            ("lcg40", 1, 0.1, 0.01, 20, 0, [197],
              "822a295eb5b746f08310851eb231300a10fa7d4d4fab6042b4caf8d474221754",
              "25de294c60a8b6f03f0f1b110e6655f1e14e00123b96b5f7b4ccd5a890da3680"),
-            (8, 0.05, 0.001, 25, 42, [11, 51, 14, 9, 34, 27, 36, 15],
+            ("lcg40", 8, 0.05, 0.001, 25, 42, [11, 51, 14, 9, 34, 27, 36, 15],
              "1803bcae6a9a0b662dba478887bfa756d2e910744aac18a1b85878e03497551e",
              "7e9237028b4e56e290850c07bcc068d68d3fd8c0c180bff93710673e1bcf79ca"),
-            (5, 0.1, 0.01, 40, 7, [33, 34, 60, 41, 29],
+            ("lcg40", 5, 0.1, 0.01, 40, 7, [33, 34, 60, 41, 29],
              "63e1302a16df4626d836fd42343c1c35f013b4f94c73117df4c3d3bb8977dae4",
              "4e233d923462b33c58a74b499628384b9daa12345c3b5ee96a342346d8145367"),
-            (3, 1.0, 0.5, 20, 123, [51, 77, 69],
+            ("lcg40", 3, 1.0, 0.5, 20, 123, [51, 77, 69],
              "808fa5a447b87436e5ea435d5e3e0c2deba8b0e2f8664522d7c747356970dbeb",
              "a10d3aa46a5de1369e4c8ced9a48aecddaf9a0487e34aa0ab5a103957df434b7"),
+            ("hapax", 5, 1e-160, 1e-160, 10, 21, [22, 20, 25, 22, 31],
+             "fa7830e6a4a1c73fbaa241544cf7ca13a7eb2af324d19ca8ebe62eff0957f660",
+             "85e511af4d996431c4716c009586900fe679f49c1db46d7bd5869403d5e9dfec"),
+            ("lcg-large", 5, 1e307, 0.5, 8, 20, [488, 500, 532, 530, 472],
+             "d7b54ef54f54faa096f9a8d99318e7c54b63bc057ee1cb72acdc72a986987aec",
+             "afd7de15acd1ea0883f21114c335f8d8db0a967968e132af43a222fe966f3ff1"),
         ],
-        ids=["k1", "k8-sparse", "k5-default", "k3-smooth"],
+        ids=["k1", "k8-sparse", "k5-default", "k3-smooth", "hapax", "lcg-large"],
     )
     def test_golden_count_tables(
-        self, sweep, n_topics, alpha, beta, iterations, seed, totals, word_sha, sentence_sha
+        self, sweep, corpus, n_topics, alpha, beta, iterations, seed, totals, word_sha,
+        sentence_sha,
     ):
-        sents = records(*lcg_token_lists(40, 60, seed=2024))
+        token_lists = _CHAIN_CORPORA[corpus]
         model = fit_lda(
-            sents, n_topics=n_topics, alpha=alpha, beta=beta, iterations=iterations, seed=seed
+            records(*token_lists),
+            n_topics=n_topics, alpha=alpha, beta=beta, iterations=iterations, seed=seed,
         )
+        n_words = len(set().union(*token_lists))
         tables = {
-            "word_topic": (model.word_topic, (n_topics, 50), word_sha),
-            "sentence_topic": (model.sentence_topic, (40, n_topics), sentence_sha),
+            "word_topic": (model.word_topic, (n_topics, n_words), word_sha),
+            "sentence_topic": (model.sentence_topic, (len(token_lists), n_topics), sentence_sha),
         }
         for name, (table, shape, sha) in tables.items():
             assert (table.dtype, table.shape) == (np.int64, shape), name
             assert hashlib.sha256(table.astype("<i8").tobytes()).hexdigest() == sha, name
         assert (model.topic_totals.dtype, model.topic_totals.shape) == (np.int64, (n_topics,))
         assert model.topic_totals.tolist() == totals
-
-
-# Corpora for the differential test against reference_fit_lda: one with
-# empty sentences and words repeated within a sentence, the 40-sentence
-# golden corpus, one of 2,000+ tokens so that counts grow large, and one
-# of one-token sentences, each with its own word.
-_CHAIN_CORPORA = {
-    "handmade": [
-        ["a", "a", "b"], [], ["c", "a", "a", "a"], ["b"], [],
-        ["d", "d", "d", "d", "c"], ["e", "b", "e"], [], ["a"], ["c", "c", "f", "a"],
-    ],
-    "lcg40": lcg_token_lists(40, 60, seed=2024),
-    "lcg-large": lcg_token_lists(400, 300, seed=11),
-    "hapax": [[f"h{i}"] for i in range(120)],
-}
 
 
 _TABLES = ("word_topic", "sentence_topic", "topic_totals")

@@ -11,7 +11,8 @@ claim passages are preferred over isolated spikes.
 The topic model's sweeps run in a small C function, compiled once into
 the on-disk cache beside the embedding entries (``sweep-<sha256>.so``)
 and loaded with ctypes. Where it cannot be built or loaded, the same
-sweeps run in Python; both give the same count tables.
+sweeps run in a plain Python loop, the reference the C sweep was written
+from; both give the same count tables.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import tempfile
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain
-from operator import mul, truediv
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -242,7 +242,8 @@ def _gibbs_counts(
 
     ``docs`` holds each sentence's tokens as word numbers below ``n_words``.
     ``sweep`` is the compiled sweep from :func:`_compiled_sweep`; without
-    it the sweeps run in Python. Both give the same tables.
+    it the sweeps run in the Python loop at the end, which the C sweep
+    follows step for step. Both give the same tables.
     """
     # The counts are plain lists while sampling in Python: per-token numpy
     # calls on K-element arrays cost far more than the arithmetic they do.
@@ -278,50 +279,28 @@ def _gibbs_counts(
             sweep(n_tokens, n_topics, *pointers, alpha, beta, beta_total, draws.ctypes.data)
         return np.ascontiguousarray(word_topic.T), sentence_topic, topic_totals
 
-    # A count never exceeds the token count, so each sum of the conditional
-    # is looked up: a_beta[n] is the same double as n + beta. Each count
-    # table has a float mirror holding those sums, updated with it.
-    a_beta = [n + beta for n in range(n_tokens + 1)]
-    b_beta = [n + beta_total for n in range(n_tokens + 1)]
-    c_alpha = [n + alpha for n in range(n_tokens + 1)]
-    word_f = [[a_beta[n] for n in wt] for wt in word_topic]
-    sentence_f = [[c_alpha[n] for n in st] for st in sentence_topic]
-    totals_f = [b_beta[n] for n in topic_totals]
     last = n_topics - 1
     for _ in range(iterations):
         draws = iter(rng.random(n_tokens).tolist())
-        for doc, z, st, sf in zip(docs, assignments, sentence_topic, sentence_f):
-            new_z = []
-            for w, k in zip(doc, z):
+        for doc, z, st in zip(docs, assignments, sentence_topic):
+            for pos, w in enumerate(doc):
+                k = z[pos]
                 wt = word_topic[w]
-                wf = word_f[w]
-                n = wt[k] - 1
-                wt[k] = n
-                wf[k] = a_beta[n]
-                n = st[k] - 1
-                st[k] = n
-                sf[k] = c_alpha[n]
-                n = topic_totals[k] - 1
-                topic_totals[k] = n
-                totals_f[k] = b_beta[n]
-                # (a + beta) / (b + beta_total) * (c + alpha), in this float
-                # order: another order changes last bits, which can move a
-                # draw across a bin edge and fork the chain.
-                cum = list(accumulate(map(mul, map(truediv, wf, totals_f), sf)))
-                k = bisect_right(cum, next(draws) * cum[-1])
-                if k > last:  # the product can round up to cum[-1]
-                    k = last
-                n = wt[k] + 1
-                wt[k] = n
-                wf[k] = a_beta[n]
-                n = st[k] + 1
-                st[k] = n
-                sf[k] = c_alpha[n]
-                n = topic_totals[k] + 1
-                topic_totals[k] = n
-                totals_f[k] = b_beta[n]
-                new_z.append(k)
-            z[:] = new_z
+                wt[k] -= 1
+                st[k] -= 1
+                topic_totals[k] -= 1
+                # Keep this float order: another changes last bits, which can
+                # move a draw across a bin edge and fork the chain.
+                cum = list(accumulate([
+                    (a + beta) / (b + beta_total) * (c + alpha)
+                    for a, b, c in zip(wt, topic_totals, st)
+                ]))
+                # The product can round up to cum[-1]; clamp to the last topic.
+                k = min(bisect_right(cum, next(draws) * cum[-1]), last)
+                wt[k] += 1
+                st[k] += 1
+                topic_totals[k] += 1
+                z[pos] = k
 
     return (
         np.ascontiguousarray(np.array(word_topic, dtype=np.int64).T),

@@ -1,6 +1,4 @@
 import json
-from bisect import bisect_right
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -73,57 +71,6 @@ def lcg_token_lists(n_lists, n_words, seed, max_len=12) -> list[list[str]]:
         [f"w{draw(draw(n_words) + 1)}" for _ in range(draw(max_len + 1))]
         for _ in range(n_lists)
     ]
-
-
-def reference_fit_lda(token_lists, n_topics, alpha, beta, iterations, seed):
-    """Reference collapsed Gibbs chain: the earlier ``fit_lda`` sampling loop, unchanged.
-
-    Takes token lists instead of sentence records and returns the three
-    count tables shaped as on ``LdaModel``: word_topic (K, V),
-    sentence_topic (S, K) and topic_totals (K,). ``fit_lda`` must give
-    exactly the same tables for the same arguments.
-    """
-    vocab: dict[str, int] = {}
-    docs = [[vocab.setdefault(t, len(vocab)) for t in tokens] for tokens in token_lists]
-    n_words = len(vocab)
-    rng = np.random.default_rng(seed)
-    word_topic = [[0] * n_topics for _ in range(n_words)]
-    sentence_topic = [[0] * n_topics for _ in docs]
-    topic_totals = [0] * n_topics
-    assignments = [rng.integers(0, n_topics, size=len(doc)).tolist() for doc in docs]
-    for doc, z, st in zip(docs, assignments, sentence_topic):
-        for w, k in zip(doc, z):
-            word_topic[w][k] += 1
-            st[k] += 1
-            topic_totals[k] += 1
-
-    n_tokens = sum(map(len, docs))
-    beta_total = beta * n_words
-    last = n_topics - 1
-    for _ in range(iterations):
-        draws = iter(rng.random(n_tokens).tolist())
-        for doc, z, st in zip(docs, assignments, sentence_topic):
-            for pos, w in enumerate(doc):
-                k = z[pos]
-                wt = word_topic[w]
-                wt[k] -= 1
-                st[k] -= 1
-                topic_totals[k] -= 1
-                cum = list(accumulate([
-                    (a + beta) / (b + beta_total) * (c + alpha)
-                    for a, b, c in zip(wt, topic_totals, st)
-                ]))
-                k = min(bisect_right(cum, next(draws) * cum[-1]), last)
-                wt[k] += 1
-                st[k] += 1
-                topic_totals[k] += 1
-                z[pos] = k
-
-    return (
-        np.array(word_topic, dtype=np.int64).reshape(n_words, n_topics).T,
-        np.array(sentence_topic, dtype=np.int64).reshape(len(docs), n_topics),
-        np.array(topic_totals, dtype=np.int64),
-    )
 
 
 def random_nbow(rng, vocab, n_words) -> NBow:

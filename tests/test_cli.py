@@ -297,9 +297,6 @@ class TestBenchCommand:
         (["extract", "{doc}", "--selector", "lda", "--alpha", "-1"], 1, "alpha"),
         (["extract", "{doc}", "--selector", "lda", "--alpha", "nan"], 1, "alpha"),
         (["extract", "{doc}", "--selector", "lda", "--beta", "0"], 1, "beta"),
-        (["dist", "{bad}", "{doc}", "--embeddings", "{emb}"], 2, "bad.txt"),
-        (["extract", "{bad}", "--selector", "lda"], 2, "bad.txt"),
-        (["preprocess", "{bad}"], 2, "bad.txt"),
         (["preprocess", "{doc}", "--stopwords", "{bad}"], 2, "stopword file"),
         (["run", "{manifest}"], 2, "stopword file"),
         (["bench", "--sizes", "x"], 1, "--sizes"),
@@ -307,9 +304,8 @@ class TestBenchCommand:
          "--expected-dim"),
     ],
     ids=[
-        "top-k", "k", "iters", "window", "alpha", "alpha-nan", "beta",
-        "dist-not-utf8", "extract-not-utf8", "preprocess-not-utf8",
-        "stopwords-not-utf8", "manifest-stopwords-not-utf8", "sizes", "expected-dim",
+        "top-k", "k", "iters", "window", "alpha", "alpha-nan", "beta", "stopwords-not-utf8",
+        "manifest-stopwords-not-utf8", "sizes", "expected-dim",
     ],
 )
 def test_bad_input_exit_code_names_it(tmp_path, capsys, argv, code, message):
@@ -368,6 +364,72 @@ def test_unusable_document_exit_2_names_it(tmp_path, capsys, argv, named):
     assert (rc, out) == (2, "")
     assert named.format(**paths) + ": " in err
     assert "Traceback" not in err
+
+
+# Every command that reads a document, with the document in each role it
+# can take. "{bad}" is the bad document; the manifests put it in the query
+# or in the first candidate's place.
+DOCUMENT_COMMANDS = {
+    "dist-query": ["dist", "{bad}", "{doc}", "--embeddings", "{emb}"],
+    "dist-candidate": ["dist", "{doc}", "{bad}", "--embeddings", "{emb}"],
+    "extract-lda": ["extract", "{bad}", "--selector", "lda", "--iters", "2"],
+    "extract-ma": ["extract", "{bad}", "--selector", "ma", "--embeddings", "{emb}"],
+    "preprocess": ["preprocess", "{bad}", "--embeddings", "{emb}"],
+    "run-query": ["run", "{query_manifest}", "--format", "json"],
+    "run-candidate": ["run", "{candidate_manifest}", "--format", "json"],
+    "rank-query": ["rank", "{query_manifest}", "--format", "json"],
+    "rank-candidate": ["rank", "{candidate_manifest}", "--format", "json"],
+}
+# Each bad document: its name in the test directory and its bytes (None:
+# nothing is written there).
+BAD_DOCUMENTS = {
+    "missing": ("nowhere.txt", None),
+    "directory": ("docs", None),
+    "not-utf8": ("bad.txt", b"word0 \xff word1."),
+    "empty": ("empty.txt", b""),
+    "all-oov": ("oov.txt", b"Novel zzz here. Yyy qqq there."),
+}
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        pytest.param(command, bad, id=f"{bad}-{command}")
+        for bad in BAD_DOCUMENTS
+        for command in DOCUMENT_COMMANDS
+        # the topic selector reads no table, so no token is out of vocabulary
+        if (command, bad) != ("extract-lda", "all-oov")
+    ],
+)
+def test_bad_document_exit_code_names_it(tmp_path, capsys, command, bad):
+    manifest = write_corpus(tmp_path)
+    name, data = BAD_DOCUMENTS[bad]
+    path = tmp_path / name
+    if data is not None:
+        path.write_bytes(data)
+    args = {"bad": path, "doc": tmp_path / "docs" / "alpha1.txt", "emb": tmp_path / "emb.txt"}
+    for role in ("query", "candidate"):
+        spec = json.loads(manifest.read_text())
+        entry = spec["query"] if role == "query" else spec["documents"][0]
+        entry["path"] = str(path)
+        args[f"{role}_manifest"] = tmp_path / f"{role}.json"
+        args[f"{role}_manifest"].write_text(json.dumps(spec))
+    rc, out, err = run_cli(capsys, *(a.format(**args) for a in DOCUMENT_COMMANDS[command]))
+    assert "Traceback" not in err
+    manifest_role = command.split("-")[1] if command.startswith(("run", "rank")) else None
+    if bad in ("missing", "directory"):  # an unreadable path is a config error
+        assert (rc, out) == (1, "")
+        assert str(path) in err
+    elif bad == "not-utf8" or manifest_role is None:
+        assert (rc, out) == (2, "")
+        assert str(path) in err
+    elif manifest_role == "query":  # named by its manifest key, as the path is not
+        assert (rc, out) == (2, "")
+        assert "query 'q': " in err
+    else:  # an unscoreable candidate is a skip entry in the report
+        assert (rc, err) == (0, "")
+        skipped = json.loads(out)["skipped"]
+        assert [(s["group"], s["id"]) for s in skipped] == [("alpha", "1")]
 
 
 # Every subcommand that loads a table, and each way a table can fail to

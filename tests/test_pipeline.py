@@ -382,8 +382,10 @@ class TestBenchScaling:
 
     def test_timings_monotone_across_wide_sizes(self):
         # adjacent sizes sit inside timer noise for the relaxed path, so
-        # monotonicity is asserted across a wide size gap
-        out = bench_scaling([4, 64], pairs_per_size=3, seed=1).decode()
+        # monotonicity is asserted across a wide size gap; even there the
+        # relaxed medians are only about 50 us apart, and under concurrent
+        # CPU load a median of three pairs came out unsorted
+        out = bench_scaling([4, 64], pairs_per_size=5, seed=1).decode()
         rows = [line.split(",") for line in out.strip().split("\n")[1:-1]]
         wmd = [float(r[1]) for r in rows]
         rwmd = [float(r[2]) for r in rows]

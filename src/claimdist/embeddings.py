@@ -39,6 +39,7 @@ import logging
 import math
 import os
 import shutil
+import stat
 import tempfile
 import weakref
 from dataclasses import dataclass
@@ -110,9 +111,15 @@ class EmbeddingTable:
 
 
 def file_sha256(path: str | Path) -> str:
-    """Hex SHA-256 of an embedding file; an unreadable file raises ConfigError."""
+    """Hex SHA-256 of an embedding file; an unreadable file raises ConfigError.
+
+    So does a path that is not a regular file: a table is read twice, to
+    hash it and to parse it, and a pipe or a device cannot be.
+    """
     digest = hashlib.sha256()
     try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise ConfigError(f"cannot read embedding file {path}: not a regular file")
         with open(path, "rb") as fh:
             for chunk in iter(lambda: fh.read(1 << 20), b""):
                 digest.update(chunk)
@@ -485,9 +492,9 @@ def load_embeddings(
     one logged warning. Inconsistent dimensions, non-numeric or
     non-finite fields and bytes that are not UTF-8 raise
     :class:`EmbeddingParseError` naming the file and carrying the
-    offending line number. A file that cannot be opened or read, such as
-    a directory, raises :class:`ConfigError` naming it, and so does a
-    file for the parsed rows that cannot be created or written.
+    offending line number. A file that cannot be opened or read, or is
+    not a regular file, raises :class:`ConfigError` naming it, and so
+    does a file for the parsed rows that cannot be created or written.
 
     The load goes through the on-disk cache, keyed by ``sha256``, the
     file's digest when the caller already has it (computed here

@@ -182,16 +182,22 @@ def _parse_selector(raw: dict) -> SelectorConfig:
     return SelectorConfig(method=_field(raw, "method", where, str), **settings)
 
 
+def _require_file(label: str, path: Path):
+    if not path.is_file():
+        reason = "not a regular file" if path.exists() else "file not found"
+        raise ConfigError(f"{label}: {reason}: {path}")
+
+
 def load_manifest(path: str | Path) -> CorpusManifest:
     """Parse and validate a JSON corpus manifest.
 
-    Relative paths resolve against the manifest's own directory. Every
-    referenced path must exist; (group, id) pairs must be unique; group
-    labels must be nonempty.
+    Relative paths resolve against the manifest's own directory. The
+    manifest and every document, query and stopword path it names must
+    be regular files; (group, id) pairs must be unique; group labels
+    must be nonempty.
     """
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"manifest not found: {path}")
+    _require_file("manifest", path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -259,15 +265,12 @@ def load_manifest(path: str | Path) -> CorpusManifest:
         stopwords_path=stopwords_path,
         seed=seed,
     )
+    # The table is checked when it is hashed, as in every other command.
     for doc in manifest.documents:
-        if not doc.path.is_file():
-            raise ConfigError(f"document {doc.id!r} ({doc.group}): file not found: {doc.path}")
-    if not manifest.query_path.is_file():
-        raise ConfigError(f"query {query_id!r}: file not found: {manifest.query_path}")
-    if not manifest.embedding_path.is_file():
-        raise ConfigError(f"embedding file not found: {manifest.embedding_path}")
-    if manifest.stopwords_path is not None and not manifest.stopwords_path.is_file():
-        raise ConfigError(f"stopword file not found: {manifest.stopwords_path}")
+        _require_file(f"document {doc.id!r} ({doc.group})", doc.path)
+    _require_file(f"query {query_id!r}", manifest.query_path)
+    if manifest.stopwords_path is not None:
+        _require_file("stopword file", manifest.stopwords_path)
     return manifest
 
 
@@ -398,6 +401,10 @@ def select_claims(
     )
 
 
+def _query_label(manifest: CorpusManifest) -> str:
+    return f"query {manifest.query_id!r}: {manifest.query_path}"
+
+
 def _select_query_tokens(
     manifest: CorpusManifest,
     corpus: LoadedCorpus,
@@ -409,7 +416,7 @@ def _select_query_tokens(
     try:
         selected = select_claims(corpus.query_text, cfg, corpus.stopwords, table, manifest.seed)
     except DataError as exc:
-        raise type(exc)(f"query {manifest.query_id!r}: {exc}") from None
+        raise type(exc)(f"{_query_label(manifest)}: {exc}") from None
     return [t for s in sorted(selected, key=lambda s: s.index) for t in s.tokens]
 
 
@@ -417,15 +424,18 @@ def run_experiment(manifest: CorpusManifest) -> ExperimentReport:
     """Score the corpus against the query and run the significance protocol.
 
     Deterministic for a fixed manifest, file contents, and seed. A query
-    that cannot be embedded is fatal; unscoreable candidates become skip
-    entries, but a group losing all its documents is an error.
+    that cannot be embedded is fatal. A candidate that cannot be embedded
+    is set aside as a skip entry while the bags of words are built, so
+    the kernel scores only the others; a group left with no scored
+    document is an error.
     """
-    # Every input that is cheap to check is read before the table, the
-    # slowest step; only the moving-average selector needs the table.
+    # Every input file is read, and the table hashed, before any
+    # computation; parsing the table, the slowest step, comes after the
+    # topic selector. Only the moving-average selector needs the table.
     corpus = load_corpus(manifest)
+    embedding_sha256 = _file_sha256(manifest.embedding_path)
     needs_table = manifest.selector is not None and manifest.selector.method == "ma"
     query_tokens = None if needs_table else _select_query_tokens(manifest, corpus, None)
-    embedding_sha256 = _file_sha256(manifest.embedding_path)
     table = load_embeddings(
         manifest.embedding_path, manifest.expected_dim, sha256=embedding_sha256
     )
@@ -435,31 +445,25 @@ def run_experiment(manifest: CorpusManifest) -> ExperimentReport:
     try:
         query_nbow = build_nbow(query_tokens, table)
     except EmptyDocumentError as exc:
-        raise EmptyDocumentError(f"query {manifest.query_id!r}: {exc}") from None
+        raise EmptyDocumentError(f"{_query_label(manifest)}: {exc}") from None
 
-    flat: list[tuple[str, str, NBow | None, int, str]] = []  # group, id, nbow, oov, reason
-    for group in corpus.groups:
-        for doc in corpus.groups[group]:
+    scored: list[tuple[str, str, NBow]] = []  # group, id, nbow
+    skipped: list[SkippedDoc] = []
+    for group, docs in corpus.groups.items():
+        for doc in docs:
             try:
-                nbow = build_nbow(doc.tokens, table)
-                flat.append((group, doc.id, nbow, nbow.oov_dropped, ""))
+                scored.append((group, doc.id, build_nbow(doc.tokens, table)))
             except EmptyDocumentError as exc:
-                flat.append((group, doc.id, None, len(doc.tokens), str(exc)))
+                skipped.append(SkippedDoc(id=doc.id, group=group, reason=str(exc)))
 
-    scores = lc_rwmd_batch(
-        query_nbow, [nbow for _, _, nbow, _, _ in flat], table, manifest.variant
-    )
+    scores = lc_rwmd_batch(query_nbow, [nbow for _, _, nbow in scored], table, manifest.variant)
 
     group_order = tuple(corpus.groups)
     rankings: dict[str, list[RankedDoc]] = {g: [] for g in group_order}
-    skipped: list[SkippedDoc] = []
-    for (group, doc_id, _, oov, reason), res in zip(flat, scores):
-        if res is None:
-            skipped.append(SkippedDoc(id=doc_id, group=group, reason=reason))
-        else:
-            rankings[group].append(
-                RankedDoc(id=doc_id, similarity=res.similarity, oov_dropped=oov)
-            )
+    for (group, doc_id, nbow), res in zip(scored, scores):
+        rankings[group].append(
+            RankedDoc(id=doc_id, similarity=res.similarity, oov_dropped=nbow.oov_dropped)
+        )
     for group in group_order:
         if not rankings[group]:
             raise DataError(

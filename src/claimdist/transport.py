@@ -215,10 +215,10 @@ def wmd_exact(
 
 def lc_rwmd_batch(
     query: NBow,
-    candidates: Sequence[NBow | None],
+    candidates: Sequence[NBow],
     table: EmbeddingTable,
     variant: str = SYMMETRIC_MAX,
-) -> list[DistanceResult | None]:
+) -> list[DistanceResult]:
     """Score many candidates against one query in linear-style passes.
 
     Instead of building a dense cost matrix per pair, the union of all
@@ -228,28 +228,21 @@ def lc_rwmd_batch(
     cost is monotone decreasing in the cosine, so the cheapest
     counterpart is the most similar one and ``min(1 - clip(s))`` equals
     ``1 - clip(max(s))`` exactly; the cost transform runs once, on the
-    reduced vectors.
-
-    ``None`` entries stand for candidates that could not be embedded;
-    they pass through as ``None`` instead of failing the whole batch.
+    reduced vectors. Every candidate is scored: a document that cannot
+    be embedded has no bag of words and is set aside by the caller.
     """
     if variant not in RWMD_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {RWMD_VARIANTS}")
-    if not candidates:
-        return []
 
-    cand_rows = [None if cand is None else table.row_indices(cand.words) for cand in candidates]
+    cand_rows = [table.row_indices(cand.words) for cand in candidates]
     # The union in table-row order, so each block reads runs of adjacent
     # rows. A mask, not np.unique: its first call imports numpy.ma, which
     # would then count towards the scan's peak memory.
     in_union = np.zeros(len(table), dtype=bool)
     for idx in cand_rows:
-        if idx is not None:
-            in_union[idx] = True
+        in_union[idx] = True
     union_idx = np.flatnonzero(in_union)
-    if not union_idx.size:
-        return [None] * len(candidates)
-    positions = [None if idx is None else np.searchsorted(union_idx, idx) for idx in cand_rows]
+    positions = [np.searchsorted(union_idx, idx) for idx in cand_rows]
 
     q_norm = normalized_rows(table, table.row_indices(query.words))
     rows = max(1, _BLOCK_BYTES // (8 * len(query)))
@@ -268,8 +261,6 @@ def lc_rwmd_batch(
         )
         sims.max(axis=1, out=best_into_query[start:stop])
         for best, pos in zip(best_per_query_word, positions):
-            if pos is None:
-                continue
             local = pos[(pos >= start) & (pos < stop)] - start
             if local.size:
                 # local is in range; mode="clip" lets take write into out
@@ -283,11 +274,8 @@ def lc_rwmd_batch(
     for best in (best_into_query, best_per_query_word):
         np.clip(best, 0.0, 1.0, out=best)
         np.subtract(1.0, best, out=best)
-    results: list[DistanceResult | None] = []
+    results: list[DistanceResult] = []
     for cand, pos, q_cost in zip(candidates, positions, best_per_query_word):
-        if cand is None:
-            results.append(None)
-            continue
         d = float(query.weights @ q_cost)
         if variant == SYMMETRIC_MAX:
             d = max(d, float(cand.weights @ best_into_query[pos]))

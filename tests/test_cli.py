@@ -1,5 +1,7 @@
 import json
+import os
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,11 +58,17 @@ class TestRunCommand:
                 {"query": {"selector": {}}},
                 "manifest query.selector is missing required key 'method'",
             ),
+            (
+                {"query": {"selector": {"method": "xyz"}}},
+                "selector method must be 'lda' or 'ma', got 'xyz'",
+            ),
+            ({"embedding": {"expected_dim": 0}}, "embedding.expected_dim must be a positive"),
+            ({"documents": []}, "manifest 'documents' must be a nonempty list"),
         ],
         ids=[
             "top_k", "options", "documents",
             "top_k=0", "window=2", "n_topics=0", "iterations=0", "alpha=-1",
-            "empty-selector",
+            "empty-selector", "method=xyz", "expected_dim=0", "no-documents",
         ],
     )
     def test_mistyped_manifest_exit_1(self, tmp_path, capsys, extra, message):
@@ -68,6 +76,41 @@ class TestRunCommand:
         rc, _, err = run_cli(capsys, "run", str(path))
         assert rc == 1
         assert message in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("{oops", "is not valid JSON"), ("[]", "manifest top level must be a JSON object")],
+        ids=["not-json", "list"],
+    )
+    def test_manifest_not_a_json_object_exit_1(self, tmp_path, capsys, text, message):
+        path = tmp_path / "manifest.json"
+        path.write_text(text)
+        rc, out, err = run_cli(capsys, "run", str(path))
+        assert (rc, out) == (1, "")
+        assert message in err
+
+    def test_cue_words_reach_the_provenance_sorted(self, tmp_path, capsys):
+        path = write_corpus(tmp_path)
+        (tmp_path / "docs" / "query.txt").write_text(
+            "Word1 word2 word3. Word4 word5 word6. Word7 word8 word9."
+        )
+        selector = {"method": "lda", "iterations": 2, "top_k": 1, "cue_words": ["word7", "word4"]}
+        spec = json.loads(path.read_text())
+        spec["query"]["selector"] = selector
+        path.write_text(json.dumps(spec))
+        rc, out, _ = run_cli(capsys, "run", str(path), "--format", "json")
+        assert rc == 0
+        assert json.loads(out)["provenance"]["selector"]["cue_words"] == ["word4", "word7"]
+
+    def test_group_with_no_embeddable_document_exit_2_names_it(self, tmp_path, capsys):
+        # the only group, so no candidate reaches the kernel
+        path = write_corpus(tmp_path, groups=("solo",), docs_per_group=2)
+        for i in (1, 2):
+            (tmp_path / "docs" / f"solo{i}.txt").write_text("zzzz qqqq")
+        rc, out, err = run_cli(capsys, "run", str(path))
+        assert (rc, out) == (2, "")
+        assert "group 'solo' has no scoreable documents" in err
+        assert "Traceback" not in err
 
     def test_data_error_exit_2(self, tmp_path, capsys):
         path = write_corpus(tmp_path)
@@ -332,8 +375,8 @@ def test_bad_input_exit_code_names_it(tmp_path, capsys, argv, code, message):
         (["extract", "{oov}", "--selector", "ma", "--embeddings", "{emb}"], "input file {oov}"),
         (["extract", "{stop}", "--selector", "lda"], "input file {stop}"),
         (["extract", "{nocue}", "--selector", "lda", "--iters", "2"], "input file {nocue}"),
-        (["run", "{ma_manifest}"], "query 'q'"),
-        (["run", "{lda_manifest}"], "query 'q'"),
+        (["run", "{ma_manifest}"], "query 'q': {oov}"),
+        (["run", "{lda_manifest}"], "query 'q': {nocue}"),
     ],
     ids=[
         "dist-candidate", "dist-query", "preprocess", "extract-ma", "extract-lda-empty",
@@ -423,9 +466,9 @@ def test_bad_document_exit_code_names_it(tmp_path, capsys, command, bad):
     elif bad == "not-utf8" or manifest_role is None:
         assert (rc, out) == (2, "")
         assert str(path) in err
-    elif manifest_role == "query":  # named by its manifest key, as the path is not
+    elif manifest_role == "query":  # named by its manifest key and its path
         assert (rc, out) == (2, "")
-        assert "query 'q': " in err
+        assert f"query 'q': {path}: " in err
     else:  # an unscoreable candidate is a skip entry in the report
         assert (rc, err) == (0, "")
         skipped = json.loads(out)["skipped"]
@@ -517,6 +560,80 @@ def test_unusable_path_exit_1_names_it(tmp_path, capsys, argv, kind):
     assert (rc, out) == (1, "")
     assert str(path) in err
     assert "Traceback" not in err
+
+
+@pytest.fixture
+def pipe_path(tmp_path):
+    """Return a function that puts bytes into a new pipe and gives the pipe's /dev/fd path."""
+    fds = []
+
+    def make(data: bytes) -> Path:
+        if not Path("/dev/fd").is_dir():
+            pytest.skip("no /dev/fd on this platform")
+        read_end, write_end = os.pipe()
+        fds.append(read_end)
+        with os.fdopen(write_end, "wb") as fh:
+            fh.write(data)
+        return Path(f"/dev/fd/{read_end}")
+
+    yield make
+    for fd in fds:
+        os.close(fd)
+
+
+def not_regular_file(kind, tmp_path, pipe_path) -> Path:
+    """A path that exists but is not a regular file; a pipe holds the test's table."""
+    if kind == "directory":
+        return tmp_path / "docs"
+    if kind == "device":
+        return Path(os.devnull)
+    return pipe_path((tmp_path / "emb.txt").read_bytes())
+
+
+@pytest.mark.parametrize("command", TABLE_COMMANDS)
+@pytest.mark.parametrize("kind", ["directory", "device", "pipe"])
+def test_table_not_a_regular_file_exit_1_names_it(tmp_path, capsys, pipe_path, command, kind):
+    # the table is read twice, to hash it and to parse it, so a pipe would
+    # parse as empty and a device such as /dev/zero would never end
+    manifest = write_corpus(tmp_path)
+    emb = not_regular_file(kind, tmp_path, pipe_path)
+    spec = json.loads(manifest.read_text())
+    spec["embedding"]["path"] = str(emb)
+    manifest.write_text(json.dumps(spec))
+    paths = {"doc": tmp_path / "docs" / "alpha1.txt", "emb": emb, "manifest": manifest}
+    rc, out, err = run_cli(capsys, *(a.format(**paths) for a in TABLE_COMMANDS[command]))
+    assert (rc, out) == (1, "")
+    assert f"cannot read embedding file {emb}: not a regular file" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("role", ["manifest", "query", "document", "stopwords"])
+@pytest.mark.parametrize("kind", ["directory", "device"])
+def test_manifest_path_not_a_regular_file_exit_1_names_it(tmp_path, capsys, role, kind):
+    manifest = write_corpus(tmp_path)
+    path = not_regular_file(kind, tmp_path, None)
+    spec = json.loads(manifest.read_text())
+    if role == "stopwords":
+        spec["options"]["stopwords"] = str(path)
+    elif role != "manifest":
+        (spec["query"] if role == "query" else spec["documents"][0])["path"] = str(path)
+    manifest.write_text(json.dumps(spec))
+    rc, out, err = run_cli(capsys, "run", str(path if role == "manifest" else manifest))
+    assert (rc, out) == (1, "")
+    assert f"not a regular file: {path}" in err
+    assert "Traceback" not in err
+
+
+def test_dist_reads_documents_from_pipes(tmp_path, capsys, pipe_path):
+    # only tables must be regular files; a document is read once
+    write_corpus(tmp_path)
+    text = (tmp_path / "docs" / "alpha1.txt").read_bytes()
+    rc, out, err = run_cli(
+        capsys, "dist", str(pipe_path(text)), str(pipe_path(text)),
+        "--embeddings", str(tmp_path / "emb.txt"),
+    )
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["distance"] <= 1e-12
 
 
 @pytest.mark.parametrize(

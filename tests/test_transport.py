@@ -151,12 +151,6 @@ class TestLcRwmdBatch:
         q = nbow(["a"], [1.0])
         assert lc_rwmd_batch(q, [], gram_table) == []
 
-    def test_none_entries_pass_through(self, gram_table):
-        q = nbow(["a"], [1.0])
-        out = lc_rwmd_batch(q, [None, nbow(["c"], [1.0]), None], gram_table)
-        assert out[0] is None and out[2] is None
-        assert isinstance(out[1], DistanceResult)
-
     @pytest.mark.parametrize("variant", ["symmetric-max", "one-sided-query"])
     def test_matches_naive_on_random_docs(self, variant):
         rng = np.random.default_rng(21)
@@ -207,34 +201,24 @@ class TestLcRwmdBatch:
 
 
 class TestRankAgainstQuery:
-    """Ranking candidates by kernel similarity, with unscoreable ones skipped."""
+    """Ranking candidates by kernel similarity."""
 
     @staticmethod
     def rank(query, candidates, table):
         scores = lc_rwmd_batch(query, [doc for _, doc in candidates], table)
-        ranked = [(i, r.similarity) for (i, _), r in zip(candidates, scores) if r is not None]
-        skipped = [i for (i, _), r in zip(candidates, scores) if r is None]
-        return sorted(ranked, key=lambda x: (-x[1], x[0])), skipped
+        ranked = [(i, r.similarity) for (i, _), r in zip(candidates, scores)]
+        return sorted(ranked, key=lambda x: (-x[1], x[0]))
 
     def test_verbatim_copy_ranks_first(self, gram_table):
         q = nbow(["a", "b"], [0.5, 0.5])
         other = nbow(["c", "d"], [0.5, 0.5])
-        ranked, skipped = self.rank(q, [("far", other), ("copy", q)], gram_table)
+        ranked = self.rank(q, [("far", other), ("copy", q)], gram_table)
         assert ranked[0] == ("copy", pytest.approx(1.0))
         assert ranked[1][1] < ranked[0][1]
-        assert skipped == []
 
     def test_empty_candidates(self, gram_table):
         q = nbow(["a"], [1.0])
-        assert self.rank(q, [], gram_table) == ([], [])
-
-    def test_skip_list(self, gram_table):
-        q = nbow(["a"], [1.0])
-        ranked, skipped = self.rank(
-            q, [("ok", nbow(["c"], [1.0])), ("bad", None)], gram_table
-        )
-        assert [doc_id for doc_id, _ in ranked] == ["ok"]
-        assert skipped == ["bad"]
+        assert self.rank(q, [], gram_table) == []
 
 
 class TestExactSolverAgainstLpOracle:

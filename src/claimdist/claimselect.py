@@ -8,76 +8,26 @@ each sentence by how far its token centroid sits from the document
 centroid and smooths the signal with a centered window so contiguous
 claim passages are preferred over isolated spikes.
 
-The topic model's sweeps run in a small C function, compiled once into
-the on-disk cache beside the embedding entries (``sweep-<sha256>.so``)
-and loaded with ctypes. Where it cannot be built or loaded, the same
-sweeps run in a plain Python loop, the reference the C sweep was written
-from; both give the same count tables.
+The topic model's sweeps run in a small C function of the compiled
+library (:mod:`claimdist.native`). Where that cannot be built or loaded,
+the same sweeps run in a plain Python loop, the reference the C sweep was
+written from; both give the same count tables.
 """
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import hashlib
-import logging
-import os
-import platform
 import re
-import shutil
-import sys
-import tempfile
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingTable, cache_dir
+from . import native
+from .embeddings import EmbeddingTable
 from .errors import DataError, EmptyDocumentError
 from .textprep import normalize_and_tokenize, remove_stopwords
-
-log = logging.getLogger(__name__)
-
-# One sweep of the chain in place, in the Python sweep's float order and
-# search (see _gibbs_counts). word_topic is word-major (V x k).
-_SWEEP_SOURCE = r"""
-#include <stdint.h>
-
-void claimdist_sweep(int64_t n, int64_t k, const int64_t *word, const int64_t *sentence,
-                     int64_t *z, int64_t *word_topic, int64_t *sentence_topic,
-                     int64_t *totals, double *cum, double alpha, double beta,
-                     double beta_total, const double *draws)
-{
-    for (int64_t i = 0; i < n; i++) {
-        int64_t *wt = word_topic + word[i] * k, *st = sentence_topic + sentence[i] * k;
-        int64_t t = z[i];
-        wt[t]--, st[t]--, totals[t]--;
-        double sum = 0.0;
-        for (int64_t j = 0; j < k; j++) {
-            sum += ((double)wt[j] + beta) / ((double)totals[j] + beta_total)
-                   * ((double)st[j] + alpha);
-            cum[j] = sum;
-        }
-        double u = draws[i] * sum;
-        int64_t lo = 0, hi = k;  /* bisect_right(cum, u) */
-        while (lo < hi) {
-            int64_t mid = (lo + hi) / 2;
-            if (u < cum[mid]) hi = mid; else lo = mid + 1;
-        }
-        t = lo < k - 1 ? lo : k - 1;  /* u can round up to cum[k - 1] */
-        wt[t]++, st[t]++, totals[t]++;
-        z[i] = t;
-    }
-}
-"""
-
-# -ffp-contract=off rules out fused multiply-adds; on these 64-bit machines
-# doubles are not kept in extended precision, so C rounds as Python does.
-_SWEEP_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-_SWEEP_MACHINES = ("x86_64", "aarch64", "arm64")
 
 DEFAULT_CUE_WORDS = frozenset(
     {"propose", "proposes", "proposed", "introduce", "introduces", "new", "novel", "index"}
@@ -309,51 +259,10 @@ def _gibbs_counts(
     )
 
 
-@functools.cache
 def _compiled_sweep():
-    """The C sweep as a ctypes function, or None where the sweeps must run in Python.
-
-    The library is ``cache_dir()/sweep-<key>.so``, the key being the
-    SHA-256 of the C source, the compiler flags and the machine. It is
-    built with ``cc`` when missing and loaded only if the current user
-    owns it. On another machine, or when it cannot be built or loaded,
-    one WARNING is logged and None is returned. Memoized per process.
-    """
-    machine = platform.machine()
-    key = hashlib.sha256("\0".join((_SWEEP_SOURCE, *_SWEEP_FLAGS, machine)).encode()).hexdigest()
-    lib = cache_dir() / f"sweep-{key}.so"
-    try:
-        if machine not in _SWEEP_MACHINES or sys.maxsize < 2**63 - 1:
-            raise OSError(f"no compiled sweep on this {machine} Python")
-        if not lib.exists():
-            _build_sweep(lib)
-        if lib.stat().st_uid != os.getuid():
-            raise OSError(f"{lib} is owned by another user")
-        sweep = ctypes.CDLL(str(lib)).claimdist_sweep
-    except (OSError, AttributeError) as exc:
-        log.warning("the Gibbs sweeps run in Python, which is slower: %s", exc)
-        return None
-    c_types = (ctypes.c_int64,) * 2 + (ctypes.c_void_p,) * 7 + (ctypes.c_double,) * 3
-    sweep.argtypes = [*c_types, ctypes.c_void_p]
-    sweep.restype = None
-    return sweep
-
-
-def _build_sweep(lib: Path):
-    """Compile the C sweep into ``lib`` in a temporary directory beside it, then move it there."""
-    import subprocess  # only a build starts a process
-
-    lib.parent.mkdir(parents=True, exist_ok=True)
-    tmp = Path(tempfile.mkdtemp(dir=lib.parent, prefix=".sweep-"))
-    try:
-        (tmp / "sweep.c").write_text(_SWEEP_SOURCE)
-        cc = ["cc", *_SWEEP_FLAGS, "-o", str(tmp / "sweep.so"), str(tmp / "sweep.c")]
-        done = subprocess.run(cc, capture_output=True, text=True)
-        if done.returncode:
-            raise OSError(f"cc exited with {done.returncode}: {done.stderr.strip()}")
-        os.replace(tmp / "sweep.so", lib)
-    finally:
-        shutil.rmtree(tmp, ignore_errors=True)
+    """The C sweep from :func:`native.library`, or None where the sweeps must run in Python."""
+    lib = native.library()
+    return None if lib is None else lib.claimdist_sweep
 
 
 def lda_select(

@@ -6,12 +6,14 @@ header line, as written by word2vec-style text exports, is detected and
 skipped. The loaded table is immutable and every query operation is
 pure, so concurrent readers are safe.
 
-The text is parsed in batches of whole lines by one parser. One
-``np.loadtxt`` call reads each batch's numbers; only a batch it rejects
-is read line by line, up to its first bad row, so that the error names
-that row's line. One row norm, ``np.linalg.norm(values, axis=1)``,
-both rejects a row (not finite) or drops it (zero) and is the norm
-stored for it.
+The text is parsed in batches of whole lines by one parser. The
+compiled parser of :mod:`claimdist.native` reads a batch's numbers when
+every row is plain decimals it rounds exactly; otherwise one
+``np.loadtxt`` call reads them, and only a batch it rejects is read line
+by line, up to its first bad row, so that the error names that row's
+line. All three give the same bits for a number they all read. One row
+norm, ``np.linalg.norm(values, axis=1)``, both rejects a row (not
+finite) or drops it (zero) and is the norm stored for it.
 
 A loaded matrix stays on disk. The parser streams the kept rows, as raw
 little-endian float64, into a file, and the table's ``matrix`` reads
@@ -48,6 +50,7 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
+from . import native
 from .errors import ConfigError, EmbeddingParseError, OutOfVocabularyError
 
 log = logging.getLogger(__name__)
@@ -186,6 +189,24 @@ class _RowFile:
             raise OSError(f"embedding row file ends before row {first + len(buffers)}")
 
 
+def _compiled_values(rests: Sequence[str], dim: int) -> np.ndarray | None:
+    """The rows' numbers from the compiled parser, or None where it declines them.
+
+    It declines the rows unless each one is ``dim`` plain decimals
+    separated by spaces that it rounds exactly as ``np.loadtxt`` does
+    (``claimdist_parse_rows`` in :mod:`claimdist.native`), and whenever
+    the library is not available.
+    """
+    lib = native.library()
+    if lib is None:
+        return None
+    text = np.frombuffer("\n".join(rests).encode(), dtype=np.uint8)
+    out = np.empty((len(rests), dim), dtype=np.float64)
+    begin = text.ctypes.data
+    parsed = lib.claimdist_parse_rows(begin, begin + text.size, len(rests), dim, out.ctypes.data)
+    return out if parsed == len(rests) else None
+
+
 def _row_values(rest: str) -> np.ndarray:
     """The numbers after one row's token, as ``float`` reads them; raises ValueError."""
     return np.array(rest.split(), dtype=np.float64)
@@ -258,10 +279,12 @@ class _Rows:
             return len(lines) - 1
         linenos, tokens, rests = zip(*rows)
 
-        try:
-            values = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2)
-        except ValueError:
-            values = ()
+        values = _compiled_values(rests, self.dim or len(rests[0].split()))
+        if values is None:
+            try:
+                values = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2)
+            except ValueError:
+                values = ()
         if len(values) != len(rests):
             # Read the rows one by one, up to the first that is not numeric
             # or not as long as the first row.
@@ -347,13 +370,6 @@ def _log_dropped(table: EmbeddingTable, duplicate_lines: list[int], zero_lines: 
             parts.append(f"{what}: {n} (line{'s' if n > 1 else ''} {shown})")
     if parts:
         log.warning("%s: %s", table.source_name, "; ".join(parts))
-
-
-def cache_dir() -> Path:
-    """The directory of claimdist's on-disk cache entries (it may not exist yet)."""
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    root = Path(base) if os.path.isabs(base) else Path.home() / ".cache"
-    return root / "claimdist"
 
 
 def _read_entry(
@@ -502,7 +518,7 @@ def load_embeddings(
     """
     name = str(source)
     digest = sha256 or file_sha256(source)
-    entry = cache_dir() / f"{_CACHE_FORMAT}-{digest}"
+    entry = native.cache_dir() / f"{_CACHE_FORMAT}-{digest}"
     cached = _read_entry(entry, digest, name)
     # on a dimension mismatch the parse below raises the error, line included
     if cached is not None and expected_dim in (None, cached[0].dimension):

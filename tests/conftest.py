@@ -1,28 +1,141 @@
 import json
+import math
+import platform
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from claimdist import claimselect
+from claimdist import native
 from claimdist.embeddings import EmbeddingTable
 from claimdist.textprep import NBow
 
 
 @pytest.fixture(autouse=True)
 def private_cache_home(tmp_path, monkeypatch):
-    """Point the on-disk cache (tables, the compiled sweep) at the test's directory, not ``~/.cache``."""
+    """Point the on-disk cache (tables, the compiled library) at the test's directory, not ``~/.cache``."""
     cache = tmp_path / "xdg-cache"
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
     return cache
 
 
 @pytest.fixture
-def rebuilt_sweep():
-    """Forget the process's compiled sweep before and after the test, so that it is loaded again."""
-    claimselect._compiled_sweep.cache_clear()
+def rebuilt_library():
+    """Forget the process's compiled library before and after the test, so that it is loaded again."""
+    native.library.cache_clear()
     yield
-    claimselect._compiled_sweep.cache_clear()
+    native.library.cache_clear()
+
+
+def require_library():
+    """The compiled library: a test that needs it fails where it should load and skips elsewhere."""
+    lib = native.library()
+    if lib is None:
+        if platform.machine() in native._MACHINES:
+            pytest.fail(f"the compiled library did not load on {platform.machine()}")
+        pytest.skip(f"no compiled library on {platform.machine()}")
+    return lib
+
+
+# Decimals that one IEEE multiply or divide rounds correctly: a mantissa of
+# at most 2**53 and a decimal exponent within +-22.
+FAST_FIELDS = [
+    "9007199254740992", "-9007199254740992e-22", "9007199254740992E+22",
+    "0.9007199254740992", "1234567890123456", "0000000000000000000000012", "0.000001",
+    "1e22", "1e-22", "-1E+22", "0.1e23", "-1.5e+23", "-0.0", "-0", "+0", "00", ".5", "5.",
+    "-.25", "+.5e-3", "1.e5", "+1", "1E5", "1e05", "0.04656", "-0.1685",
+]
+# Fields the compiled parser leaves to numpy: a mantissa above 2**53 (where
+# the naive product of a rounded mantissa can round twice), more than 19
+# significant digits, an exponent beyond +-22, or a form outside
+# [+-]digits[.digits][e[+-]digits].
+DECLINED_FIELDS = [
+    "9007199254740993", "9007199254740993e-22", "0.0009007199254740993", "18014398509481984",
+    "1234567890123456789", "12345678901234567890", "0.12345678901234567890",
+    "1.0000000000000000", "1e23", "1e-23", "-1.5e+24", "0.1e-22", "123e-24",
+    "1_0", "inf", "-Infinity", "nan", "0x1p1", "1e", "1e+", "e5", ".", "-", "+-1", "--1",
+    "1.2.3", "1,5", "#0", "1e99999999999999999999",
+]
+
+
+@dataclass(frozen=True)
+class ReferenceTable:
+    """What loading a table gives: its kept rows and dropped-row counts, or its error line.
+
+    ``error_line`` is None for a table that loads, and 0 for one that
+    fails with no line to name (it has no usable rows).
+    """
+
+    words: tuple[str, ...] = ()
+    matrix: np.ndarray | None = None
+    norms: np.ndarray | None = None
+    n_duplicates: int = 0
+    n_zero_dropped: int = 0
+    error_line: int | None = None
+
+
+def reference_table(data: bytes) -> ReferenceTable:
+    """Reference parse of a text-format table, line by line from the README's rules.
+
+    Written from the documented format, not from the loader, as the
+    oracle the loader's parsers are compared with. A line is a token and
+    its values, separated by whitespace, each value read with ``float``;
+    a blank line is skipped, and so is a first line of two integers (a
+    header). Every row is as long as the first. The first row kept for a
+    token wins: a later row of that token is counted as a duplicate and
+    skipped, though its values must still be numbers. A row whose norm
+    (``np.linalg.norm(row, axis=1)``) is zero is counted and dropped; one
+    whose norm is not finite is an error. So is a line that is not UTF-8
+    or has a token but no values. The first bad line is the error.
+    """
+    rows: dict[str, list[float]] = {}
+    dim = None
+    n_duplicates = n_zero = 0
+    for lineno, raw in enumerate(data.split(b"\n"), start=1):
+        try:
+            fields = raw.decode("utf-8").split()
+        except UnicodeDecodeError:
+            return ReferenceTable(error_line=lineno)
+        if not fields or (lineno == 1 and len(fields) == 2 and all(map(_is_int, fields))):
+            continue
+        token, values = fields[0], fields[1:]
+        try:
+            row = [float(v) for v in values]
+        except ValueError:
+            return ReferenceTable(error_line=lineno)
+        dim = dim or len(row)
+        if not row or len(row) != dim:
+            return ReferenceTable(error_line=lineno)
+        if token in rows:
+            n_duplicates += 1
+            continue
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(np.array([row]), axis=1)[0])
+        if not math.isfinite(norm):
+            return ReferenceTable(error_line=lineno)
+        if norm == 0.0:
+            n_zero += 1
+        else:
+            rows[token] = row
+    if not rows:
+        return ReferenceTable(error_line=0)
+    matrix = np.array(list(rows.values()), dtype=np.float64)
+    return ReferenceTable(
+        words=tuple(rows),
+        matrix=matrix,
+        norms=np.linalg.norm(matrix, axis=1),
+        n_duplicates=n_duplicates,
+        n_zero_dropped=n_zero,
+    )
+
+
+def _is_int(field: str) -> bool:
+    try:
+        int(field)
+    except ValueError:
+        return False
+    return True
 
 
 def make_table(words, matrix, name="<fixture>") -> EmbeddingTable:

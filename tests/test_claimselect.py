@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from claimdist import claimselect
+from claimdist import claimselect, native
 from claimdist.claimselect import (
     SentenceRecord,
     fit_lda,
@@ -21,7 +21,7 @@ from claimdist.claimselect import (
 )
 from claimdist.errors import DataError
 
-from conftest import lcg_token_lists, make_table
+from conftest import lcg_token_lists, make_table, require_library
 
 
 def records(*token_lists):
@@ -36,10 +36,8 @@ def sweep(request, monkeypatch):
     """How ``fit_lda`` runs its sweeps: "compiled" (it must load) or "python"."""
     if request.param == "python":
         monkeypatch.setattr(claimselect, "_compiled_sweep", lambda: None)
-    elif claimselect._compiled_sweep() is None:
-        if platform.machine() in claimselect._SWEEP_MACHINES:
-            pytest.fail(f"the compiled sweep did not load on {platform.machine()}")
-        pytest.skip(f"no compiled sweep on {platform.machine()}")
+    else:
+        require_library()
     return request.param
 
 
@@ -300,21 +298,19 @@ _FIT_TABLES = ([[0, 2, 1, 1, 0], [3, 0, 0, 0, 1]], [[2, 1], [2, 0], [0, 0], [0, 
 class TestCompiledSweep:
     @pytest.mark.parametrize("how", ["no-cc", "compile-error", "unwritable-cache", "other-owner"])
     def test_fallback_gives_the_same_tables_and_one_warning(
-        self, tmp_path, monkeypatch, caplog, rebuilt_sweep, how
+        self, tmp_path, monkeypatch, caplog, rebuilt_library, how
     ):
         if how == "no-cc":
             monkeypatch.setenv("PATH", str(tmp_path / "empty"))
         elif how == "compile-error":
-            monkeypatch.setattr(
-                claimselect, "_SWEEP_SOURCE", claimselect._SWEEP_SOURCE + "#error broken\n"
-            )
+            monkeypatch.setattr(native, "_SOURCE", native._SOURCE + "#error broken\n")
         elif how == "unwritable-cache":
             (tmp_path / "blocker").write_text("")
             monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "blocker" / "cache"))
         else:
             if claimselect._compiled_sweep() is None:
                 pytest.skip(f"no compiled sweep on {platform.machine()}")
-            claimselect._compiled_sweep.cache_clear()
+            native.library.cache_clear()
             uid = os.getuid()
             monkeypatch.setattr(os, "getuid", lambda: uid + 1)
         models = [fit_lda(records(*_FIT_TOKENS), **_FIT_PARAMS) for _ in range(2)]
@@ -324,12 +320,12 @@ class TestCompiledSweep:
             for name, want in zip(_TABLES, _FIT_TABLES):
                 assert getattr(model, name).tolist() == want, name
 
-    def test_built_library_loads_without_a_compiler(self, private_cache_home, rebuilt_sweep):
+    def test_built_library_loads_without_a_compiler(self, private_cache_home, rebuilt_library):
         if claimselect._compiled_sweep() is None:
             pytest.skip(f"no compiled sweep on {platform.machine()}")
         cache = private_cache_home / "claimdist"
         [lib] = cache.iterdir()  # no temporary directory is left behind
-        assert re.fullmatch(r"sweep-[0-9a-f]{64}\.so", lib.name)
+        assert re.fullmatch(r"native-[0-9a-f]{64}\.so", lib.name)
         # A fresh process with no cc on PATH loads it and imports no subprocess.
         check = (
             "import sys; from claimdist import claimselect as c; "

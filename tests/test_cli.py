@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from claimdist import claimselect
+from claimdist import native
 from claimdist.cli import main
 
 from conftest import write_corpus
@@ -708,7 +708,7 @@ def test_unwritable_cache_warns_once_and_scores(tmp_path, capsys, caplog, monkey
 
 
 def test_lda_runs_leave_one_sweep_library_and_no_fit_entry(
-    tmp_path, capsys, private_cache_home, rebuilt_sweep
+    tmp_path, capsys, private_cache_home, rebuilt_library
 ):
     manifest = write_corpus(
         tmp_path,
@@ -724,9 +724,9 @@ def test_lda_runs_leave_one_sweep_library_and_no_fit_entry(
     second = run_cli(capsys, "run", str(manifest))
     assert first[0] == 0 and second == first
     cache = private_cache_home / "claimdist"
-    libraries = list(cache.glob("sweep-*.so"))
-    assert len(libraries) == (platform.machine() in claimselect._SWEEP_MACHINES)
-    assert list(cache.glob("lda-*")) == [] and list(cache.glob(".sweep-*")) == []
+    libraries = list(cache.glob("native-*.so"))
+    assert len(libraries) == (platform.machine() in native._MACHINES)
+    assert list(cache.glob("lda-*")) == [] and list(cache.glob(".native-*")) == []
 
 
 def test_unwritable_cache_and_temporary_directory_exit_1(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,11 @@
 import json
 import logging
 import os
+import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,16 @@ from claimdist.embeddings import load_embeddings, similarity_matrix
 from claimdist.errors import EmbeddingParseError, OutOfVocabularyError
 from claimdist import embeddings
 
-from conftest import cosine_similarity, make_table, random_unit_table
+from conftest import (
+    DECLINED_FIELDS,
+    FAST_FIELDS,
+    ReferenceTable,
+    cosine_similarity,
+    make_table,
+    random_unit_table,
+    reference_table,
+    require_library,
+)
 
 
 @pytest.fixture
@@ -267,8 +280,13 @@ def _table_file(path, n_words=2000, dim=50, seed=2):
     return path
 
 
+def _entries(cache_home):
+    """The table entries in the cache, beside the compiled library that a parse may build."""
+    return list((cache_home / "claimdist").glob("v2-*"))
+
+
 def _entry(cache_home):
-    (entry,) = (cache_home / "claimdist").iterdir()
+    (entry,) = _entries(cache_home)
     return entry
 
 
@@ -316,7 +334,7 @@ class TestEmbeddingCache:
         cold = load_embeddings(path)
         hit = load_embeddings(path, sha256=embeddings.file_sha256(path))
         _assert_same_table(hit, cold)
-        assert len(list((private_cache_home / "claimdist").iterdir())) == 1
+        assert len(_entries(private_cache_home)) == 1
 
     def test_truncated_matrix_is_a_miss_and_rewritten(
         self, tmp_path, private_cache_home, monkeypatch
@@ -364,8 +382,7 @@ class TestEmbeddingCache:
         for seed in (4, 5):
             load_embeddings(_table_file(path, n_words=20, seed=seed))
         digests = {embeddings.file_sha256(kept), embeddings.file_sha256(path)}
-        root = private_cache_home / "claimdist"
-        assert {e.name for e in root.iterdir()} == {f"v2-{d}" for d in digests}
+        assert {e.name for e in _entries(private_cache_home)} == {f"v2-{d}" for d in digests}
 
     def test_entry_of_a_deleted_table_is_removed(self, tmp_path, private_cache_home):
         a = _table_file(tmp_path / "a.txt", n_words=20, seed=3)
@@ -410,7 +427,7 @@ class TestEmbeddingCache:
         monkeypatch.setattr(embeddings, "_read_entry", lambda *args: None)
         _assert_same_table(load_embeddings(path), cold)
         assert {f.name: (f.stat().st_ino, f.stat().st_mtime_ns) for f in entry.iterdir()} == before
-        assert list((private_cache_home / "claimdist").iterdir()) == [entry]
+        assert _entries(private_cache_home) == [entry]
 
     def test_expected_dim_mismatch_on_a_hit_gives_the_parse_error(self, tmp_path):
         path = _table_file(tmp_path / "emb.txt", n_words=20)
@@ -521,7 +538,188 @@ class TestRowReader:
             load_embeddings(path)
         assert len(sinks) == 1 and sinks[0].closed
         root = private_cache_home / "claimdist"
-        assert not root.exists() or list(root.iterdir()) == []
+        assert not root.exists() or [p.name[:7] for p in root.iterdir()] in ([], ["native-"])
+
+
+def _no_compiled_values(rests, dim):
+    return None
+
+
+@pytest.fixture
+def compiled_values(monkeypatch):
+    """Record whether each batch's numbers came from the compiled parser."""
+    require_library()
+    taken = []
+    real = embeddings._compiled_values
+
+    def recording(rests, dim):
+        values = real(rests, dim)
+        taken.append(values is not None)
+        return values
+
+    monkeypatch.setattr(embeddings, "_compiled_values", recording)
+    return taken
+
+
+# Fields of the odd tables, besides random short decimals: numbers the
+# compiled parser takes and numbers it leaves to numpy (from conftest),
+# values that make a row's norm zero or not finite, and non-numbers.
+_ZERO_FIELDS = ["0", "-0.0", "0e5", "000", ".0", "5e-324", "1e-400"]
+_NON_FINITE_FIELDS = ["inf", "-Infinity", "nan", "1e400"]
+_BAD_FIELDS = ["two", "1.2.3", "--1", "1e", "e5", ".", "#0", "0x1p1", "1,5", "0x10"]
+_ODD_NUMBERS = [f for f in DECLINED_FIELDS if f not in _BAD_FIELDS + _NON_FINITE_FIELDS]
+
+
+def odd_table(seed: int) -> bytes:
+    """A small table of 1-3 columns with odd fields, separators and rows, from ``seed``."""
+    rng = random.Random(seed)
+    dim = rng.randint(1, 3)
+
+    def field() -> str:
+        r = rng.random()
+        if r < 0.85:
+            return rng.choice(["{:.{}f}", "{:.{}e}", "{:.{}g}"]).format(
+                rng.uniform(-2, 2), rng.randint(0, 6)
+            )
+        return rng.choice(
+            [FAST_FIELDS, _ODD_NUMBERS, _ZERO_FIELDS, _NON_FINITE_FIELDS, _BAD_FIELDS][
+                (r < 0.91) + (r < 0.95) + (r < 0.97) + (r < 0.99)
+            ]
+        )
+
+    lines = [f"{rng.randint(1, 30)} {dim}".encode()] if rng.random() < 0.15 else []
+    for _ in range(rng.randint(1, 10)):
+        r = rng.random()
+        sep = " " if rng.random() < 0.8 else rng.choice(["  ", "\t", "\xa0", " \t", "\x0c"])
+        token = rng.choice("abcdef")
+        if r < 0.05:
+            line = rng.choice(["", "  ", "\t", "\r"])
+        elif r < 0.07:
+            line = token  # a token but no values
+        elif r < 0.12:
+            line = sep.join([token] + [rng.choice(_ZERO_FIELDS[:4])] * dim)
+        elif r < 0.14:
+            line = sep.join([token] + [field() for _ in range(dim + rng.choice([-1, 1]))])
+        else:
+            line = sep.join([token] + [field() for _ in range(dim)])
+        line += rng.choice(["", "", "", "", " ", "\r"])
+        raw = line.encode()
+        if rng.random() < 0.02:
+            raw = raw[: rng.randint(0, len(raw))] + b"\xff" + raw[len(raw) // 2 :]
+        lines.append(raw)
+    return b"\n".join(lines) + rng.choice([b"\n", b""])
+
+
+def _load_as_reference(path) -> ReferenceTable:
+    """Load ``path`` and describe the table, or the error's line, as the reference does."""
+    try:
+        table = load_embeddings(path)
+    except EmbeddingParseError as exc:
+        return ReferenceTable(error_line=exc.line_number or 0)
+    assert list(table.vocabulary.values()) == list(range(len(table)))
+    return ReferenceTable(
+        words=tuple(table.vocabulary),
+        matrix=all_rows(table),
+        norms=table.row_norms,
+        n_duplicates=table.n_duplicates,
+        n_zero_dropped=table.n_zero_dropped,
+    )
+
+
+def _assert_same_as_reference(got: ReferenceTable, want: ReferenceTable, what: str):
+    assert got.error_line == want.error_line, what
+    if want.error_line is None:
+        assert got.words == want.words, what
+        assert (got.n_duplicates, got.n_zero_dropped) == (want.n_duplicates, want.n_zero_dropped)
+        for a, b in ((got.matrix, want.matrix), (got.norms, want.norms)):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), what
+            assert np.array_equal(a, b) and a.tobytes() == b.tobytes(), what
+
+
+class TestParsersAgainstReference:
+    """The compiled parser and the numpy fallback against ``reference_table``."""
+
+    @pytest.mark.parametrize("chunk", range(8))
+    def test_odd_tables(self, tmp_path, monkeypatch, compiled_values, chunk):
+        # 8 chunks of 40 tables, each loaded four ways as a cache miss
+        monkeypatch.setattr(embeddings, "_read_entry", lambda *args: None)  # parse every load
+        path = tmp_path / "emb.txt"
+        real = embeddings._compiled_values
+        outcomes = set()
+        for seed in range(chunk * 40, chunk * 40 + 40):
+            data = odd_table(seed)
+            path.write_bytes(data)
+            want = reference_table(data)
+            outcomes.add(want.error_line is None)
+            for parse in (real, _no_compiled_values):
+                monkeypatch.setattr(embeddings, "_compiled_values", parse)
+                for batch_bytes in (1 << 20, 8):
+                    monkeypatch.setattr(embeddings, "_BATCH_BYTES", batch_bytes)
+                    got = _load_as_reference(path)
+                    parser = "compiled" if parse is real else "numpy"
+                    what = f"seed {seed}, {parser} parser, {batch_bytes}-byte batches: {data!r}"
+                    _assert_same_as_reference(got, want, what)
+        # the chunk has tables that load and tables that fail, and batches
+        # that each parser read
+        assert outcomes == {True, False}
+        assert set(compiled_values) == {True, False}
+
+    def test_generator_covers_the_edges(self):
+        text = b"".join(odd_table(seed) for seed in range(200))
+        for needle in [b"\t", b"\r", b"\xa0", b"\xff", b"1_0", b"inf", b"0x", b"2 1\n"]:
+            assert needle in text, needle
+        assert sum(f.encode() in text for f in FAST_FIELDS) > len(FAST_FIELDS) // 2
+        assert b"9007199254740993e-22" in text
+
+
+def _numbered_table(path, n_rows, bad_row, bad_line):
+    """``n_rows`` rows ``w<i>`` of four columns; line ``bad_row`` (1-based) is ``bad_line``."""
+    rng = np.random.default_rng(40)
+    values = rng.uniform(-1, 1, size=(n_rows, 4)).round(4)
+    lines = [f"w{i} " + " ".join(map(str, row)) for i, row in enumerate(values.tolist())]
+    lines[bad_row - 1] = bad_line
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestLateBatches:
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [
+            ("w39999 0.5 oops 0.25 1", "non-numeric field in row for 'w39999'"),
+            ("w39999", "row has a token but no values"),
+        ],
+        ids=["non-numeric", "short-row"],
+    )
+    def test_error_in_row_40000_names_its_line(
+        self, tmp_path, monkeypatch, compiled_values, bad_line, message
+    ):
+        path = tmp_path / "emb.txt"
+        _numbered_table(path, 40_010, 40_000, bad_line)
+        monkeypatch.setattr(embeddings, "_BATCH_BYTES", 16 << 10)
+        for parse in (embeddings._compiled_values, _no_compiled_values):
+            monkeypatch.setattr(embeddings, "_compiled_values", parse)
+            with pytest.raises(EmbeddingParseError) as info:
+                load_embeddings(path)
+            assert str(info.value) == f"{path}: line 40000: {message}"
+            assert info.value.line_number == 40_000
+        # every batch before the bad one was read by the compiled parser
+        assert len(compiled_values) > 50 and all(compiled_values[:-1])
+
+    def test_warm_load_starts_no_compiler_and_loads_no_library(self, tmp_path):
+        path = _table_file(tmp_path / "emb.txt", n_words=20)
+        cold = load_embeddings(path)
+        check = (
+            "import sys; from claimdist import embeddings, native; "
+            f"table = embeddings.load_embeddings({str(path)!r}); "
+            "assert native.library.cache_info().currsize == 0, 'the library was loaded'; "
+            "assert 'subprocess' not in sys.modules, 'subprocess was imported'; "
+            "print(len(table))"
+        )
+        src = str(Path(embeddings.__file__).parents[1])
+        env = {**os.environ, "PATH": "", "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"{len(cold)}\n"
 
 
 class TestVocabulary:

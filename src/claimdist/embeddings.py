@@ -7,13 +7,16 @@ skipped. The loaded table is immutable and every query operation is
 pure, so concurrent readers are safe.
 
 The text is parsed in batches of whole lines by one parser. The
-compiled parser of :mod:`claimdist.native` reads a batch's numbers when
-every row is plain decimals it rounds exactly; otherwise one
-``np.loadtxt`` call reads them, and only a batch it rejects is read line
-by line, up to its first bad row, so that the error names that row's
-line. All three give the same bits for a number they all read. One row
-norm, ``np.linalg.norm(values, axis=1)``, both rejects a row (not
-finite) or drops it (zero) and is the norm stored for it.
+compiled parser of :mod:`claimdist.native` reads a batch in one pass,
+tokens, numbers and line numbers, when every row is a token and plain
+decimals it rounds exactly. It runs on one helper thread, which reads
+the next batch while the main thread keeps the rows of the one before,
+in file order. Otherwise one ``np.loadtxt`` call reads a batch's
+numbers, and only a batch it rejects is read line by line, up to its
+first bad row, so that the error names that row's line. All three give
+the same bits for a number they all read. One row norm,
+``np.linalg.norm(values, axis=1)``, both rejects a row (not finite) or
+drops it (zero) and is the norm stored for it.
 
 A loaded matrix stays on disk. The parser streams the kept rows, as raw
 little-endian float64, into a file, and the table's ``matrix`` reads
@@ -43,6 +46,7 @@ import os
 import shutil
 import stat
 import tempfile
+import threading
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
@@ -189,22 +193,156 @@ class _RowFile:
             raise OSError(f"embedding row file ends before row {first + len(buffers)}")
 
 
-def _compiled_values(rests: Sequence[str], dim: int) -> np.ndarray | None:
-    """The rows' numbers from the compiled parser, or None where it declines them.
+class _CompiledBatch:
+    """A batch of table lines as the compiled parser read it, into buffers kept for the next batch.
 
-    It declines the rows unless each one is ``dim`` plain decimals
-    separated by spaces that it rounds exactly as ``np.loadtxt`` does
-    (``claimdist_parse_rows`` in :mod:`claimdist.native`), and whenever
-    the library is not available.
+    :meth:`start` reads a batch on a helper thread (the ctypes call
+    releases the GIL) and :meth:`join` waits for it. A load alternates
+    two of these, so that one reads the next batch while the rows of the
+    other are kept; the buffers of a batch are reused only after that.
     """
-    lib = native.library()
-    if lib is None:
-        return None
-    text = np.frombuffer("\n".join(rests).encode(), dtype=np.uint8)
-    out = np.empty((len(rests), dim), dtype=np.float64)
-    begin = text.ctypes.data
-    parsed = lib.claimdist_parse_rows(begin, begin + text.size, len(rests), dim, out.ctypes.data)
-    return out if parsed == len(rests) else None
+
+    def __init__(self, lib):
+        self._lib = lib
+        self._capacity = 0
+        self._sizes = np.zeros(3, dtype=np.int64)
+        self._thread: threading.Thread | None = None
+
+    def _allocate(self, capacity: int):
+        # One anonymous mapping, outside the heap: pages a batch does not
+        # reach take no memory, and the whole goes back when it is freed.
+        import mmap
+
+        n_values, n_rows = capacity // 2 + 1, capacity // 3 + 1  # a field takes 2 bytes, a row 3
+        buffer = mmap.mmap(-1, 8 * (n_values + n_rows) + capacity)
+        self._values = np.frombuffer(buffer, np.float64, n_values)
+        self._lines = np.frombuffer(buffer, np.int64, n_rows, offset=8 * n_values)
+        self._tokens = np.frombuffer(buffer, np.uint8, capacity, offset=8 * (n_values + n_rows))
+        self._capacity = capacity
+
+    def start(self, batch: bytes, first: bool):
+        """Read ``batch`` on a helper thread, past a header line when it is the ``first`` batch."""
+        skip = _header_bytes(batch) if first else 0
+        self._header_lines = batch.count(b"\n", 0, skip)
+        if len(batch) > self._capacity:
+            self._allocate(len(batch) + _BATCH_BYTES // 4)
+        self._batch = batch  # the helper reads it
+        self._rows = -1  # declined, should the helper not finish
+        begin = np.frombuffer(batch, dtype=np.uint8).ctypes.data
+        args = (
+            begin + skip, begin + len(batch),
+            self._values.ctypes.data, self._values.size,
+            self._tokens.ctypes.data, self._tokens.size,
+            self._lines.ctypes.data, self._lines.size,
+            self._sizes.ctypes.data,
+        )
+        self._thread = threading.Thread(target=self._parse, args=args)
+        self._thread.start()
+
+    def _parse(self, *args):
+        self._rows = self._lib.claimdist_parse_batch(*args)
+
+    def join(self):
+        """Wait for the batch being read, if there is one."""
+        if self._thread is not None:
+            self._thread.join()
+            self._thread = None
+
+    def result(self) -> tuple[list[str], np.ndarray, np.ndarray, int] | None:
+        """The joined batch's tokens, numbers, line indices and newline count, or None where declined.
+
+        The compiled parser declines a batch unless every line is blank
+        or a token and plain decimals it rounds exactly as ``float`` does
+        (``claimdist_parse_batch`` in :mod:`claimdist.native`). A batch is
+        declined here too when its tokens are not UTF-8 or one holds
+        whitespace that ``str.split`` splits on. The numbers are a view of
+        the buffer, valid until this object reads its next batch.
+        """
+        if self._rows < 0:
+            return None
+        dim, token_bytes, newlines = self._sizes.tolist()
+        try:
+            blob = str(self._tokens[:token_bytes], "utf-8")
+        except UnicodeDecodeError:
+            return None
+        tokens = blob.split("\n") if self._rows else []
+        if tokens != blob.split():
+            return None
+        values = self._values[: self._rows * dim].reshape(self._rows, dim)
+        lines = self._lines[: self._rows] + self._header_lines
+        return tokens, values, lines, newlines + self._header_lines
+
+
+def _header_bytes(batch: bytes) -> int:
+    """The length of ``batch``'s first line and its newline if that line is a header, else 0."""
+    end = batch.find(b"\n")
+    line = batch if end < 0 else batch[:end]
+    try:
+        return len(line) + (end >= 0) if _is_header(line.decode("utf-8").split()) else 0
+    except UnicodeDecodeError:
+        return 0
+
+
+def _numpy_rows(
+    batch: bytes, first_lineno: int
+) -> tuple[list[str], np.ndarray | None, np.ndarray | None, int, EmbeddingParseError | None]:
+    """The rows of ``batch`` read by ``np.loadtxt``, or line by line where it rejects them.
+
+    Returns their tokens, numbers, line numbers, the batch's newline count
+    and the error of the first bad line, which ends the rows (None when
+    every line is good). When no row comes before that line, the error is
+    raised.
+    """
+    error = None
+    try:
+        lines = batch.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        lines = []
+        for lineno, raw in enumerate(batch.split(b"\n"), start=first_lineno):
+            try:
+                lines.append(raw.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                error = EmbeddingParseError(f"not valid UTF-8: {exc}", lineno)
+                break
+    rows = []
+    for lineno, line in enumerate(lines, start=first_lineno):
+        parts = line.split(None, 1)
+        if not parts or (lineno == 1 and _is_header(line.split())):
+            continue
+        if len(parts) == 1:
+            error = EmbeddingParseError("row has a token but no values", lineno)
+            break
+        rows.append((lineno, *parts))
+    if not rows:
+        if error is not None:
+            raise error
+        return [], None, None, len(lines) - 1, None
+    linenos, tokens, rests = zip(*rows)
+    try:
+        values = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        values = ()
+    if len(values) != len(rests):
+        # Read the rows one by one, up to the first that is not numeric
+        # or not as long as the first row.
+        values = []
+        for lineno, token, rest in rows:
+            try:
+                row = _row_values(rest)
+            except ValueError:
+                error = EmbeddingParseError(f"non-numeric field in row for {token!r}", lineno)
+                break
+            if values and row.size != values[0].size:
+                error = EmbeddingParseError(
+                    f"row has dimension {row.size}, table has {values[0].size}", lineno
+                )
+                break
+            values.append(row)
+        if not values:
+            raise error
+        values = np.array(values)
+    n = len(values)
+    return list(tokens[:n]), values, np.array(linenos[:n]), len(lines) - 1, error
 
 
 def _row_values(rest: str) -> np.ndarray:
@@ -242,101 +380,73 @@ class _Rows:
                 f"cannot write parsed embedding rows to {self.sink_dir}: {exc}"
             ) from None
 
-    def add(self, batch: bytes, first_lineno: int) -> int:
-        """Parse the whole lines in ``batch``, the first of them numbered ``first_lineno``.
+    def add(
+        self,
+        batch: bytes,
+        first_lineno: int,
+        compiled: tuple[list[str], np.ndarray, np.ndarray, int] | None = None,
+    ) -> int:
+        """Keep the rows of the whole lines in ``batch``, the first of them numbered ``first_lineno``.
 
-        Returns the number of newlines in ``batch``, which the next
-        batch's first line number adds. A line that is not UTF-8, has a
-        token but no values, has a non-numeric field or changes the row
-        length ends the batch; the rows before it are checked before its
-        error is raised, so every error names the first bad line. One row
-        norm both rejects a row (not finite) or drops it (zero) and is the
-        norm stored for it. A duplicate token is skipped unchecked.
+        ``compiled`` is the batch as :meth:`_CompiledBatch.result` gives
+        it; without it, :func:`_numpy_rows` reads the batch. Returns the
+        number of newlines in ``batch``, which the next batch's first line
+        number adds. A line that is not UTF-8, has a token but no values,
+        has a non-numeric field or changes the row length ends the batch;
+        the rows before it are checked before its error is raised, so
+        every error names the first bad line. One row norm both rejects a
+        row (not finite) or drops it (zero) and is the norm stored for it.
+        A duplicate token is skipped unchecked.
         """
-        error = None
-        try:
-            lines = batch.decode("utf-8").split("\n")
-        except UnicodeDecodeError:
-            lines = []
-            for lineno, raw in enumerate(batch.split(b"\n"), start=first_lineno):
-                try:
-                    lines.append(raw.decode("utf-8"))
-                except UnicodeDecodeError as exc:
-                    error = EmbeddingParseError(f"not valid UTF-8: {exc}", lineno)
-                    break
-        rows = []
-        for lineno, line in enumerate(lines, start=first_lineno):
-            parts = line.split(None, 1)
-            if not parts or (lineno == 1 and _is_header(line.split())):
-                continue
-            if len(parts) == 1:
-                error = EmbeddingParseError("row has a token but no values", lineno)
-                break
-            rows.append((lineno, *parts))
-        if not rows:
-            if error is not None:
-                raise error
-            return len(lines) - 1
-        linenos, tokens, rests = zip(*rows)
-
-        values = _compiled_values(rests, self.dim or len(rests[0].split()))
-        if values is None:
-            try:
-                values = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2)
-            except ValueError:
-                values = ()
-        if len(values) != len(rests):
-            # Read the rows one by one, up to the first that is not numeric
-            # or not as long as the first row.
-            values = []
-            for lineno, token, rest in rows:
-                try:
-                    row = _row_values(rest)
-                except ValueError:
-                    error = EmbeddingParseError(f"non-numeric field in row for {token!r}", lineno)
-                    break
-                if values and row.size != values[0].size:
-                    error = EmbeddingParseError(
-                        f"row has dimension {row.size}, table has {values[0].size}", lineno
-                    )
-                    break
-                values.append(row)
-            if not values:
-                raise error
-            values = np.array(values)
-
+        if compiled is None:
+            tokens, values, linenos, newlines, error = _numpy_rows(batch, first_lineno)
+        else:
+            tokens, values, lines, newlines = compiled
+            linenos, error = lines + first_lineno, None
+        if not tokens:
+            return newlines
         dim = values.shape[1]
         if self.dim is None and self.expected_dim not in (None, dim):
             raise EmbeddingParseError(
-                f"dimension {dim} does not match expected {self.expected_dim}", linenos[0]
+                f"dimension {dim} does not match expected {self.expected_dim}", int(linenos[0])
             )
         if self.dim not in (None, dim):
-            raise EmbeddingParseError(f"row has dimension {dim}, table has {self.dim}", linenos[0])
+            raise EmbeddingParseError(
+                f"row has dimension {dim}, table has {self.dim}", int(linenos[0])
+            )
         self.dim = dim
         with np.errstate(over="ignore"):
             norms = np.linalg.norm(values, axis=1)
-        new: dict[str, int] = {}
-        for i, (token, lineno, norm) in enumerate(zip(tokens, linenos, norms.tolist())):
-            if token in self.index or token in new:
-                self.duplicate_lines.append(lineno)
-            elif not math.isfinite(norm):
-                raise EmbeddingParseError(
-                    f"non-finite value or norm in row for {token!r}", lineno
-                )
-            elif norm == 0.0:
-                self.zero_lines.append(lineno)
-            else:
-                new[token] = i
-        if len(new) < len(values):
+        # In the common batch every row is new and kept, with no loop.
+        if not (
+            len(set(tokens)) == len(tokens)
+            and self.index.keys().isdisjoint(tokens)
+            and np.all((norms > 0.0) & (norms < np.inf))
+        ):
+            new: dict[str, int] = {}
+            for i, (token, lineno, norm) in enumerate(
+                zip(tokens, linenos.tolist(), norms.tolist())
+            ):
+                if token in self.index or token in new:
+                    self.duplicate_lines.append(lineno)
+                elif not math.isfinite(norm):
+                    raise EmbeddingParseError(
+                        f"non-finite value or norm in row for {token!r}", lineno
+                    )
+                elif norm == 0.0:
+                    self.zero_lines.append(lineno)
+                else:
+                    new[token] = i
+            tokens = list(new)
             kept = list(new.values())
             values, norms = values[kept], norms[kept]
         self._write(values)
         self.norms.append(norms)
         start = len(self.index)
-        self.index.update(zip(new, range(start, start + len(new))))
+        self.index.update(zip(tokens, range(start, start + len(tokens))))
         if error is not None:
             raise error
-        return len(lines) - 1
+        return newlines
 
     def table(self, name: str) -> EmbeddingTable:
         """The parsed table; its matrix reads the rows back from the sink."""
@@ -496,6 +606,42 @@ def _write_entry(entry: Path, tmp: Path, digest: str, rows: _Rows, table: Embedd
             shutil.rmtree(other, ignore_errors=True)
 
 
+def _add_batches(stream: BinaryIO, rows: _Rows, lib):
+    """Add every batch of whole lines in ``stream`` to ``rows``, in order.
+
+    With the compiled library ``lib``, a helper thread reads each batch
+    (:class:`_CompiledBatch`), the next one while the rows of the one
+    before are kept, and the thread is joined before this returns or
+    raises. Without it, :func:`_numpy_rows` reads every batch here.
+    """
+
+    def read() -> bytes:
+        batch = stream.read(_BATCH_BYTES)
+        return batch + stream.readline() if batch else batch
+
+    lineno = 1
+    batch = read()
+    if lib is None:
+        while batch:
+            lineno += rows.add(batch, lineno)
+            batch = read()
+        return
+    current, other = _CompiledBatch(lib), _CompiledBatch(lib)
+    try:
+        if batch:
+            current.start(batch, first=True)
+        while batch:
+            following = read()
+            current.join()
+            if following:
+                other.start(following, first=False)
+            lineno += rows.add(batch, lineno, current.result())
+            batch, current, other = following, other, current
+    finally:
+        current.join()
+        other.join()
+
+
 def load_embeddings(
     source: str | Path,
     expected_dim: int | None = None,
@@ -528,10 +674,7 @@ def load_embeddings(
     try:
         rows = _Rows(expected_dim, sink, sink_dir)
         with open(source, "rb") as stream:
-            lineno = 1
-            while batch := stream.read(_BATCH_BYTES):
-                batch += stream.readline()
-                lineno += rows.add(batch, lineno)
+            _add_batches(stream, rows, native.library())
         table = rows.table(name)
     except BaseException as exc:
         # the table owns the sink only once it is returned

@@ -2,7 +2,7 @@
 
 Two hot loops have a C version: ``claimdist_sweep``, one sweep of the
 topic model's Gibbs chain (:mod:`claimdist.claimselect`), and
-``claimdist_parse_rows``, the number parse of a table's plain rows
+``claimdist_parse_batch``, one pass over a batch of a table's lines
 (:mod:`claimdist.embeddings`). Both are in :data:`_SOURCE`, which the
 first caller compiles with ``cc`` into the on-disk cache beside the
 table entries (``native-<sha256>.so``) and loads with ctypes. Where it
@@ -63,59 +63,102 @@ static const double powers_of_ten[] = {
 };
 
 #define IS_DIGIT(c) ((unsigned)((c) - '0') <= 9)
+/* The ASCII whitespace str.split splits on, but for \x1c-\x1f: ' ', '\t',
+   '\n', '\v', '\f' and '\r'. Python finds a token holding those four or
+   other whitespace. */
+#define IS_SPACE(c) ((c) == ' ' || (unsigned)((c) - '\t') <= 4)
+#define IS_BLANK(c) (IS_SPACE(c) && (c) != '\n')
 
-/* The n rows of dim numbers in [p, end), rows separated by '\n' and
-   fields by ASCII spaces, into out (row-major). Each field must be
-   [+-]digits[.digits], .digits or digits., with an optional
-   [eE][+-]digits: at most 19 significant digits making a mantissa m of
-   at most 2^53, and a decimal exponent e within +-22. Then m and 10^|e|
-   are exact doubles, so one IEEE multiply or divide rounds m * 10^e
-   correctly (Clinger's fast path) and gives the bits strtod gives.
-   Returns n when the text is n such rows, or else the number of rows
-   before the first that is not one. */
-int64_t claimdist_parse_rows(const char *p, const char *end, int64_t n, int64_t dim,
-                             double *out)
+/* The number at p, before end, into *out: [+-]digits[.digits], .digits
+   or digits., with an optional [eE][+-]digits, and at most 19 significant
+   digits making a mantissa m of at most 2^53, and a decimal exponent e
+   within +-22. Then m and 10^|e| are exact doubles, so one IEEE multiply
+   or divide rounds m * 10^e correctly (Clinger's fast path) and gives
+   the bits strtod gives. Returns the end of the number, or NULL when it
+   is not such a number or is not followed by whitespace or end. */
+static const char *parse_number(const char *p, const char *end, double *out)
 {
-    for (int64_t r = 0; r < n; r++) {
-        for (int64_t f = 0; f < dim; f++) {
-            while (p < end && *p == ' ') p++;
-            int negative = p < end && *p == '-';
-            if (p < end && (*p == '-' || *p == '+')) p++;
-            uint64_t m = 0;
-            int64_t e = 0;
-            int digits = 0, significant = 0, point = 0;
-            for (; p < end; p++) {
-                if (*p == '.' && !point) {
-                    point = 1;
-                    continue;
-                }
-                if (!IS_DIGIT(*p)) break;
-                digits++;
-                e -= point;
-                if (m == 0 && *p == '0') continue;  /* a leading zero */
-                if (++significant > 19) return r;
-                m = m * 10 + (uint64_t)(*p - '0');
-            }
-            if (!digits) return r;
-            if (p < end && (*p == 'e' || *p == 'E')) {
-                p++;
-                int negative_exponent = p < end && *p == '-';
-                if (p < end && (*p == '-' || *p == '+')) p++;
-                if (p == end || !IS_DIGIT(*p)) return r;
-                int64_t x = 0;
-                for (; p < end && IS_DIGIT(*p); p++)
-                    if (x < 1000) x = x * 10 + (*p - '0');  /* saturates; fails below */
-                e += negative_exponent ? -x : x;
-            }
-            if (p < end && *p != ' ' && *p != '\n') return r;
-            if (m > (UINT64_C(1) << 53) || e < -22 || e > 22) return r;
-            double v = e < 0 ? (double)m / powers_of_ten[-e] : (double)m * powers_of_ten[e];
-            out[r * dim + f] = negative ? -v : v;
-        }
-        while (p < end && *p == ' ') p++;
-        if (p < end && *p++ != '\n') return r;  /* more than dim fields */
+    int negative = *p == '-';
+    if (*p == '-' || *p == '+') p++;
+    const char *start = p;
+    while (p < end && *p == '0') p++;  /* leading zeros */
+    const char *first = p;
+    uint64_t m = 0;  /* wraps past 19 digits, which are declined */
+    for (; p < end && IS_DIGIT(*p); p++) m = m * 10 + (uint64_t)(*p - '0');
+    int64_t significant = p - first, digits = p - start, e = 0;
+    if (p < end && *p == '.') {
+        const char *fraction = ++p;
+        if (m == 0)
+            while (p < end && *p == '0') p++;
+        first = p;
+        for (; p < end && IS_DIGIT(*p); p++) m = m * 10 + (uint64_t)(*p - '0');
+        significant += p - first;
+        digits += p - fraction;
+        e = fraction - p;
     }
-    return p == end ? n : 0;  /* 0: more than n rows */
+    if (!digits || significant > 19) return 0;
+    if (p < end && (*p == 'e' || *p == 'E')) {
+        p++;
+        int negative_exponent = p < end && *p == '-';
+        if (p < end && (*p == '-' || *p == '+')) p++;
+        if (p == end || !IS_DIGIT(*p)) return 0;
+        int64_t x = 0;
+        for (; p < end && IS_DIGIT(*p); p++)
+            if (x < 1000) x = x * 10 + (*p - '0');  /* saturates; fails below */
+        e += negative_exponent ? -x : x;
+    }
+    if (p < end && !IS_SPACE(*p)) return 0;
+    if (m > (UINT64_C(1) << 53) || e < -22 || e > 22) return 0;
+    double v = e < 0 ? (double)m / powers_of_ten[-e] : (double)m * powers_of_ten[e];
+    *out = negative ? -v : v;
+    return p;
+}
+
+/* One pass over a batch of table lines in [p, end). A line is blank or
+   a token and its numbers (parse_number), separated by blanks (' ',
+   '\t', '\r', '\v', '\f'), with as many numbers on every row as on the
+   first. Writes each row's numbers to values (row-major, at most
+   max_values), its token to tokens (at most max_token_bytes, the tokens
+   joined by '\n'), its line's index in the batch (the number of '\n'
+   before it) to lines (at most max_rows), and the row length, the token
+   bytes and the batch's '\n' count to sizes. Returns the number of rows,
+   or -1 - r when row r is not such a row or does not fit, declining the
+   batch. */
+int64_t claimdist_parse_batch(const char *p, const char *end, double *values,
+                              int64_t max_values, char *tokens, int64_t max_token_bytes,
+                              int64_t *lines, int64_t max_rows, int64_t *sizes)
+{
+    int64_t rows = 0, dim = 0, line = 0, token_bytes = 0;
+    while (p < end) {
+        if (IS_BLANK(*p)) {
+            p++;
+            continue;
+        }
+        if (*p == '\n') {
+            line++, p++;
+            continue;
+        }
+        const char *token = p;
+        while (p < end && !IS_SPACE(*p)) p++;
+        if (rows == max_rows || p - token + (rows > 0) > max_token_bytes - token_bytes)
+            return -1 - rows;
+        if (rows) tokens[token_bytes++] = '\n';
+        for (; token < p; token++) tokens[token_bytes++] = *token;
+        lines[rows] = line;
+        int64_t f = 0;
+        for (;;) {
+            while (p < end && IS_BLANK(*p)) p++;
+            if (p == end || *p == '\n') break;
+            if (rows * dim + f == max_values || (rows && f == dim)) return -1 - rows;
+            p = parse_number(p, end, values + rows * dim + f++);
+            if (!p) return -1 - rows;
+        }
+        if (f == 0 || (rows && f != dim)) return -1 - rows;  /* no numbers, or too few */
+        dim = f;
+        rows++;
+    }
+    sizes[0] = dim, sizes[1] = token_bytes, sizes[2] = line;
+    return rows;
 }
 """
 
@@ -153,7 +196,7 @@ def library() -> ctypes.CDLL | None:
         if path.stat().st_uid != os.getuid():
             raise OSError(f"{path} is owned by another user")
         lib = ctypes.CDLL(str(path))
-        sweep, parse_rows = lib.claimdist_sweep, lib.claimdist_parse_rows
+        sweep, parse_batch = lib.claimdist_sweep, lib.claimdist_parse_batch
     except (OSError, AttributeError) as exc:
         log.warning(
             "the Gibbs sweeps run in Python and tables are parsed by numpy alone, "
@@ -163,8 +206,8 @@ def library() -> ctypes.CDLL | None:
     int64, pointer, double = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
     sweep.argtypes = [int64, int64, *[pointer] * 7, double, double, double, pointer]
     sweep.restype = None
-    parse_rows.argtypes = [pointer, pointer, int64, int64, pointer]
-    parse_rows.restype = int64
+    parse_batch.argtypes = [pointer, pointer, pointer, int64, pointer, int64, pointer, int64, pointer]
+    parse_batch.restype = int64
     return lib
 
 

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from claimdist.embeddings import load_embeddings, similarity_matrix
 from claimdist.errors import EmbeddingParseError, OutOfVocabularyError
-from claimdist import embeddings
+from claimdist import embeddings, native
 
 from conftest import (
     DECLINED_FIELDS,
@@ -177,6 +178,9 @@ ROWS_B = ("b", [0.0, 1.0])
 PARSE_CASES = {
     "underscore": (b"a 1_0 2\nb 0 1\n", [("a", [10.0, 2.0]), ROWS_B], 0, 0),
     "nbsp": ("a\xa01\xa02\nb 0 1\n".encode(), [("a", [1.0, 2.0]), ROWS_B], 0, 0),
+    # whitespace that str.split splits on, but the compiled parser keeps in a token
+    "nbsp-before-token": ("\xa0a 1 2\nb 0 1\n".encode(), [("a", [1.0, 2.0]), ROWS_B], 0, 0),
+    "separator-in-token": (b"b 0 1\na\x1cc 1 2\n", 2, "non-numeric field in row for 'a'"),
     "tabs": (b"a\t1\t2\nb\t0 1\n", [("a", [1.0, 2.0]), ROWS_B], 0, 0),
     "crlf": (b"a 1 2\r\nb 0 1\r\n", [("a", [1.0, 2.0]), ROWS_B], 0, 0),
     "subnormal": (b"a 5e-324 0\nb 0 1\n", [ROWS_B], 0, 1),
@@ -541,23 +545,36 @@ class TestRowReader:
         assert not root.exists() or [p.name[:7] for p in root.iterdir()] in ([], ["native-"])
 
 
-def _no_compiled_values(rests, dim):
+def _declined(self):
     return None
 
 
+# The ways a load can read a table: batches read by the compiled parser
+# where it takes them, every batch declined by it (and read by numpy), and
+# no compiled library at all (no helper thread either).
+PARSERS = ["compiled", "declined", "no-library"]
+
+
+def _use_parser(monkeypatch, parser: str):
+    if parser == "declined":
+        monkeypatch.setattr(embeddings._CompiledBatch, "result", _declined)
+    elif parser == "no-library":
+        monkeypatch.setattr(native, "library", lambda: None)
+
+
 @pytest.fixture
-def compiled_values(monkeypatch):
-    """Record whether each batch's numbers came from the compiled parser."""
+def compiled_batches(monkeypatch):
+    """Record, in the order they are kept, whether the batches were read by the compiled parser."""
     require_library()
     taken = []
-    real = embeddings._compiled_values
+    real = embeddings._CompiledBatch.result
 
-    def recording(rests, dim):
-        values = real(rests, dim)
-        taken.append(values is not None)
-        return values
+    def recording(self):
+        got = real(self)
+        taken.append(got is not None)
+        return got
 
-    monkeypatch.setattr(embeddings, "_compiled_values", recording)
+    monkeypatch.setattr(embeddings._CompiledBatch, "result", recording)
     return taken
 
 
@@ -592,6 +609,8 @@ def odd_table(seed: int) -> bytes:
         r = rng.random()
         sep = " " if rng.random() < 0.8 else rng.choice(["  ", "\t", "\xa0", " \t", "\x0c"])
         token = rng.choice("abcdef")
+        if rng.random() < 0.05:  # whitespace that only str.split splits on
+            token = rng.choice(["\xa0a", "a\x1cb", "b\u2003", "\x1fc"])
         if r < 0.05:
             line = rng.choice(["", "  ", "\t", "\r"])
         elif r < 0.07:
@@ -640,33 +659,32 @@ class TestParsersAgainstReference:
     """The compiled parser and the numpy fallback against ``reference_table``."""
 
     @pytest.mark.parametrize("chunk", range(8))
-    def test_odd_tables(self, tmp_path, monkeypatch, compiled_values, chunk):
-        # 8 chunks of 40 tables, each loaded four ways as a cache miss
+    def test_odd_tables(self, tmp_path, monkeypatch, compiled_batches, chunk):
+        # 8 chunks of 40 tables, each loaded six ways as a cache miss
         monkeypatch.setattr(embeddings, "_read_entry", lambda *args: None)  # parse every load
         path = tmp_path / "emb.txt"
-        real = embeddings._compiled_values
         outcomes = set()
         for seed in range(chunk * 40, chunk * 40 + 40):
             data = odd_table(seed)
             path.write_bytes(data)
             want = reference_table(data)
             outcomes.add(want.error_line is None)
-            for parse in (real, _no_compiled_values):
-                monkeypatch.setattr(embeddings, "_compiled_values", parse)
-                for batch_bytes in (1 << 20, 8):
-                    monkeypatch.setattr(embeddings, "_BATCH_BYTES", batch_bytes)
-                    got = _load_as_reference(path)
-                    parser = "compiled" if parse is real else "numpy"
-                    what = f"seed {seed}, {parser} parser, {batch_bytes}-byte batches: {data!r}"
-                    _assert_same_as_reference(got, want, what)
+            for parser in PARSERS:
+                with monkeypatch.context() as m:
+                    _use_parser(m, parser)
+                    for batch_bytes in (1 << 20, 8):
+                        m.setattr(embeddings, "_BATCH_BYTES", batch_bytes)
+                        got = _load_as_reference(path)
+                        what = f"seed {seed}, {parser}, {batch_bytes}-byte batches: {data!r}"
+                        _assert_same_as_reference(got, want, what)
         # the chunk has tables that load and tables that fail, and batches
-        # that each parser read
+        # that the compiled parser read and declined
         assert outcomes == {True, False}
-        assert set(compiled_values) == {True, False}
+        assert set(compiled_batches) == {True, False}
 
     def test_generator_covers_the_edges(self):
         text = b"".join(odd_table(seed) for seed in range(200))
-        for needle in [b"\t", b"\r", b"\xa0", b"\xff", b"1_0", b"inf", b"0x", b"2 1\n"]:
+        for needle in [b"\t", b"\r", b"\xa0", b"\x1c", b"\xff", b"1_0", b"inf", b"0x", b"2 1\n"]:
             assert needle in text, needle
         assert sum(f.encode() in text for f in FAST_FIELDS) > len(FAST_FIELDS) // 2
         assert b"9007199254740993e-22" in text
@@ -691,28 +709,32 @@ class TestLateBatches:
         ids=["non-numeric", "short-row"],
     )
     def test_error_in_row_40000_names_its_line(
-        self, tmp_path, monkeypatch, compiled_values, bad_line, message
+        self, tmp_path, monkeypatch, compiled_batches, bad_line, message
     ):
         path = tmp_path / "emb.txt"
         _numbered_table(path, 40_010, 40_000, bad_line)
         monkeypatch.setattr(embeddings, "_BATCH_BYTES", 16 << 10)
-        for parse in (embeddings._compiled_values, _no_compiled_values):
-            monkeypatch.setattr(embeddings, "_compiled_values", parse)
-            with pytest.raises(EmbeddingParseError) as info:
-                load_embeddings(path)
+        for parser in PARSERS:
+            with monkeypatch.context() as m:
+                _use_parser(m, parser)
+                with pytest.raises(EmbeddingParseError) as info:
+                    load_embeddings(path)
             assert str(info.value) == f"{path}: line 40000: {message}"
             assert info.value.line_number == 40_000
         # every batch before the bad one was read by the compiled parser
-        assert len(compiled_values) > 50 and all(compiled_values[:-1])
+        assert len(compiled_batches) > 50 and all(compiled_batches[:-1])
 
     def test_warm_load_starts_no_compiler_and_loads_no_library(self, tmp_path):
         path = _table_file(tmp_path / "emb.txt", n_words=20)
         cold = load_embeddings(path)
         check = (
-            "import sys; from claimdist import embeddings, native; "
+            "import sys, threading; from claimdist import embeddings, native; "
+            "threads = threading.active_count(); "
             f"table = embeddings.load_embeddings({str(path)!r}); "
             "assert native.library.cache_info().currsize == 0, 'the library was loaded'; "
             "assert 'subprocess' not in sys.modules, 'subprocess was imported'; "
+            "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures was imported'; "
+            "assert threading.active_count() == threads, 'a thread was started'; "
             "print(len(table))"
         )
         src = str(Path(embeddings.__file__).parents[1])
@@ -720,6 +742,75 @@ class TestLateBatches:
         done = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
         assert done.stdout == f"{len(cold)}\n"
+
+
+class TestBatchOrder:
+    """Batches read on the helper thread are kept in file order, with their own line numbers."""
+
+    @pytest.fixture(autouse=True)
+    def no_thread_left(self):
+        # switching threads often makes more orders of the two threads' steps
+        threads, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+
+    def _load(self, path, data, monkeypatch, batch_bytes):
+        """Load ``data`` in batches of ``batch_bytes`` (one line each for 1) as the reference does."""
+        path.write_bytes(data)
+        monkeypatch.setattr(embeddings, "_BATCH_BYTES", batch_bytes)
+        got = _load_as_reference(path)
+        _assert_same_as_reference(got, reference_table(data), repr(data))
+        return got
+
+    def test_duplicate_in_the_next_batch_keeps_its_first_row(
+        self, tmp_path, monkeypatch, compiled_batches, caplog
+    ):
+        data = b"a 1 2\na 3 4\nb 5 6\nc 0 1\nb 7 8\n"
+        with caplog.at_level(logging.WARNING):
+            got = self._load(tmp_path / "emb.txt", data, monkeypatch, 1)
+        assert got.words == ("a", "b", "c") and got.matrix[0].tolist() == [1.0, 2.0]
+        assert caplog.messages == [f"{tmp_path / 'emb.txt'}: duplicate tokens ignored: 2 (lines 2, 5)"]
+        assert compiled_batches == [True] * 5
+
+    def test_declined_batch_between_compiled_batches(self, tmp_path, monkeypatch, compiled_batches):
+        data = b"a 1 2\nb 3 4\nc 1_0 2\nd 5 6\ne 7 8\n"
+        got = self._load(tmp_path / "emb.txt", data, monkeypatch, 1)
+        assert got.matrix[2].tolist() == [10.0, 2.0]
+        assert compiled_batches == [True, True, False, True, True]
+
+    def test_bad_row_after_a_compiled_batch_names_the_first_bad_line(
+        self, tmp_path, monkeypatch, compiled_batches
+    ):
+        # the helper has read line 4, also bad, when line 3 fails
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"a 1 2\nb 3 4\nc 5 oops\nd\ne 7 8\n")
+        monkeypatch.setattr(embeddings, "_BATCH_BYTES", 1)
+        with pytest.raises(EmbeddingParseError) as info:
+            load_embeddings(path)
+        assert str(info.value) == f"{path}: line 3: non-numeric field in row for 'c'"
+        assert compiled_batches == [True, True, False]
+
+    @pytest.mark.parametrize("batch_bytes", [1 << 20, 1, 12])
+    def test_header_and_blank_lines_keep_line_numbers(
+        self, tmp_path, monkeypatch, compiled_batches, caplog, batch_bytes
+    ):
+        data = b"3 2\n\na 1 2\n \t\r\nz 0 0\n\na 5 5\r\nb 0 1\n\n"
+        with caplog.at_level(logging.WARNING):
+            self._load(tmp_path / "emb.txt", data, monkeypatch, batch_bytes)
+        assert caplog.messages == [
+            f"{tmp_path / 'emb.txt'}: duplicate tokens ignored: 1 (line 7); "
+            "all-zero vectors dropped: 1 (line 5)"
+        ]
+        assert all(compiled_batches)
+        # a later batch of longer rows names its first line
+        data += b"\nc 1 2 3\nd 4 5 6\n"
+        self._load(tmp_path / "emb.txt", data, monkeypatch, batch_bytes)
+        with pytest.raises(EmbeddingParseError, match="line 11: row has dimension 3, table has 2"):
+            load_embeddings(tmp_path / "emb.txt")
 
 
 class TestVocabulary:

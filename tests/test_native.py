@@ -15,12 +15,36 @@ def lib():
     return require_library()
 
 
-def parse_rows(lib, text: str, n: int, dim: int) -> tuple[int, np.ndarray]:
-    """``claimdist_parse_rows`` on ``text``: the rows it parsed and its output array."""
-    data = np.frombuffer(text.encode(), dtype=np.uint8)
-    out = np.full((n, dim), np.nan)
+def parse_batch(lib, batch: bytes, max_rows: int, max_values: int, max_token_bytes: int):
+    """``claimdist_parse_batch`` on ``batch``: its return value, numbers, tokens, line indices and sizes."""
+    data = np.frombuffer(batch, dtype=np.uint8)
+    values = np.full(max_values, np.nan)
+    tokens = np.zeros(max_token_bytes, dtype=np.uint8)
+    lines = np.full(max_rows, -1, dtype=np.int64)
+    sizes = np.full(3, -1, dtype=np.int64)
     begin = data.ctypes.data
-    return lib.claimdist_parse_rows(begin, begin + data.size, n, dim, out.ctypes.data), out
+    got = lib.claimdist_parse_batch(
+        begin, begin + data.size, values.ctypes.data, max_values, tokens.ctypes.data,
+        max_token_bytes, lines.ctypes.data, max_rows, sizes.ctypes.data,
+    )
+    return got, values, tokens.tobytes(), lines, sizes.tolist()
+
+
+def parse_rows(lib, text: str, n: int, dim: int) -> tuple[int, np.ndarray, bool]:
+    """The batch of ``text``'s lines, each after a token ``w<i>``, with room for ``n`` rows of ``dim``.
+
+    Returns the rows the compiled parser read (before the first it
+    declines, if it declines one), its numbers and whether it read the
+    whole batch.
+    """
+    lines = text.split("\n")
+    if text.endswith("\n"):
+        lines.pop()
+    batch = "\n".join(f"w{i} {line}" for i, line in enumerate(lines))
+    batch += "\n" if text.endswith("\n") else ""
+    got, values, *_ = parse_batch(lib, batch.encode(), n, n * dim, len(batch.encode()))
+    parsed = got if got >= 0 else -1 - got
+    return parsed, values.reshape(n, dim), got >= 0
 
 
 def bits(x: float) -> bytes:
@@ -30,13 +54,13 @@ def bits(x: float) -> bytes:
 class TestParseRows:
     @pytest.mark.parametrize("field", FAST_FIELDS)
     def test_fast_path_field_has_the_bits_of_float(self, lib, field):
-        parsed, out = parse_rows(lib, field, 1, 1)
-        assert parsed == 1
+        parsed, out, whole = parse_rows(lib, field, 1, 1)
+        assert (parsed, whole) == (1, True)
         assert bits(out[0, 0]) == bits(float(field))
 
     @pytest.mark.parametrize("field", DECLINED_FIELDS)
     def test_other_field_is_declined(self, lib, field):
-        assert parse_rows(lib, field, 1, 1)[0] == 0
+        assert parse_rows(lib, field, 1, 1)[::2] == (0, False)
 
     def test_mantissas_above_two_to_the_53_would_round_twice(self):
         # why the guard is needed: with m = 2**53 + 1 rounded to a double
@@ -54,7 +78,8 @@ class TestParseRows:
             field = rng.choice(["", "-", "+"]) + digits[:point] + "." + digits[point:]
             if rng.random() < 0.5:
                 field += rng.choice("eE") + rng.choice(["", "-", "+"]) + str(rng.randint(0, 30))
-            parsed, out = parse_rows(lib, field, 1, 1)
+            parsed, out, whole = parse_rows(lib, field, 1, 1)
+            assert parsed == whole
             if parsed:
                 assert bits(out[0, 0]) == bits(float(field)), field
             taken += parsed
@@ -68,25 +93,54 @@ class TestParseRows:
             ("1 2\n3 4\n", 2, 2, 2),
             ("1 2\n3", 2, 2, 1),  # a short row
             ("1 2\n3 4 5", 2, 2, 1),  # a long row
-            ("1 2\n\n3 4", 2, 2, 1),  # a blank row
-            ("1 2\n3 4", 1, 2, 0),  # more rows than asked for
+            ("1 2\n\n3 4", 2, 2, 1),  # a row with no numbers
+            ("1 2\n3 4", 1, 2, 1),  # more rows than there is room for
             ("1 2", 2, 2, 1),  # fewer
-            ("1\t2\n3 4", 2, 2, 0),
-            ("1 2\r\n3 4", 2, 2, 0),
+            ("1\t2\n3 4", 2, 2, 2),
+            ("1 2\r\n3 4", 2, 2, 2),
             ("1\xa02\n3 4", 2, 2, 0),
             ("1 2\n3 4\x00", 2, 2, 1),
         ],
     )
     def test_rows(self, lib, text, n, dim, parsed):
-        got, out = parse_rows(lib, text, n, dim)
+        got, out, whole = parse_rows(lib, text, n, dim)
         assert got == parsed
+        assert whole == (parsed == len(text.rstrip("\n").split("\n")))
         assert out[:parsed].tolist() == [[1.0, 2.0], [3.0, 4.0]][:parsed]
+
+
+    @pytest.mark.parametrize(
+        "batch, rows, tokens, lines, newlines",
+        [
+            (b"a 1 2\n\n  b\t3 4\r\n \t\n\fc 5 6\v", 3, b"a\nb\nc", [0, 2, 4], 4),
+            (b"\n \r\n", 0, b"", [], 2),
+            # tokens are copied as they are; Python finds those holding whitespace
+            ("a\x1cb 1 2\n\xa0c 3 4\n".encode(), 2, "a\x1cb\n\xa0c".encode(), [0, 1], 2),
+        ],
+        ids=["blanks", "blank-lines", "odd-tokens"],
+    )
+    def test_batch(self, lib, batch, rows, tokens, lines, newlines):
+        got, values, blob, line_indices, sizes = parse_batch(lib, batch, 4, 8, 16)
+        assert got == rows
+        assert sizes == [2 if rows else 0, len(tokens), newlines]
+        assert blob[: len(tokens)] == tokens
+        assert line_indices[:rows].tolist() == lines
+        assert values[: 2 * rows].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0][: 2 * rows]
+
+    @pytest.mark.parametrize(
+        "room, got",
+        [((2, 4, 4), 2), ((1, 4, 4), -2), ((2, 3, 4), -2), ((2, 4, 3), -2), ((2, 4, 1), -1)],
+        ids=["exact", "rows", "values", "token-bytes", "first-token"],
+    )
+    def test_room(self, lib, room, got):
+        # a row that does not fit the buffers declines the batch
+        assert parse_batch(lib, b"ab 1 2\nc 3 4\n", *room)[0] == got
 
 
 class TestLibrary:
     def test_exports_both_functions(self, lib):
         assert lib.claimdist_sweep.restype is None
-        assert lib.claimdist_parse_rows.restype is not None
+        assert lib.claimdist_parse_batch.restype is not None
 
     def test_build_removes_other_libraries(self, private_cache_home, rebuilt_library):
         cache = private_cache_home / "claimdist"

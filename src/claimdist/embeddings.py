@@ -209,15 +209,10 @@ class _CompiledBatch:
         self._thread: threading.Thread | None = None
 
     def _allocate(self, capacity: int):
-        # One anonymous mapping, outside the heap: pages a batch does not
-        # reach take no memory, and the whole goes back when it is freed.
-        import mmap
-
-        n_values, n_rows = capacity // 2 + 1, capacity // 3 + 1  # a field takes 2 bytes, a row 3
-        buffer = mmap.mmap(-1, 8 * (n_values + n_rows) + capacity)
-        self._values = np.frombuffer(buffer, np.float64, n_values)
-        self._lines = np.frombuffer(buffer, np.int64, n_rows, offset=8 * n_values)
-        self._tokens = np.frombuffer(buffer, np.uint8, capacity, offset=8 * (n_values + n_rows))
+        # a field takes at least 2 bytes of the batch, a row 3
+        self._values = np.empty(capacity // 2 + 1, dtype=np.float64)
+        self._lines = np.empty(capacity // 3 + 1, dtype=np.int64)
+        self._tokens = np.empty(capacity, dtype=np.uint8)
         self._capacity = capacity
 
     def start(self, batch: bytes, first: bool):
@@ -417,33 +412,25 @@ class _Rows:
         self.dim = dim
         with np.errstate(over="ignore"):
             norms = np.linalg.norm(values, axis=1)
-        # In the common batch every row is new and kept, with no loop.
-        if not (
-            len(set(tokens)) == len(tokens)
-            and self.index.keys().isdisjoint(tokens)
-            and np.all((norms > 0.0) & (norms < np.inf))
-        ):
-            new: dict[str, int] = {}
-            for i, (token, lineno, norm) in enumerate(
-                zip(tokens, linenos.tolist(), norms.tolist())
-            ):
-                if token in self.index or token in new:
-                    self.duplicate_lines.append(lineno)
-                elif not math.isfinite(norm):
-                    raise EmbeddingParseError(
-                        f"non-finite value or norm in row for {token!r}", lineno
-                    )
-                elif norm == 0.0:
-                    self.zero_lines.append(lineno)
-                else:
-                    new[token] = i
-            tokens = list(new)
+        new: dict[str, int] = {}
+        for i, (token, lineno, norm) in enumerate(zip(tokens, linenos.tolist(), norms.tolist())):
+            if token in self.index or token in new:
+                self.duplicate_lines.append(lineno)
+            elif not math.isfinite(norm):
+                raise EmbeddingParseError(
+                    f"non-finite value or norm in row for {token!r}", lineno
+                )
+            elif norm == 0.0:
+                self.zero_lines.append(lineno)
+            else:
+                new[token] = i
+        if len(new) < len(values):
             kept = list(new.values())
             values, norms = values[kept], norms[kept]
         self._write(values)
         self.norms.append(norms)
         start = len(self.index)
-        self.index.update(zip(tokens, range(start, start + len(tokens))))
+        self.index.update(zip(new, range(start, start + len(new))))
         if error is not None:
             raise error
         return newlines

@@ -1,9 +1,11 @@
 """claimdist's compiled code: one C source, built once into one library.
 
-Two hot loops have a C version: ``claimdist_sweep``, one sweep of the
-topic model's Gibbs chain (:mod:`claimdist.claimselect`), and
+Three hot loops have a C version: ``claimdist_sweep``, one sweep of the
+topic model's Gibbs chain (:mod:`claimdist.claimselect`),
 ``claimdist_parse_batch``, one pass over a batch of a table's lines
-(:mod:`claimdist.embeddings`). Both are in :data:`_SOURCE`, which the
+(:mod:`claimdist.embeddings`), and ``claimdist_gather_max``, the RWMD
+kernel's per-candidate max over one block of cosines
+(:mod:`claimdist.transport`). All three are in :data:`_SOURCE`, which the
 first caller compiles with ``cc`` into the on-disk cache beside the
 table entries (``native-<sha256>.so``) and loads with ctypes. Where it
 cannot be built or loaded, :func:`library` returns None and each caller
@@ -160,6 +162,25 @@ int64_t claimdist_parse_batch(const char *p, const char *end, double *values,
     sizes[0] = dim, sizes[1] = token_bytes, sizes[2] = line;
     return rows;
 }
+
+/* For each of n (candidate, row) pairs, best[cand] = max(best[cand],
+   sims[row]) column by column, over rows of q doubles. The columns go in
+   tiles of 256, so that a tile of the block stays in cache across the
+   pairs. A max is exact, so any order gives numpy's bits. -O2 does not
+   vectorize this loop; the attribute lets it, for this function only. */
+__attribute__((optimize("tree-vectorize", "vect-cost-model=dynamic")))
+void claimdist_gather_max(int64_t n, int64_t q, const int64_t *cand, const int64_t *row,
+                          const double *restrict sims, double *restrict best)
+{
+    for (int64_t start = 0; start < q; start += 256) {
+        int64_t width = q - start < 256 ? q - start : 256;
+        for (int64_t i = 0; i < n; i++) {
+            double *b = best + cand[i] * q + start;
+            const double *s = sims + row[i] * q + start;
+            for (int64_t j = 0; j < width; j++) b[j] = s[j] > b[j] ? s[j] : b[j];
+        }
+    }
+}
 """
 
 # -ffp-contract=off rules out fused multiply-adds; on these 64-bit machines
@@ -177,7 +198,7 @@ def cache_dir() -> Path:
 
 @functools.cache
 def library() -> ctypes.CDLL | None:
-    """The compiled library with both functions declared, or None where it is not available.
+    """The compiled library with its three functions declared, or None where it is not available.
 
     It is ``cache_dir()/native-<key>.so``, the key being the SHA-256 of
     the C source, the compiler flags and the machine. It is built with
@@ -197,10 +218,11 @@ def library() -> ctypes.CDLL | None:
             raise OSError(f"{path} is owned by another user")
         lib = ctypes.CDLL(str(path))
         sweep, parse_batch = lib.claimdist_sweep, lib.claimdist_parse_batch
+        gather_max = lib.claimdist_gather_max
     except (OSError, AttributeError) as exc:
         log.warning(
-            "the Gibbs sweeps run in Python and tables are parsed by numpy alone, "
-            "which is slower: %s", exc,
+            "the Gibbs sweeps run in Python, tables are parsed by numpy alone and "
+            "the scoring kernel's per-candidate max runs in numpy, which is slower: %s", exc,
         )
         return None
     int64, pointer, double = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
@@ -208,6 +230,8 @@ def library() -> ctypes.CDLL | None:
     sweep.restype = None
     parse_batch.argtypes = [pointer, pointer, pointer, int64, pointer, int64, pointer, int64, pointer]
     parse_batch.restype = int64
+    gather_max.argtypes = [int64, int64, *[pointer] * 4]
+    gather_max.restype = None
     return lib
 
 

@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import native
 from .embeddings import EmbeddingTable, normalized_rows, similarity_matrix
 from .errors import InternalInvariantError, OracleSizeError
 from .textprep import NBow
@@ -230,9 +231,18 @@ def lc_rwmd_batch(
     ``1 - clip(max(s))`` exactly; the cost transform runs once, on the
     reduced vectors. Every candidate is scored: a document that cannot
     be embedded has no bag of words and is set aside by the caller.
+
+    The (candidate, union word) pairs are sorted once, by block, then
+    candidate, then row, and each block folds its slice of them into the
+    per-candidate maxima: ``claimdist_gather_max`` from
+    :mod:`claimdist.native` does it in one call, or, without the library,
+    :func:`_gather_max` in numpy. A max is exact, so both give the same
+    bits.
     """
     if variant not in RWMD_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {RWMD_VARIANTS}")
+    if not candidates:
+        return []
 
     cand_rows = [table.row_indices(cand.words) for cand in candidates]
     # The union in table-row order, so each block reads runs of adjacent
@@ -246,27 +256,30 @@ def lc_rwmd_batch(
 
     q_norm = normalized_rows(table, table.row_indices(query.words))
     rows = max(1, _BLOCK_BYTES // (8 * len(query)))
+    pair_cand, pair_row, edges = _block_pairs(positions, rows, len(union_idx))
+    lib = native.library()
 
     best_into_query = np.empty(len(union_idx))
     best_per_query_word = np.full((len(candidates), len(query)), -np.inf)
-    # The block and the rows picked from it reuse two buffers, so the scan
-    # allocates nothing large per block and its peak memory is fixed.
+    # The block reuses one buffer, so the scan allocates nothing large per
+    # block and its peak memory is fixed.
     block_buf = np.empty((min(rows, len(union_idx)), len(query)))
-    picked_buf = np.empty_like(block_buf)
-    col_max = np.empty(len(query))
-    for start in range(0, len(union_idx), rows):
+    for block, start in enumerate(range(0, len(union_idx), rows)):
         stop = min(len(union_idx), start + rows)
         sims = np.matmul(
             normalized_rows(table, union_idx[start:stop]), q_norm.T, out=block_buf[: stop - start]
         )
         sims.max(axis=1, out=best_into_query[start:stop])
-        for best, pos in zip(best_per_query_word, positions):
-            local = pos[(pos >= start) & (pos < stop)] - start
-            if local.size:
-                # local is in range; mode="clip" lets take write into out
-                # directly instead of through a temporary.
-                picked = np.take(sims, local, axis=0, out=picked_buf[: local.size], mode="clip")
-                np.maximum(best, picked.max(axis=0, out=col_max), out=best)
+        lo, hi = edges[block], edges[block + 1]
+        if lib is None:
+            _gather_max(pair_cand[lo:hi], pair_row[lo:hi], sims, best_per_query_word)
+        else:
+            # Raw addresses, as ctypes checks array arguments slowly; every
+            # array is C-contiguous of the C type.
+            lib.claimdist_gather_max(
+                hi - lo, len(query), pair_cand[lo:].ctypes.data, pair_row[lo:].ctypes.data,
+                sims.ctypes.data, best_per_query_word.ctypes.data,
+            )
 
     # ground_cost's two operations, in place, so both arrays now hold
     # costs: the |candidates| x |query| table is the largest array the
@@ -281,3 +294,32 @@ def lc_rwmd_batch(
             d = max(d, float(cand.weights @ best_into_query[pos]))
         results.append(DistanceResult.from_distance(d, variant))
     return results
+
+
+def _block_pairs(
+    positions: Sequence[np.ndarray], rows: int, n_union: int
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Every (candidate, union position) pair, sorted by block, then candidate, then row.
+
+    ``positions[c]`` holds candidate ``c``'s positions in the union, which
+    is scanned in blocks of ``rows``. Returns the pairs' candidates, their
+    rows within their block (both int64) and the edges of each block's
+    slice: block ``b``'s pairs are ``edges[b]:edges[b + 1]``.
+    """
+    pair_cand = np.repeat(
+        np.arange(len(positions), dtype=np.int64), [len(pos) for pos in positions]
+    )
+    pair_block, pair_row = np.divmod(np.concatenate(positions).astype(np.int64, copy=False), rows)
+    order = np.lexsort((pair_row, pair_cand, pair_block))
+    edges = np.searchsorted(pair_block[order], np.arange(-(-n_union // rows) + 1))
+    return pair_cand[order], pair_row[order], edges.tolist()
+
+
+def _gather_max(cand: np.ndarray, row: np.ndarray, sims: np.ndarray, best: np.ndarray):
+    """``claimdist_gather_max`` in numpy: ``best[c]`` takes the column max of c's rows of ``sims``.
+
+    The pairs are sorted by candidate, so each candidate's rows are one run.
+    """
+    runs = np.flatnonzero(np.diff(cand)) + 1
+    for c, rows in zip(cand[np.r_[0, runs]].tolist(), np.split(row, runs)):
+        np.maximum(best[c], sims[rows].max(axis=0), out=best[c])

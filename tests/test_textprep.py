@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from claimdist import textprep
 from claimdist.errors import EmptyDocumentError
 from claimdist.textprep import (
     build_nbow,
@@ -40,6 +41,30 @@ class TestNormalizeAndTokenize:
             once = normalize_and_tokenize(raw)
             again = normalize_and_tokenize(" ".join(once))
             assert once == again
+
+    def test_ascii_path_matches_the_regex(self):
+        # Every ASCII character, with "_", digits, uppercase and the
+        # whitespace str.split splits on besides " \t\n" oversampled.
+        rng = np.random.default_rng(1)
+        alphabet = [chr(c) for c in range(128)] + list("_09AZaz\x1c\x1d\x1e\x1f\v\f\r") * 4
+        for _ in range(500):
+            raw = "".join(rng.choice(alphabet, size=rng.integers(0, 80)))
+            assert normalize_and_tokenize(raw) == textprep._TOKEN.findall(raw.lower())
+
+    def test_non_ascii_text_goes_through_the_regex(self, monkeypatch):
+        calls = []
+        regex = textprep._TOKEN
+
+        class Spy:
+            def findall(self, text):
+                calls.append(text)
+                return regex.findall(text)
+
+        monkeypatch.setattr(textprep, "_TOKEN", Spy())
+        assert normalize_and_tokenize("Café naïve") == ["café", "naïve"]
+        assert normalize_and_tokenize("Café—naïve") == ["café", "naïve"]
+        assert normalize_and_tokenize("Cafe naive") == ["cafe", "naive"]
+        assert calls == ["café naïve", "café—naïve"]
 
 
 class TestRemoveStopwords:

@@ -12,9 +12,9 @@ from claimdist.transport import (
     rwmd_distance,
     wmd_exact,
 )
-from claimdist import transport
+from claimdist import native, transport
 
-from conftest import dense_rwmd, random_nbow, random_unit_table
+from conftest import dense_rwmd, random_nbow, random_unit_table, require_library
 
 
 def nbow(words, weights):
@@ -198,6 +198,82 @@ class TestLcRwmdBatch:
         # kernel may hold one such table and small arrays, not a second one.
         q_norm = 8 * n_query * dim
         assert peak < q_norm + 2 * block + 2 * table_bytes
+
+
+def gathered_maxima(lib, positions, n_union, q, rows, rng):
+    """The per-candidate maxima over random blocks of cosines: compiled, numpy and dense.
+
+    The compiled and numpy gathers read the block slices of
+    ``transport._block_pairs``; the dense one takes each candidate's rows
+    of the whole table of cosines at once.
+    """
+    # Nine levels, so that many maxima are ties.
+    sims_all = rng.integers(-4, 5, size=(n_union, q)) / 4.0
+    cand, row, edges = transport._block_pairs(positions, rows, n_union)
+    compiled, numpy = (np.full((len(positions), q), -np.inf) for _ in range(2))
+    for block, start in enumerate(range(0, n_union, rows)):
+        sims = np.ascontiguousarray(sims_all[start : start + rows])
+        lo, hi = edges[block], edges[block + 1]
+        lib.claimdist_gather_max(
+            hi - lo, q, cand[lo:].ctypes.data, row[lo:].ctypes.data,
+            sims.ctypes.data, compiled.ctypes.data,
+        )
+        transport._gather_max(cand[lo:hi], row[lo:hi], sims, numpy)
+    dense = np.array([sims_all[pos].max(axis=0) for pos in positions])
+    return compiled, numpy, dense
+
+
+class TestGatherMaxOracle:
+    """The compiled per-candidate max against the numpy loop it replaces."""
+
+    # Query widths: one word (a tile narrower than 256), a full tile, and
+    # wider than one tile but not a multiple of it.
+    @pytest.mark.parametrize("q", [1, 7, 256, 600])
+    @pytest.mark.parametrize("rows", [1, 3, 16, 1000])
+    def test_same_maxima_as_numpy(self, q, rows):
+        lib = require_library()
+        rng = np.random.default_rng(q * 1009 + rows)
+        n_union = 40
+        # Candidates drawn from a small union share words; two have one word
+        # and one has every union word.
+        sizes = [1, 1, 40, *rng.integers(1, 12, size=9)]
+        positions = [rng.choice(n_union, size=n, replace=False) for n in sizes]
+        compiled, numpy, dense = gathered_maxima(lib, positions, n_union, q, rows, rng)
+        assert np.array_equal(compiled, numpy)
+        assert np.array_equal(compiled, dense)
+
+    def test_block_pairs_are_sorted_by_block_candidate_and_row(self):
+        positions = [np.array([5, 0, 3]), np.array([3]), np.array([4, 1, 2, 0])]
+        cand, row, edges = transport._block_pairs(positions, 2, 6)
+        assert edges == [0, 3, 6, 8]
+        assert list(zip(cand.tolist(), row.tolist())) == [
+            (0, 0), (2, 0), (2, 1),  # block 0: union words 0 and 1
+            (0, 1), (1, 1), (2, 0),  # block 1: union words 2 and 3
+            (0, 1), (2, 0),  # block 2: union words 4 and 5
+        ]
+        assert cand.dtype == row.dtype == np.int64
+
+    @pytest.mark.parametrize("variant", ["symmetric-max", "one-sided-query"])
+    @pytest.mark.parametrize("block_rows", [1, 3, None])
+    @pytest.mark.parametrize("n_query", [1, 300])
+    def test_batch_distances_equal_without_the_library(
+        self, monkeypatch, variant, block_rows, n_query
+    ):
+        require_library()
+        rng = np.random.default_rng(n_query + (block_rows or 0))
+        table = random_unit_table(rng, 400, 6)
+        vocab = [f"w{i}" for i in range(400)]
+        q = random_nbow(rng, vocab, n_query)
+        shared = vocab[:30]  # candidates drawn from 30 words share many of them
+        cands = [random_nbow(rng, shared, int(n)) for n in rng.integers(1, 20, size=12)]
+        cands += [random_nbow(rng, vocab, 1), random_nbow(rng, vocab, 50)]
+        if block_rows is not None:
+            monkeypatch.setattr(transport, "_BLOCK_BYTES", block_rows * 8 * n_query)
+        compiled = lc_rwmd_batch(q, cands, table, variant)
+        pairs = [rwmd_distance(q, cand, table, variant) for cand in cands[-3:]]
+        monkeypatch.setattr(native, "library", lambda: None)
+        assert lc_rwmd_batch(q, cands, table, variant) == compiled
+        assert [rwmd_distance(q, cand, table, variant) for cand in cands[-3:]] == pairs
 
 
 class TestRankAgainstQuery:

@@ -11,10 +11,9 @@ compiled parser of :mod:`claimdist.native` reads a batch in one pass,
 tokens, numbers and line numbers, when every row is a token and plain
 decimals it rounds exactly. It runs on one helper thread, which reads
 the next batch while the main thread keeps the rows of the one before,
-in file order. Otherwise one ``np.loadtxt`` call reads a batch's
-numbers, and only a batch it rejects is read line by line, up to its
-first bad row, so that the error names that row's line. All three give
-the same bits for a number they all read. One row norm,
+in file order. Otherwise the batch is read line by line with ``float``
+rules, up to its first bad row, so that the error names that row's
+line. Both give the same bits for a number they both read. One row norm,
 ``np.linalg.norm(values, axis=1)``, both rejects a row (not finite) or
 drops it (zero) and is the norm stored for it.
 
@@ -59,9 +58,10 @@ from .errors import ConfigError, EmbeddingParseError, OutOfVocabularyError
 
 log = logging.getLogger(__name__)
 
-# Bytes of text parsed per batch in load_embeddings. np.loadtxt holds a
-# batch as UCS-4, four times its size, so large batches raise the peak
-# memory of a load; about 1 MiB keeps that small next to the matrix.
+# Bytes of text parsed per batch in load_embeddings. Each of the two
+# buffer sets of the compiled parser takes about 7.7 bytes per batch byte
+# (values 4, line numbers about 2.7, tokens 1) and they set the peak
+# memory of a cold load; about 1 MiB keeps that small next to the matrix.
 _BATCH_BYTES = 1 << 20
 
 # Directory name prefix of a cache entry; change it when the layout does.
@@ -135,16 +135,6 @@ def file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _is_header(fields: list[str]) -> bool:
-    if len(fields) != 2:
-        return False
-    try:
-        int(fields[0]), int(fields[1])
-    except ValueError:
-        return False
-    return True
-
-
 class _RowFile:
     """Read-only rows of a float64 matrix stored raw in a file, read on demand.
 
@@ -215,17 +205,15 @@ class _CompiledBatch:
         self._tokens = np.empty(capacity, dtype=np.uint8)
         self._capacity = capacity
 
-    def start(self, batch: bytes, first: bool):
-        """Read ``batch`` on a helper thread, past a header line when it is the ``first`` batch."""
-        skip = _header_bytes(batch) if first else 0
-        self._header_lines = batch.count(b"\n", 0, skip)
+    def start(self, batch: bytes):
+        """Read ``batch`` on a helper thread."""
         if len(batch) > self._capacity:
             self._allocate(len(batch) + _BATCH_BYTES // 4)
         self._batch = batch  # the helper reads it
         self._rows = -1  # declined, should the helper not finish
         begin = np.frombuffer(batch, dtype=np.uint8).ctypes.data
         args = (
-            begin + skip, begin + len(batch),
+            begin, begin + len(batch),
             self._values.ctypes.data, self._values.size,
             self._tokens.ctypes.data, self._tokens.size,
             self._lines.ctypes.data, self._lines.size,
@@ -264,80 +252,68 @@ class _CompiledBatch:
         if tokens != blob.split():
             return None
         values = self._values[: self._rows * dim].reshape(self._rows, dim)
-        lines = self._lines[: self._rows] + self._header_lines
-        return tokens, values, lines, newlines + self._header_lines
+        return tokens, values, self._lines[: self._rows], newlines
 
 
 def _header_bytes(batch: bytes) -> int:
-    """The length of ``batch``'s first line and its newline if that line is a header, else 0."""
+    """The length of ``batch``'s first line and its newline if that line is a header, else 0.
+
+    A word2vec-style header is two integers, the row count and the dimension.
+    """
     end = batch.find(b"\n")
     line = batch if end < 0 else batch[:end]
-    try:
-        return len(line) + (end >= 0) if _is_header(line.decode("utf-8").split()) else 0
-    except UnicodeDecodeError:
+    try:  # UnicodeDecodeError is a ValueError
+        fields = line.decode("utf-8").split()
+        if len(fields) != 2:
+            return 0
+        int(fields[0]), int(fields[1])
+    except ValueError:
         return 0
+    return len(line) + (end >= 0)
 
 
-def _numpy_rows(
+def _line_rows(
     batch: bytes, first_lineno: int
 ) -> tuple[list[str], np.ndarray | None, np.ndarray | None, int, EmbeddingParseError | None]:
-    """The rows of ``batch`` read by ``np.loadtxt``, or line by line where it rejects them.
+    """The rows of ``batch`` read line by line with ``float`` rules, up to its first bad line.
 
     Returns their tokens, numbers, line numbers, the batch's newline count
     and the error of the first bad line, which ends the rows (None when
     every line is good). When no row comes before that line, the error is
     raised.
     """
+    tokens, values, linenos = [], [], []
     error = None
-    try:
-        lines = batch.decode("utf-8").split("\n")
-    except UnicodeDecodeError:
-        lines = []
-        for lineno, raw in enumerate(batch.split(b"\n"), start=first_lineno):
-            try:
-                lines.append(raw.decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                error = EmbeddingParseError(f"not valid UTF-8: {exc}", lineno)
-                break
-    rows = []
-    for lineno, line in enumerate(lines, start=first_lineno):
-        parts = line.split(None, 1)
-        if not parts or (lineno == 1 and _is_header(line.split())):
+    lines = batch.split(b"\n")
+    for lineno, raw in enumerate(lines, start=first_lineno):
+        try:
+            parts = raw.decode("utf-8").split(None, 1)
+        except UnicodeDecodeError as exc:
+            error = EmbeddingParseError(f"not valid UTF-8: {exc}", lineno)
+            break
+        if not parts:
             continue
         if len(parts) == 1:
             error = EmbeddingParseError("row has a token but no values", lineno)
             break
-        rows.append((lineno, *parts))
-    if not rows:
+        try:
+            row = _row_values(parts[1])
+        except ValueError:
+            error = EmbeddingParseError(f"non-numeric field in row for {parts[0]!r}", lineno)
+            break
+        if values and row.size != values[0].size:
+            error = EmbeddingParseError(
+                f"row has dimension {row.size}, table has {values[0].size}", lineno
+            )
+            break
+        tokens.append(parts[0])
+        values.append(row)
+        linenos.append(lineno)
+    if not values:
         if error is not None:
             raise error
         return [], None, None, len(lines) - 1, None
-    linenos, tokens, rests = zip(*rows)
-    try:
-        values = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:
-        values = ()
-    if len(values) != len(rests):
-        # Read the rows one by one, up to the first that is not numeric
-        # or not as long as the first row.
-        values = []
-        for lineno, token, rest in rows:
-            try:
-                row = _row_values(rest)
-            except ValueError:
-                error = EmbeddingParseError(f"non-numeric field in row for {token!r}", lineno)
-                break
-            if values and row.size != values[0].size:
-                error = EmbeddingParseError(
-                    f"row has dimension {row.size}, table has {values[0].size}", lineno
-                )
-                break
-            values.append(row)
-        if not values:
-            raise error
-        values = np.array(values)
-    n = len(values)
-    return list(tokens[:n]), values, np.array(linenos[:n]), len(lines) - 1, error
+    return tokens, np.array(values), np.array(linenos), len(lines) - 1, error
 
 
 def _row_values(rest: str) -> np.ndarray:
@@ -384,17 +360,17 @@ class _Rows:
         """Keep the rows of the whole lines in ``batch``, the first of them numbered ``first_lineno``.
 
         ``compiled`` is the batch as :meth:`_CompiledBatch.result` gives
-        it; without it, :func:`_numpy_rows` reads the batch. Returns the
-        number of newlines in ``batch``, which the next batch's first line
-        number adds. A line that is not UTF-8, has a token but no values,
-        has a non-numeric field or changes the row length ends the batch;
-        the rows before it are checked before its error is raised, so
-        every error names the first bad line. One row norm both rejects a
-        row (not finite) or drops it (zero) and is the norm stored for it.
-        A duplicate token is skipped unchecked.
+        it; without it, :func:`_line_rows` reads the batch line by line.
+        Returns the number of newlines in ``batch``, which the next batch's
+        first line number adds. A line that is not UTF-8, has a token but
+        no values, has a non-numeric field or changes the row length ends
+        the batch; the rows before it are checked before its error is
+        raised, so every error names the first bad line. One row norm both
+        rejects a row (not finite) or drops it (zero) and is the norm
+        stored for it. A duplicate token is skipped unchecked.
         """
         if compiled is None:
-            tokens, values, linenos, newlines, error = _numpy_rows(batch, first_lineno)
+            tokens, values, linenos, newlines, error = _line_rows(batch, first_lineno)
         else:
             tokens, values, lines, newlines = compiled
             linenos, error = lines + first_lineno, None
@@ -599,7 +575,8 @@ def _add_batches(stream: BinaryIO, rows: _Rows, lib):
     With the compiled library ``lib``, a helper thread reads each batch
     (:class:`_CompiledBatch`), the next one while the rows of the one
     before are kept, and the thread is joined before this returns or
-    raises. Without it, :func:`_numpy_rows` reads every batch here.
+    raises. Without it, :func:`_line_rows` reads every batch here. A
+    header line is cut off the first batch before either parser sees it.
     """
 
     def read() -> bytes:
@@ -608,6 +585,10 @@ def _add_batches(stream: BinaryIO, rows: _Rows, lib):
 
     lineno = 1
     batch = read()
+    skip = _header_bytes(batch)
+    if skip:
+        lineno += batch.count(b"\n", 0, skip)
+        batch = batch[skip:] or read()  # a batch may hold only the header
     if lib is None:
         while batch:
             lineno += rows.add(batch, lineno)
@@ -616,12 +597,12 @@ def _add_batches(stream: BinaryIO, rows: _Rows, lib):
     current, other = _CompiledBatch(lib), _CompiledBatch(lib)
     try:
         if batch:
-            current.start(batch, first=True)
+            current.start(batch)
         while batch:
             following = read()
             current.join()
             if following:
-                other.start(following, first=False)
+                other.start(following)
             lineno += rows.add(batch, lineno, current.result())
             batch, current, other = following, other, current
     finally:

@@ -9,7 +9,8 @@ kernel's per-candidate max over one block of cosines
 first caller compiles with ``cc`` into the on-disk cache beside the
 table entries (``native-<sha256>.so``) and loads with ctypes. Where it
 cannot be built or loaded, :func:`library` returns None and each caller
-runs its Python or numpy code instead, which gives the same results.
+runs its Python or numpy code instead (a table is then read line by
+line), which gives the same results.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ def library() -> ctypes.CDLL | None:
         gather_max = lib.claimdist_gather_max
     except (OSError, AttributeError) as exc:
         log.warning(
-            "the Gibbs sweeps run in Python, tables are parsed by numpy alone and "
+            "the Gibbs sweeps run in Python, tables are parsed line by line and "
             "the scoring kernel's per-candidate max runs in numpy, which is slower: %s", exc,
         )
         return None

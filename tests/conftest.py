@@ -46,10 +46,10 @@ FAST_FIELDS = [
     "1e22", "1e-22", "-1E+22", "0.1e23", "-1.5e+23", "-0.0", "-0", "+0", "00", ".5", "5.",
     "-.25", "+.5e-3", "1.e5", "+1", "1E5", "1e05", "0.04656", "-0.1685",
 ]
-# Fields the compiled parser leaves to numpy: a mantissa above 2**53 (where
-# the naive product of a rounded mantissa can round twice), more than 19
-# significant digits, an exponent beyond +-22, or a form outside
-# [+-]digits[.digits][e[+-]digits].
+# Fields the compiled parser leaves to the line parser: a mantissa above
+# 2**53 (where the naive product of a rounded mantissa can round twice),
+# more than 19 significant digits, an exponent beyond +-22, or a form
+# outside [+-]digits[.digits][e[+-]digits].
 DECLINED_FIELDS = [
     "9007199254740993", "9007199254740993e-22", "0.0009007199254740993", "18014398509481984",
     "1234567890123456789", "12345678901234567890", "0.12345678901234567890",

@@ -204,6 +204,8 @@ PARSE_CASES = {
     "short-row": (b"a 1 2\nb\n", 2, "row has a token but no values"),
     "dimension-change": (b"a 1 2\nb 1 2 3\n", 2, "row has dimension 3, table has 2"),
     "header": (b"2 2\na 1 2\nb 0 1\n", [("a", [1.0, 2.0]), ROWS_B], 0, 0),
+    # only line 1 can be a header; two integers later are a row
+    "header-like-row": (b"b 0 1\n2 2\n", 2, "row has dimension 1, table has 2"),
     "blank-lines": (b"\na 1 2\n   \n\t\r\nb 0 1\n\n", [("a", [1.0, 2.0]), ROWS_B], 0, 0),
     "blank-lines-then-error": (b"a 1 2\n\n \nb 1 x\n", 4, "non-numeric field in row for 'b'"),
     "duplicate-and-zero": (
@@ -326,12 +328,15 @@ class TestEmbeddingCache:
         )
         assert caplog.messages == [summary, summary]
 
-    def test_clean_rows_take_the_batch_parser(self, tmp_path, monkeypatch):
+    def test_clean_rows_take_the_batch_parser(self, tmp_path, monkeypatch, compiled_batches):
         path = tmp_path / "emb.txt"
         path.write_text("".join(f"w{i} {i + 1} 0.5 -2e-3\n" for i in range(5000)))
-        # the per-line number conversion is only the fallback for odd rows
+        # with the library, the per-line number conversion is only the
+        # fallback for odd rows
         monkeypatch.setattr(embeddings, "_row_values", _no_parse)
+        monkeypatch.setattr(embeddings, "_BATCH_BYTES", 16 << 10)
         assert len(load_embeddings(path)) == 5000
+        assert len(compiled_batches) > 1 and all(compiled_batches)
 
     def test_digest_passed_in_keys_the_same_entry(self, tmp_path, private_cache_home):
         path = _table_file(tmp_path / "emb.txt", n_words=20)
@@ -550,8 +555,8 @@ def _declined(self):
 
 
 # The ways a load can read a table: batches read by the compiled parser
-# where it takes them, every batch declined by it (and read by numpy), and
-# no compiled library at all (no helper thread either).
+# where it takes them, every batch declined by it (and read line by line),
+# and no compiled library at all (no helper thread either).
 PARSERS = ["compiled", "declined", "no-library"]
 
 
@@ -579,8 +584,9 @@ def compiled_batches(monkeypatch):
 
 
 # Fields of the odd tables, besides random short decimals: numbers the
-# compiled parser takes and numbers it leaves to numpy (from conftest),
-# values that make a row's norm zero or not finite, and non-numbers.
+# compiled parser takes and numbers it leaves to the line parser (from
+# conftest), values that make a row's norm zero or not finite, and
+# non-numbers.
 _ZERO_FIELDS = ["0", "-0.0", "0e5", "000", ".0", "5e-324", "1e-400"]
 _NON_FINITE_FIELDS = ["inf", "-Infinity", "nan", "1e400"]
 _BAD_FIELDS = ["two", "1.2.3", "--1", "1e", "e5", ".", "#0", "0x1p1", "1,5", "0x10"]
@@ -656,7 +662,7 @@ def _assert_same_as_reference(got: ReferenceTable, want: ReferenceTable, what: s
 
 
 class TestParsersAgainstReference:
-    """The compiled parser and the numpy fallback against ``reference_table``."""
+    """The compiled parser and the line-by-line fallback against ``reference_table``."""
 
     @pytest.mark.parametrize("chunk", range(8))
     def test_odd_tables(self, tmp_path, monkeypatch, compiled_batches, chunk):
@@ -794,10 +800,12 @@ class TestBatchOrder:
         assert str(info.value) == f"{path}: line 3: non-numeric field in row for 'c'"
         assert compiled_batches == [True, True, False]
 
+    @pytest.mark.parametrize("parser", PARSERS)
     @pytest.mark.parametrize("batch_bytes", [1 << 20, 1, 12])
     def test_header_and_blank_lines_keep_line_numbers(
-        self, tmp_path, monkeypatch, compiled_batches, caplog, batch_bytes
+        self, tmp_path, monkeypatch, compiled_batches, caplog, batch_bytes, parser
     ):
+        _use_parser(monkeypatch, parser)
         data = b"3 2\n\na 1 2\n \t\r\nz 0 0\n\na 5 5\r\nb 0 1\n\n"
         with caplog.at_level(logging.WARNING):
             self._load(tmp_path / "emb.txt", data, monkeypatch, batch_bytes)
@@ -805,7 +813,8 @@ class TestBatchOrder:
             f"{tmp_path / 'emb.txt'}: duplicate tokens ignored: 1 (line 7); "
             "all-zero vectors dropped: 1 (line 5)"
         ]
-        assert all(compiled_batches)
+        if parser == "compiled":
+            assert compiled_batches and all(compiled_batches)
         # a later batch of longer rows names its first line
         data += b"\nc 1 2 3\nd 4 5 6\n"
         self._load(tmp_path / "emb.txt", data, monkeypatch, batch_bytes)

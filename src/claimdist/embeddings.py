@@ -9,13 +9,15 @@ pure, so concurrent readers are safe.
 The text is parsed in batches of whole lines by one parser. The
 compiled parser of :mod:`claimdist.native` reads a batch in one pass,
 tokens, numbers and line numbers, when every row is a token and plain
-decimals it rounds exactly. It runs on one helper thread, which reads
-the next batch while the main thread keeps the rows of the one before,
-in file order. Otherwise the batch is read line by line with ``float``
-rules, up to its first bad row, so that the error names that row's
-line. Both give the same bits for a number they both read. One row norm,
-``np.linalg.norm(values, axis=1)``, both rejects a row (not finite) or
-drops it (zero) and is the norm stored for it.
+decimals it rounds exactly. Each batch is split in two: one helper
+thread reads the head while the main thread keeps the rows of the batch
+before, then reads the tail, and the rows are kept in file order. A
+half the compiled parser declines, and every batch without the library,
+is read line by line with ``float`` rules, up to its first bad row, so
+that the error names that row's line. Both give the same bits for a
+number they both read. One row norm, ``np.linalg.norm(values, axis=1)``,
+both rejects a row (not finite) or drops it (zero) and is the norm
+stored for it.
 
 A loaded matrix stays on disk. The parser streams the kept rows, as raw
 little-endian float64, into a file, and the table's ``matrix`` reads
@@ -60,9 +62,15 @@ log = logging.getLogger(__name__)
 
 # Bytes of text parsed per batch in load_embeddings. Each of the two
 # buffer sets of the compiled parser takes about 7.7 bytes per batch byte
-# (values 4, line numbers about 2.7, tokens 1) and they set the peak
-# memory of a cold load; about 1 MiB keeps that small next to the matrix.
+# (values 4, line numbers about 2.7, tokens 1), shared by the batch's head
+# and tail, and they set the peak memory of a cold load; about 1 MiB
+# keeps that small next to the matrix.
 _BATCH_BYTES = 1 << 20
+
+# Share of each batch's bytes that the helper thread parses. The main
+# thread parses the rest, after keeping the rows of the batch before, so
+# that both threads take about as long on a batch.
+_HEAD_SHARE = 0.8
 
 # Directory name prefix of a cache entry; change it when the layout does.
 _CACHE_FORMAT = "v2"
@@ -184,75 +192,139 @@ class _RowFile:
 
 
 class _CompiledBatch:
-    """A batch of table lines as the compiled parser read it, into buffers kept for the next batch.
+    """A batch of table lines as the compiled parser read it, in two halves, into reused buffers.
 
-    :meth:`start` reads a batch on a helper thread (the ctypes call
-    releases the GIL) and :meth:`join` waits for it. A load alternates
-    two of these, so that one reads the next batch while the rows of the
-    other are kept; the buffers of a batch are reused only after that.
+    :meth:`start` splits the batch at the first line end after
+    ``_HEAD_SHARE`` of its bytes and lays out one region of each buffer
+    for the head and one for the tail, by their bytes. :meth:`parse`
+    reads one half with ``claimdist_parse_batch``, given pointers into
+    the one batch (the ctypes call releases the GIL): the helper thread
+    reads the head, the main thread the tail. A load alternates two of
+    these, so that the helper reads the next batch's head while the rows
+    of the batch before are kept; the buffers of a batch are reused only
+    after that.
     """
 
     def __init__(self, lib):
         self._lib = lib
         self._capacity = 0
-        self._sizes = np.zeros(3, dtype=np.int64)
-        self._thread: threading.Thread | None = None
+        self._sizes = np.zeros((2, 3), dtype=np.int64)
 
     def _allocate(self, capacity: int):
-        # a field takes at least 2 bytes of the batch, a row 3
-        self._values = np.empty(capacity // 2 + 1, dtype=np.float64)
-        self._lines = np.empty(capacity // 3 + 1, dtype=np.int64)
+        # a field takes at least 2 bytes of the batch, a row 3, and each
+        # half may round its share up by one
+        self._values = np.empty(capacity // 2 + 2, dtype=np.float64)
+        self._lines = np.empty(capacity // 3 + 2, dtype=np.int64)
         self._tokens = np.empty(capacity, dtype=np.uint8)
         self._capacity = capacity
 
     def start(self, batch: bytes):
-        """Read ``batch`` on a helper thread."""
+        """Split ``batch`` into its head and tail, to be read by :meth:`parse`."""
         if len(batch) > self._capacity:
             self._allocate(len(batch) + _BATCH_BYTES // 4)
-        self._batch = batch  # the helper reads it
-        self._rows = -1  # declined, should the helper not finish
-        begin = np.frombuffer(batch, dtype=np.uint8).ctypes.data
-        args = (
-            begin, begin + len(batch),
-            self._values.ctypes.data, self._values.size,
-            self._tokens.ctypes.data, self._tokens.size,
-            self._lines.ctypes.data, self._lines.size,
-            self._sizes.ctypes.data,
+        split = batch.find(b"\n", int(len(batch) * _HEAD_SHARE)) + 1 or len(batch)
+        # room for the head's numbers and rows; the tail has the rest
+        v, r = split // 2 + 1, split // 3 + 1
+        self._parts = [
+            (0, split, self._values[:v], self._tokens[:split], self._lines[:r]),
+            (split, len(batch), self._values[v:], self._tokens[split:], self._lines[r:]),
+        ]
+        self._batch = batch  # the parsers read it
+        self._begin = np.frombuffer(batch, dtype=np.uint8).ctypes.data
+        self._rows = [-1, -1]  # declined, until read
+
+    def parse(self, half: int):
+        """Read the head (0) or the tail (1) of the batch."""
+        first, last, values, tokens, lines = self._parts[half]
+        self._rows[half] = self._lib.claimdist_parse_batch(
+            self._begin + first, self._begin + last,
+            values.ctypes.data, values.size,
+            tokens.ctypes.data, tokens.size,
+            lines.ctypes.data, lines.size,
+            self._sizes[half].ctypes.data,
         )
-        self._thread = threading.Thread(target=self._parse, args=args)
-        self._thread.start()
 
-    def _parse(self, *args):
-        self._rows = self._lib.claimdist_parse_batch(*args)
+    def result(self, half: int) -> tuple[list[str], np.ndarray, np.ndarray, int] | None:
+        """The tokens, numbers, line indices and newline count of a half, or None where declined.
 
-    def join(self):
-        """Wait for the batch being read, if there is one."""
-        if self._thread is not None:
-            self._thread.join()
-            self._thread = None
-
-    def result(self) -> tuple[list[str], np.ndarray, np.ndarray, int] | None:
-        """The joined batch's tokens, numbers, line indices and newline count, or None where declined.
-
-        The compiled parser declines a batch unless every line is blank
-        or a token and plain decimals it rounds exactly as ``float`` does
-        (``claimdist_parse_batch`` in :mod:`claimdist.native`). A batch is
+        The compiled parser declines a half unless every line is blank or
+        a token and plain decimals it rounds exactly as ``float`` does
+        (``claimdist_parse_batch`` in :mod:`claimdist.native`). A half is
         declined here too when its tokens are not UTF-8 or one holds
         whitespace that ``str.split`` splits on. The numbers are a view of
         the buffer, valid until this object reads its next batch.
         """
-        if self._rows < 0:
+        rows = self._rows[half]
+        if rows < 0:
             return None
-        dim, token_bytes, newlines = self._sizes.tolist()
+        _, _, values, tokens, lines = self._parts[half]
+        dim, token_bytes, newlines = self._sizes[half].tolist()
         try:
-            blob = str(self._tokens[:token_bytes], "utf-8")
+            blob = str(tokens[:token_bytes], "utf-8")
         except UnicodeDecodeError:
             return None
-        tokens = blob.split("\n") if self._rows else []
-        if tokens != blob.split():
+        words = blob.split("\n") if rows else []
+        if words != blob.split():
             return None
-        values = self._values[: self._rows * dim].reshape(self._rows, dim)
-        return tokens, values, self._lines[: self._rows], newlines
+        return words, values[: rows * dim].reshape(rows, dim), lines[:rows], newlines
+
+    def add_to(self, rows: _Rows, lineno: int) -> int:
+        """Keep the head's rows, then the tail's, the first on line ``lineno``; returns the next line."""
+        for half, (first, last, *_) in enumerate(self._parts):
+            compiled = self.result(half)
+            # a half is sliced out of the batch only to be read line by line
+            part = self._batch[first:last] if compiled is None else b""
+            lineno += rows.add(part, lineno, compiled)
+        return lineno
+
+
+class _HeadReader(threading.Thread):
+    """The helper thread of a load, which reads the head of each batch handed to it.
+
+    :meth:`read` hands a :class:`_CompiledBatch` over and :meth:`wait`
+    waits until its head is read, raising what that raised; :meth:`stop`
+    ends the thread. Two semaphores pass each batch over and back.
+    """
+
+    def __init__(self):
+        super().__init__(name="claimdist-parse")
+        self._batch: _CompiledBatch | None = None
+        self._reading = False
+        self._error: BaseException | None = None
+        self._given, self._done = threading.Semaphore(0), threading.Semaphore(0)
+        self.start()
+
+    def run(self):
+        while True:
+            self._given.acquire()
+            if self._batch is None:
+                return
+            try:
+                self._batch.parse(0)
+            except BaseException as exc:  # raised again on the main thread by wait()
+                self._error = exc
+            self._done.release()
+
+    def read(self, batch: _CompiledBatch):
+        """Read the head of ``batch``, which :meth:`_CompiledBatch.start` has split."""
+        self._batch, self._reading = batch, True
+        self._given.release()
+
+    def wait(self):
+        """Wait for the head handed over last, if it is being read."""
+        if self._reading:
+            self._done.acquire()
+            self._reading = False
+        if self._error is not None:
+            raise self._error
+
+    def stop(self):
+        """Wait for the head being read, if any, and end the thread."""
+        if self._reading:
+            self._done.acquire()
+        self._batch = None
+        self._given.release()
+        self.join()
 
 
 def _header_bytes(batch: bytes) -> int:
@@ -572,11 +644,14 @@ def _write_entry(entry: Path, tmp: Path, digest: str, rows: _Rows, table: Embedd
 def _add_batches(stream: BinaryIO, rows: _Rows, lib):
     """Add every batch of whole lines in ``stream`` to ``rows``, in order.
 
-    With the compiled library ``lib``, a helper thread reads each batch
-    (:class:`_CompiledBatch`), the next one while the rows of the one
-    before are kept, and the thread is joined before this returns or
-    raises. Without it, :func:`_line_rows` reads every batch here. A
-    header line is cut off the first batch before either parser sees it.
+    With the compiled library ``lib``, each batch is split in two
+    (:class:`_CompiledBatch`). One helper thread for the whole load
+    (:class:`_HeadReader`) reads the head of a batch while the main
+    thread keeps the rows of the batch before and then reads the tail.
+    A batch's head is kept before its tail, and the helper thread has
+    ended before this returns or raises. Without the library,
+    :func:`_line_rows` reads every batch here. A header line is cut off
+    the first batch before either parser sees it.
     """
 
     def read() -> bytes:
@@ -594,20 +669,22 @@ def _add_batches(stream: BinaryIO, rows: _Rows, lib):
             lineno += rows.add(batch, lineno)
             batch = read()
         return
-    current, other = _CompiledBatch(lib), _CompiledBatch(lib)
+    current, other, previous = _CompiledBatch(lib), _CompiledBatch(lib), None
+    helper = _HeadReader()
     try:
-        if batch:
-            current.start(batch)
         while batch:
-            following = read()
-            current.join()
-            if following:
-                other.start(following)
-            lineno += rows.add(batch, lineno, current.result())
-            batch, current, other = following, other, current
+            current.start(batch)
+            helper.read(current)
+            if previous is not None:
+                lineno = previous.add_to(rows, lineno)
+            current.parse(1)
+            batch = read()
+            helper.wait()
+            previous, current, other = current, other, current
+        if previous is not None:
+            previous.add_to(rows, lineno)
     finally:
-        current.join()
-        other.join()
+        helper.stop()
 
 
 def load_embeddings(

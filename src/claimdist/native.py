@@ -7,7 +7,9 @@ topic model's Gibbs chain (:mod:`claimdist.claimselect`),
 kernel's per-candidate max over one block of cosines
 (:mod:`claimdist.transport`). All three are in :data:`_SOURCE`, which the
 first caller compiles with ``cc`` into the on-disk cache beside the
-table entries (``native-<sha256>.so``) and loads with ctypes. Where it
+table entries (``native-<sha256>.so``) and loads with ctypes; a run
+starts that build on a background thread (:func:`start_build`), so that
+``cc`` works while the run reads its inputs. Where it
 cannot be built or loaded, :func:`library` returns None and each caller
 runs its Python or numpy code instead (a table is then read line by
 line), which gives the same results.
@@ -24,6 +26,7 @@ import platform
 import shutil
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 log = logging.getLogger(__name__)
@@ -197,22 +200,80 @@ def cache_dir() -> Path:
     return root / "claimdist"
 
 
+def _supported(machine: str) -> bool:
+    """Whether the library is built on ``machine`` for this Python (64-bit only)."""
+    return machine in _MACHINES and sys.maxsize == 2**63 - 1
+
+
+def _path(machine: str) -> Path:
+    """The library's file for ``machine`` in the cache directory."""
+    key = hashlib.sha256("\0".join((_SOURCE, *_FLAGS, machine)).encode()).hexdigest()
+    return cache_dir() / f"native-{key}.so"
+
+
+class _Build(threading.Thread):
+    """:func:`_build` of ``path`` on a thread, keeping the error it raises.
+
+    It is not a daemon, so the interpreter waits for it, and for ``cc``
+    and the removal of the temporary directory, on every way out.
+    """
+
+    def __init__(self, path: Path):
+        super().__init__(name="claimdist-build")
+        self.path = path
+        self.error: BaseException | None = None
+
+    def run(self):
+        try:
+            _build(self.path)
+        except BaseException as exc:  # raised again on the main thread by library()
+            self.error = exc
+
+
+_pending: _Build | None = None
+
+
+def start_build():
+    """Start building the library in the background, where :func:`library` would build it.
+
+    Nothing starts when this process has already settled the library,
+    when this machine has no compiled code, or when the file exists (so
+    a warm run starts no thread and imports no ``subprocess``).
+    :func:`library` waits for the build.
+    """
+    global _pending
+    machine = platform.machine()
+    if library.cache_info().currsize or not _supported(machine):
+        return
+    path = _path(machine)
+    if not path.exists():
+        _pending = _Build(path)
+        _pending.start()
+
+
 @functools.cache
 def library() -> ctypes.CDLL | None:
     """The compiled library with its three functions declared, or None where it is not available.
 
     It is ``cache_dir()/native-<key>.so``, the key being the SHA-256 of
     the C source, the compiler flags and the machine. It is built with
-    ``cc`` when missing and loaded only if the current user owns it. On
-    another machine, or when it cannot be built or loaded, one WARNING is
-    logged and None is returned. Memoized per process.
+    ``cc`` when missing, or waited for when :func:`start_build` is
+    building it, and loaded only if the current user owns it. On another
+    machine, or when it cannot be built or loaded, one WARNING is logged
+    and None is returned. Memoized per process.
     """
+    global _pending
     machine = platform.machine()
-    key = hashlib.sha256("\0".join((_SOURCE, *_FLAGS, machine)).encode()).hexdigest()
-    path = cache_dir() / f"native-{key}.so"
+    path = _path(machine)
+    build, _pending = _pending, None
     try:
-        if machine not in _MACHINES or sys.maxsize < 2**63 - 1:
+        if not _supported(machine):
             raise OSError(f"no compiled code on this {machine} Python")
+        if build is not None:
+            build.join()
+            # a build for another cache directory is not this one's
+            if build.path == path and build.error is not None:
+                raise build.error
         if not path.exists():
             _build(path)
         if path.stat().st_uid != os.getuid():

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, native
 from .claimselect import (
     DEFAULT_CUE_WORDS,
     SentenceRecord,
@@ -429,9 +429,11 @@ def run_experiment(manifest: CorpusManifest) -> ExperimentReport:
     the kernel scores only the others; a group left with no scored
     document is an error.
     """
-    # Every input file is read, and the table hashed, before any
-    # computation; parsing the table, the slowest step, comes after the
-    # topic selector. Only the moving-average selector needs the table.
+    # The compiled library, if it has to be built, is built meanwhile on
+    # another core. Every input file is read, and the table hashed, before
+    # any computation; parsing the table, the slowest step, comes after
+    # the topic selector. Only the moving-average selector needs the table.
+    native.start_build()
     corpus = load_corpus(manifest)
     embedding_sha256 = _file_sha256(manifest.embedding_path)
     needs_table = manifest.selector is not None and manifest.selector.method == "ma"

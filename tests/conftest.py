@@ -14,10 +14,16 @@ from claimdist.textprep import NBow
 
 @pytest.fixture(autouse=True)
 def private_cache_home(tmp_path, monkeypatch):
-    """Point the on-disk cache (tables, the compiled library) at the test's directory, not ``~/.cache``."""
+    """Point the on-disk cache (tables, the compiled library) at the test's directory, not ``~/.cache``.
+
+    A library build that a run started in the background and nothing
+    waited for ends with the test, not during a later one.
+    """
     cache = tmp_path / "xdg-cache"
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
-    return cache
+    yield cache
+    if native._pending is not None:
+        native._pending.join(timeout=60)
 
 
 @pytest.fixture

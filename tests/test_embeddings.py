@@ -550,7 +550,7 @@ class TestRowReader:
         assert not root.exists() or [p.name[:7] for p in root.iterdir()] in ([], ["native-"])
 
 
-def _declined(self):
+def _declined(self, half):
     return None
 
 
@@ -568,14 +568,19 @@ def _use_parser(monkeypatch, parser: str):
 
 
 @pytest.fixture
-def compiled_batches(monkeypatch):
-    """Record, in the order they are kept, whether the batches were read by the compiled parser."""
-    require_library()
+def compiled_batches(request, monkeypatch):
+    """Record, in the order they are kept, whether each batch's head and tail were read by the compiled parser.
+
+    It needs the library, unless the test's ``parser`` is ``no-library``.
+    """
+    callspec = getattr(request.node, "callspec", None)
+    if callspec is None or callspec.params.get("parser") != "no-library":
+        require_library()
     taken = []
     real = embeddings._CompiledBatch.result
 
-    def recording(self):
-        got = real(self)
+    def recording(self, half):
+        got = real(self, half)
         taken.append(got is not None)
         return got
 
@@ -664,9 +669,9 @@ def _assert_same_as_reference(got: ReferenceTable, want: ReferenceTable, what: s
 class TestParsersAgainstReference:
     """The compiled parser and the line-by-line fallback against ``reference_table``."""
 
-    @pytest.mark.parametrize("chunk", range(8))
-    def test_odd_tables(self, tmp_path, monkeypatch, compiled_batches, chunk):
-        # 8 chunks of 40 tables, each loaded six ways as a cache miss
+    @staticmethod
+    def _check_chunk(tmp_path, monkeypatch, chunk, parsers):
+        """Load 40 odd tables in each of ``parsers``' ways, as cache misses, as the reference does."""
         monkeypatch.setattr(embeddings, "_read_entry", lambda *args: None)  # parse every load
         path = tmp_path / "emb.txt"
         outcomes = set()
@@ -675,18 +680,30 @@ class TestParsersAgainstReference:
             path.write_bytes(data)
             want = reference_table(data)
             outcomes.add(want.error_line is None)
-            for parser in PARSERS:
+            for parser in parsers:
                 with monkeypatch.context() as m:
                     _use_parser(m, parser)
+                    # a whole table in one batch split between the threads,
+                    # and one or two lines per batch
                     for batch_bytes in (1 << 20, 8):
                         m.setattr(embeddings, "_BATCH_BYTES", batch_bytes)
                         got = _load_as_reference(path)
                         what = f"seed {seed}, {parser}, {batch_bytes}-byte batches: {data!r}"
                         _assert_same_as_reference(got, want, what)
-        # the chunk has tables that load and tables that fail, and batches
-        # that the compiled parser read and declined
+        # the chunk has tables that load and tables that fail
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("chunk", range(8))
+    def test_odd_tables(self, tmp_path, monkeypatch, compiled_batches, chunk):
+        # 8 chunks of 40 tables, each loaded four ways
+        self._check_chunk(tmp_path, monkeypatch, chunk, ["compiled", "declined"])
+        # with halves that the compiled parser read and declined
         assert set(compiled_batches) == {True, False}
+
+    @pytest.mark.parametrize("chunk", range(8), ids=lambda chunk: f"no-library-{chunk}")
+    def test_odd_tables_without_the_library(self, tmp_path, monkeypatch, chunk):
+        # the only parser of a host without a compiler
+        self._check_chunk(tmp_path, monkeypatch, chunk, ["no-library"])
 
     def test_generator_covers_the_edges(self):
         text = b"".join(odd_table(seed) for seed in range(200))
@@ -705,30 +722,42 @@ def _numbered_table(path, n_rows, bad_row, bad_line):
     path.write_text("\n".join(lines) + "\n")
 
 
+# A bad row 40,000 of a table, and its error
+LATE_BAD_ROWS = [
+    ("w39999 0.5 oops 0.25 1", "non-numeric field in row for 'w39999'"),
+    ("w39999", "row has a token but no values"),
+]
+
+
 class TestLateBatches:
-    @pytest.mark.parametrize(
-        "bad_line, message",
-        [
-            ("w39999 0.5 oops 0.25 1", "non-numeric field in row for 'w39999'"),
-            ("w39999", "row has a token but no values"),
-        ],
-        ids=["non-numeric", "short-row"],
-    )
+    @pytest.mark.parametrize("bad_line, message", LATE_BAD_ROWS, ids=["non-numeric", "short-row"])
     def test_error_in_row_40000_names_its_line(
         self, tmp_path, monkeypatch, compiled_batches, bad_line, message
     ):
+        self._check(tmp_path, monkeypatch, bad_line, message, ["compiled", "declined"])
+        # every half batch before the bad one was read by the compiled parser
+        assert len(compiled_batches) > 100 and all(compiled_batches[:-1])
+
+    @pytest.mark.parametrize(
+        "bad_line, message", LATE_BAD_ROWS, ids=["no-library-non-numeric", "no-library-short-row"]
+    )
+    def test_error_in_row_40000_names_its_line_without_the_library(
+        self, tmp_path, monkeypatch, bad_line, message
+    ):
+        self._check(tmp_path, monkeypatch, bad_line, message, ["no-library"])
+
+    @staticmethod
+    def _check(tmp_path, monkeypatch, bad_line, message, parsers):
         path = tmp_path / "emb.txt"
         _numbered_table(path, 40_010, 40_000, bad_line)
         monkeypatch.setattr(embeddings, "_BATCH_BYTES", 16 << 10)
-        for parser in PARSERS:
+        for parser in parsers:
             with monkeypatch.context() as m:
                 _use_parser(m, parser)
                 with pytest.raises(EmbeddingParseError) as info:
                     load_embeddings(path)
             assert str(info.value) == f"{path}: line 40000: {message}"
             assert info.value.line_number == 40_000
-        # every batch before the bad one was read by the compiled parser
-        assert len(compiled_batches) > 50 and all(compiled_batches[:-1])
 
     def test_warm_load_starts_no_compiler_and_loads_no_library(self, tmp_path):
         path = _table_file(tmp_path / "emb.txt", n_words=20)
@@ -780,13 +809,13 @@ class TestBatchOrder:
             got = self._load(tmp_path / "emb.txt", data, monkeypatch, 1)
         assert got.words == ("a", "b", "c") and got.matrix[0].tolist() == [1.0, 2.0]
         assert caplog.messages == [f"{tmp_path / 'emb.txt'}: duplicate tokens ignored: 2 (lines 2, 5)"]
-        assert compiled_batches == [True] * 5
+        assert compiled_batches == [True] * 10  # the head and the empty tail of each line
 
     def test_declined_batch_between_compiled_batches(self, tmp_path, monkeypatch, compiled_batches):
         data = b"a 1 2\nb 3 4\nc 1_0 2\nd 5 6\ne 7 8\n"
         got = self._load(tmp_path / "emb.txt", data, monkeypatch, 1)
         assert got.matrix[2].tolist() == [10.0, 2.0]
-        assert compiled_batches == [True, True, False, True, True]
+        assert compiled_batches == [True, True] * 2 + [False, True] + [True, True] * 2
 
     def test_bad_row_after_a_compiled_batch_names_the_first_bad_line(
         self, tmp_path, monkeypatch, compiled_batches
@@ -798,7 +827,7 @@ class TestBatchOrder:
         with pytest.raises(EmbeddingParseError) as info:
             load_embeddings(path)
         assert str(info.value) == f"{path}: line 3: non-numeric field in row for 'c'"
-        assert compiled_batches == [True, True, False]
+        assert compiled_batches == [True, True] * 2 + [False]
 
     @pytest.mark.parametrize("parser", PARSERS)
     @pytest.mark.parametrize("batch_bytes", [1 << 20, 1, 12])
@@ -820,6 +849,64 @@ class TestBatchOrder:
         self._load(tmp_path / "emb.txt", data, monkeypatch, batch_bytes)
         with pytest.raises(EmbeddingParseError, match="line 11: row has dimension 3, table has 2"):
             load_embeddings(tmp_path / "emb.txt")
+
+
+    # A header, blank lines with and without blanks, CRLF lines, duplicates
+    # (lines 7 and 10) and all-zero rows (lines 6 and 11)
+    SPLIT_TABLE = b"3 2\na 1 2\n\nb 3 4\r\n \t\nz 0 0\na 5 5\r\n\nc 0 1\nb 7 7\ny 0 0\n"
+
+    @pytest.mark.parametrize("parser", ["compiled", "declined"])
+    def test_split_batches_keep_file_order_and_line_numbers(
+        self, tmp_path, monkeypatch, compiled_batches, caplog, parser
+    ):
+        _use_parser(monkeypatch, parser)
+        halves = []
+        start = embeddings._CompiledBatch.start
+
+        def recording(self, batch):
+            start(self, batch)
+            halves.append([batch[first:last] for first, last, *_ in self._parts])
+
+        monkeypatch.setattr(embeddings._CompiledBatch, "start", recording)
+        monkeypatch.setattr(embeddings, "_read_entry", lambda *args: None)  # parse every load
+        path = tmp_path / "emb.txt"
+        for batch_bytes in (1, 8, 16, 20, 1 << 20):
+            caplog.clear()
+            compiled_batches.clear()
+            with caplog.at_level(logging.WARNING):
+                self._load(path, self.SPLIT_TABLE, monkeypatch, batch_bytes)
+            assert caplog.messages == [
+                f"{path}: duplicate tokens ignored: 2 (lines 7, 10); "
+                "all-zero vectors dropped: 2 (lines 6, 11)"
+            ], batch_bytes
+            if parser == "compiled":
+                assert compiled_batches and all(compiled_batches)
+            # a row of another length on line 12
+            self._load(path, self.SPLIT_TABLE + b"d 1 2 3\n", monkeypatch, batch_bytes)
+        assert b"".join(halves[0]) == self.SPLIT_TABLE[4:10]  # the batch after the header
+        # among the splits: a batch of one line, all head; a head ending in
+        # a CRLF line before a tail of a blank line; a tail that is a row
+        assert [b"a 1 2\n", b""] in halves
+        assert [b"a 1 2\n\nb 3 4\r\n", b" \t\n"] in halves
+        assert [b" \t\nz 0 0\na 5 5\r\n", b"\n"] in halves
+        assert any(tail.startswith(b"y 0 0") for _, tail in halves)
+
+    def test_a_load_allocates_two_buffer_sets(self, tmp_path, monkeypatch, compiled_batches):
+        allocated = []
+        allocate = embeddings._CompiledBatch._allocate
+
+        def recording(self, capacity):
+            allocated.append(capacity)
+            allocate(self, capacity)
+
+        monkeypatch.setattr(embeddings._CompiledBatch, "_allocate", recording)
+        monkeypatch.setattr(embeddings, "_BATCH_BYTES", 2 << 10)
+        path = tmp_path / "emb.txt"
+        path.write_text("".join(f"w{i} {i + 1} 0.5 -2e-3\n" for i in range(5000)))
+        assert len(load_embeddings(path)) == 5000
+        # some fifty batches, each head and tail in its region of one of two sets
+        assert len(compiled_batches) > 50 and all(compiled_batches)
+        assert len(allocated) == 2
 
 
 class TestVocabulary:

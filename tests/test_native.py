@@ -1,13 +1,17 @@
+import os
 import platform
 import random
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from claimdist import native
 
-from conftest import DECLINED_FIELDS, FAST_FIELDS, require_library
+from conftest import DECLINED_FIELDS, FAST_FIELDS, require_library, write_corpus
 
 
 @pytest.fixture
@@ -157,3 +161,137 @@ class TestLibrary:
         [built] = names - kept
         assert built.startswith("native-") and built != f"native-{'1' * 64}.so"
         assert lib._name == str(cache / built)
+
+
+def _fake_cc(directory: Path, delay: float = 0.0) -> Path:
+    """``directory`` holding only a ``cc`` that fails.
+
+    It writes ``cc-started``, sleeps ``delay`` seconds, writes ``cc-done``
+    beside itself and exits 1.
+    """
+    directory.mkdir()
+    cc = directory / "cc"
+    cc.write_text(
+        f"#!{sys.executable}\n"
+        "import pathlib, sys, time\n"
+        "here = pathlib.Path(sys.argv[0]).parent\n"
+        "(here / 'cc-started').write_text('')\n"
+        f"time.sleep({delay})\n"
+        "(here / 'cc-done').write_text('')\n"
+        "sys.exit(1)\n"
+    )
+    cc.chmod(0o755)
+    return directory
+
+
+def _run_cli(manifest: Path, path: str, cache_home: Path) -> subprocess.CompletedProcess:
+    """``claimdist run`` on ``manifest`` in a new process, with ``PATH`` and the cache home given."""
+    env = {
+        **os.environ, "PATH": path, "XDG_CACHE_HOME": str(cache_home),
+        "PYTHONPATH": str(Path(native.__file__).parents[1]),
+    }
+    cmd = [sys.executable, "-m", "claimdist.cli", "run", str(manifest), "--format", "json"]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True)
+
+
+class TestBackgroundBuild:
+    """``run`` builds the library on a helper thread while it reads its inputs."""
+
+    @pytest.mark.parametrize(
+        "failure, code",
+        [
+            ("missing-document", 1),  # found with the manifest, before the build starts
+            ("missing-table", 1),  # found when the table is hashed, while cc runs
+            ("document-not-utf8", 2),  # found when the documents are read, while cc runs
+            ("unscoreable-group", 2),  # found once the table is parsed
+        ],
+    )
+    def test_failed_run_leaves_no_compiler_and_no_temporary_directory(
+        self, tmp_path, private_cache_home, failure, code
+    ):
+        if platform.machine() not in native._MACHINES:
+            pytest.skip(f"no compiled library on {platform.machine()}")
+        manifest = write_corpus(tmp_path, groups=("alpha", "solo"), docs_per_group=2)
+        if failure == "missing-document":
+            (tmp_path / "docs" / "alpha1.txt").unlink()
+        elif failure == "missing-table":
+            (tmp_path / "emb.txt").unlink()
+        elif failure == "document-not-utf8":
+            (tmp_path / "docs" / "alpha1.txt").write_bytes(b"word1 \xff word2")
+        else:
+            for i in (1, 2):
+                (tmp_path / "docs" / f"solo{i}.txt").write_text("zzzz qqqq")
+        tools = _fake_cc(tmp_path / "tools", delay=0.5)
+        done = _run_cli(manifest, str(tools), private_cache_home)
+        assert done.returncode == code, done.stderr
+        # cc ran (but for the manifest error), and the run waited for it
+        # to end and for its temporary directory to be removed
+        started = (tools / "cc-started").exists()
+        assert (tools / "cc-done").exists() == started == (failure != "missing-document")
+        assert list((private_cache_home / "claimdist").glob(".native-*")) == []
+
+    @pytest.mark.parametrize("how", ["cc-fails", "no-cc"])
+    def test_no_library_gives_one_warning_and_the_same_report(self, tmp_path, how):
+        manifest = write_corpus(tmp_path)
+        built = _run_cli(manifest, os.environ["PATH"], tmp_path / "built")
+        assert (built.returncode, built.stderr) == (0, "")
+        path = str(_fake_cc(tmp_path / "tools")) if how == "cc-fails" else ""
+        done = _run_cli(manifest, path, tmp_path / "fallback")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == built.stdout
+        [warning] = done.stderr.splitlines()
+        assert warning.startswith("WARNING claimdist.native: the Gibbs sweeps run in Python, ")
+
+    def test_warm_run_starts_no_thread_and_imports_no_subprocess(self, tmp_path, private_cache_home):
+        manifest = write_corpus(tmp_path)
+        cold = _run_cli(manifest, os.environ["PATH"], private_cache_home)
+        assert cold.returncode == 0, cold.stderr
+        check = (
+            "import sys, threading; from claimdist import cli; started = []; "
+            "start = threading.Thread.start; "
+            "threading.Thread.start = lambda self: (started.append(self.name), start(self)); "
+            f"code = cli.main(['run', {str(manifest)!r}, '--format', 'json']); "
+            "assert code == 0; "
+            "assert 'subprocess' not in sys.modules, 'subprocess was imported'; "
+            "assert started == [], f'threads were started: {started}'"
+        )
+        env = {
+            **os.environ, "PATH": "", "XDG_CACHE_HOME": str(private_cache_home),
+            "PYTHONPATH": str(Path(native.__file__).parents[1]),
+        }
+        done = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == cold.stdout
+
+    def test_a_failed_build_for_another_cache_is_not_reported(
+        self, tmp_path, monkeypatch, caplog, rebuilt_library
+    ):
+        if platform.machine() not in native._MACHINES:
+            pytest.skip(f"no compiled library on {platform.machine()}")
+        # a test whose run failed before it needed the library leaves a
+        # failed build for its cache, which its teardown waits for
+        path = os.environ["PATH"]
+        monkeypatch.setenv("PATH", str(_fake_cc(tmp_path / "tools")))
+        native.start_build()
+        native._pending.join(timeout=60)
+        assert not native._pending.is_alive()
+        # the next test, with its own cache and a working cc
+        native.library.cache_clear()
+        monkeypatch.setenv("PATH", path)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "next-test"))
+        assert native.library() is not None and native._pending is None
+        assert caplog.records == []
+
+    def test_a_failed_build_is_reported_once(self, tmp_path, monkeypatch, caplog, rebuilt_library):
+        if platform.machine() not in native._MACHINES:
+            pytest.skip(f"no compiled library on {platform.machine()}")
+        path = os.environ["PATH"]
+        monkeypatch.setenv("PATH", str(_fake_cc(tmp_path / "tools")))
+        native.start_build()
+        assert native.library() is None
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "cc exited with 1" in caplog.messages[0]
+        # once fixed, a fresh load builds the library again
+        native.library.cache_clear()
+        monkeypatch.setenv("PATH", path)
+        assert native.library() is not None

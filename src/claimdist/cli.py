@@ -12,7 +12,7 @@ import logging
 import sys
 import traceback
 
-from . import __version__
+from . import __version__, native
 from .errors import ConfigError, DataError, EmptyDocumentError, InternalInvariantError
 from .embeddings import load_embeddings
 from .pipeline import (
@@ -90,6 +90,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_dist(args) -> int:
+    native.start_build()  # cc works while the files are read and the table hashed
     stopwords = stopwords_from(args.stopwords)
     query = _read_doc_tokens(args.query_file, "query file", stopwords)
     candidate = _read_doc_tokens(args.candidate_file, "candidate file", stopwords)

@@ -10,14 +10,15 @@ The text is parsed in batches of whole lines by one parser. The
 compiled parser of :mod:`claimdist.native` reads a batch in one pass,
 tokens, numbers and line numbers, when every row is a token and plain
 decimals it rounds exactly. Each batch is split in two: one helper
-thread reads the head while the main thread keeps the rows of the batch
-before, then reads the tail, and the rows are kept in file order. A
-half the compiled parser declines, and every batch without the library,
-is read line by line with ``float`` rules, up to its first bad row, so
-that the error names that row's line. Both give the same bits for a
-number they both read. One row norm, ``np.linalg.norm(values, axis=1)``,
-both rejects a row (not finite) or drops it (zero) and is the norm
-stored for it.
+thread (a one-worker ``concurrent.futures`` pool, imported only by a
+load that parses) reads the head while the main thread keeps the rows
+of the batch before, then reads the tail, and the rows are kept in file
+order. A half the compiled parser declines, and every batch without the
+library, is read line by line with ``float`` rules, up to its first bad
+row, so that the error names that row's line. Both give the same bits
+for a number they both read. One row norm,
+``np.linalg.norm(values, axis=1)``, both rejects a row (not finite) or
+drops it (zero) and is the norm stored for it.
 
 A loaded matrix stays on disk. The parser streams the kept rows, as raw
 little-endian float64, into a file, and the table's ``matrix`` reads
@@ -47,7 +48,6 @@ import os
 import shutil
 import stat
 import tempfile
-import threading
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
@@ -276,55 +276,6 @@ class _CompiledBatch:
             part = self._batch[first:last] if compiled is None else b""
             lineno += rows.add(part, lineno, compiled)
         return lineno
-
-
-class _HeadReader(threading.Thread):
-    """The helper thread of a load, which reads the head of each batch handed to it.
-
-    :meth:`read` hands a :class:`_CompiledBatch` over and :meth:`wait`
-    waits until its head is read, raising what that raised; :meth:`stop`
-    ends the thread. Two semaphores pass each batch over and back.
-    """
-
-    def __init__(self):
-        super().__init__(name="claimdist-parse")
-        self._batch: _CompiledBatch | None = None
-        self._reading = False
-        self._error: BaseException | None = None
-        self._given, self._done = threading.Semaphore(0), threading.Semaphore(0)
-        self.start()
-
-    def run(self):
-        while True:
-            self._given.acquire()
-            if self._batch is None:
-                return
-            try:
-                self._batch.parse(0)
-            except BaseException as exc:  # raised again on the main thread by wait()
-                self._error = exc
-            self._done.release()
-
-    def read(self, batch: _CompiledBatch):
-        """Read the head of ``batch``, which :meth:`_CompiledBatch.start` has split."""
-        self._batch, self._reading = batch, True
-        self._given.release()
-
-    def wait(self):
-        """Wait for the head handed over last, if it is being read."""
-        if self._reading:
-            self._done.acquire()
-            self._reading = False
-        if self._error is not None:
-            raise self._error
-
-    def stop(self):
-        """Wait for the head being read, if any, and end the thread."""
-        if self._reading:
-            self._done.acquire()
-        self._batch = None
-        self._given.release()
-        self.join()
 
 
 def _header_bytes(batch: bytes) -> int:
@@ -645,11 +596,12 @@ def _add_batches(stream: BinaryIO, rows: _Rows, lib):
     """Add every batch of whole lines in ``stream`` to ``rows``, in order.
 
     With the compiled library ``lib``, each batch is split in two
-    (:class:`_CompiledBatch`). One helper thread for the whole load
-    (:class:`_HeadReader`) reads the head of a batch while the main
-    thread keeps the rows of the batch before and then reads the tail.
-    A batch's head is kept before its tail, and the helper thread has
-    ended before this returns or raises. Without the library,
+    (:class:`_CompiledBatch`). The one worker of a thread pool, for the
+    whole load, reads the head of a batch while the main thread keeps
+    the rows of the batch before and then reads the tail; waiting for
+    the head raises what its read raised. A batch's head is kept before
+    its tail, and the worker has ended before this returns or raises,
+    so no head is still being read into a buffer. Without the library,
     :func:`_line_rows` reads every batch here. A header line is cut off
     the first batch before either parser sees it.
     """
@@ -669,22 +621,21 @@ def _add_batches(stream: BinaryIO, rows: _Rows, lib):
             lineno += rows.add(batch, lineno)
             batch = read()
         return
+    from concurrent.futures import ThreadPoolExecutor  # only a cold load with the library
+
     current, other, previous = _CompiledBatch(lib), _CompiledBatch(lib), None
-    helper = _HeadReader()
-    try:
+    with ThreadPoolExecutor(1, thread_name_prefix="claimdist-parse") as helper:
         while batch:
             current.start(batch)
-            helper.read(current)
+            head = helper.submit(current.parse, 0)
             if previous is not None:
                 lineno = previous.add_to(rows, lineno)
             current.parse(1)
             batch = read()
-            helper.wait()
+            head.result()
             previous, current, other = current, other, current
         if previous is not None:
             previous.add_to(rows, lineno)
-    finally:
-        helper.stop()
 
 
 def load_embeddings(

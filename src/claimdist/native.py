@@ -7,12 +7,12 @@ topic model's Gibbs chain (:mod:`claimdist.claimselect`),
 kernel's per-candidate max over one block of cosines
 (:mod:`claimdist.transport`). All three are in :data:`_SOURCE`, which the
 first caller compiles with ``cc`` into the on-disk cache beside the
-table entries (``native-<sha256>.so``) and loads with ctypes; a run
-starts that build on a background thread (:func:`start_build`), so that
-``cc`` works while the run reads its inputs. Where it
-cannot be built or loaded, :func:`library` returns None and each caller
-runs its Python or numpy code instead (a table is then read line by
-line), which gives the same results.
+table entries (``native-<sha256>.so``) and loads with ctypes. The
+``run`` and ``dist`` commands start that build on a background thread
+(:func:`start_build`), so that ``cc`` works while they read their
+inputs. Where it cannot be built or loaded, :func:`library` returns
+None and each caller runs its Python or numpy code instead (a table is
+then read line by line), which gives the same results.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import platform
 import shutil
 import sys
 import tempfile
-import threading
 from pathlib import Path
 
 log = logging.getLogger(__name__)
@@ -211,34 +210,21 @@ def _path(machine: str) -> Path:
     return cache_dir() / f"native-{key}.so"
 
 
-class _Build(threading.Thread):
-    """:func:`_build` of ``path`` on a thread, keeping the error it raises.
-
-    It is not a daemon, so the interpreter waits for it, and for ``cc``
-    and the removal of the temporary directory, on every way out.
-    """
-
-    def __init__(self, path: Path):
-        super().__init__(name="claimdist-build")
-        self.path = path
-        self.error: BaseException | None = None
-
-    def run(self):
-        try:
-            _build(self.path)
-        except BaseException as exc:  # raised again on the main thread by library()
-            self.error = exc
-
-
-_pending: _Build | None = None
+# The library file and the concurrent.futures.Future of the build that
+# start_build started for it, until library() waits for it.
+_pending = None
 
 
 def start_build():
     """Start building the library in the background, where :func:`library` would build it.
 
     Nothing starts when this process has already settled the library,
-    when this machine has no compiled code, or when the file exists (so
-    a warm run starts no thread and imports no ``subprocess``).
+    when this machine has no compiled code, when the file exists (so a
+    warm run starts no thread and imports neither ``subprocess`` nor
+    ``concurrent.futures``), or when a build of it is already pending.
+    The build runs on the worker of a one-worker thread pool, which is
+    not a daemon: the interpreter waits for it, and for ``cc`` and the
+    removal of the temporary directory, on every way out.
     :func:`library` waits for the build.
     """
     global _pending
@@ -246,9 +232,13 @@ def start_build():
     if library.cache_info().currsize or not _supported(machine):
         return
     path = _path(machine)
-    if not path.exists():
-        _pending = _Build(path)
-        _pending.start()
+    if path.exists() or (_pending is not None and _pending[0] == path):
+        return
+    from concurrent.futures import ThreadPoolExecutor  # only a build starts a thread
+
+    builder = ThreadPoolExecutor(1, thread_name_prefix="claimdist-build")
+    _pending = path, builder.submit(_build, path)
+    builder.shutdown(wait=False)
 
 
 @functools.cache
@@ -258,7 +248,8 @@ def library() -> ctypes.CDLL | None:
     It is ``cache_dir()/native-<key>.so``, the key being the SHA-256 of
     the C source, the compiler flags and the machine. It is built with
     ``cc`` when missing, or waited for when :func:`start_build` is
-    building it, and loaded only if the current user owns it. On another
+    building it (whose error counts only if the build was for this
+    file), and loaded only if the current user owns it. On another
     machine, or when it cannot be built or loaded, one WARNING is logged
     and None is returned. Memoized per process.
     """
@@ -270,10 +261,11 @@ def library() -> ctypes.CDLL | None:
         if not _supported(machine):
             raise OSError(f"no compiled code on this {machine} Python")
         if build is not None:
-            build.join()
+            built, future = build
+            error = future.exception()  # waits for the build
             # a build for another cache directory is not this one's
-            if build.path == path and build.error is not None:
-                raise build.error
+            if built == path and error is not None:
+                raise error
         if not path.exists():
             _build(path)
         if path.stat().st_uid != os.getuid():

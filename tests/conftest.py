@@ -23,7 +23,7 @@ def private_cache_home(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
     yield cache
     if native._pending is not None:
-        native._pending.join(timeout=60)
+        native._pending[1].exception(timeout=60)
 
 
 @pytest.fixture

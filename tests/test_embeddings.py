@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -907,6 +908,61 @@ class TestBatchOrder:
         # some fifty batches, each head and tail in its region of one of two sets
         assert len(compiled_batches) > 50 and all(compiled_batches)
         assert len(allocated) == 2
+
+    def test_an_error_in_a_head_read_ends_the_load(
+        self, tmp_path, private_cache_home, monkeypatch
+    ):
+        require_library()
+        monkeypatch.setattr(embeddings, "_BATCH_BYTES", 16 << 10)
+        heads, sinks = [], []
+        parse, cache_sink = embeddings._CompiledBatch.parse, embeddings._cache_sink
+
+        def failing(self, half):
+            if half == 0:
+                heads.append(threading.current_thread())
+                if len(heads) == 3:
+                    raise _Failure("head of batch 3")
+            parse(self, half)
+
+        def recording(entry, name):
+            sinks.append(cache_sink(entry, name))
+            return sinks[-1]
+
+        monkeypatch.setattr(embeddings._CompiledBatch, "parse", failing)
+        monkeypatch.setattr(embeddings, "_cache_sink", recording)
+        threads = threading.active_count()
+        with pytest.raises(_Failure, match="head of batch 3"):
+            load_embeddings(_table_file(tmp_path / "emb.txt"))
+        assert len(heads) == 3 and threading.main_thread() not in heads
+        assert threading.active_count() == threads
+        assert len(sinks) == 1 and sinks[0][0].closed
+        assert list((private_cache_home / "claimdist").glob(".v2-*")) == []
+
+    def test_an_error_in_a_tail_read_waits_for_its_head(self, tmp_path, monkeypatch):
+        require_library()
+        monkeypatch.setattr(embeddings, "_BATCH_BYTES", 16 << 10)
+        reads, tail_failed, head_done = [0, 0], threading.Event(), threading.Event()
+        parse = embeddings._CompiledBatch.parse
+
+        def failing(self, half):
+            reads[half] += 1
+            if reads[half] == 3 and half == 1:
+                tail_failed.set()
+                raise _Failure("tail of batch 3")
+            if reads[half] == 3:  # the head of batch 3 ends after its tail failed
+                tail_failed.wait(timeout=10)
+                time.sleep(0.05)
+                head_done.set()
+            parse(self, half)
+
+        monkeypatch.setattr(embeddings._CompiledBatch, "parse", failing)
+        with pytest.raises(_Failure, match="tail of batch 3"):
+            load_embeddings(_table_file(tmp_path / "emb.txt"))
+        assert head_done.is_set()
+
+
+class _Failure(Exception):
+    pass
 
 
 class TestVocabulary:

@@ -4,12 +4,13 @@ import random
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from claimdist import native
+from claimdist import cli, embeddings, native
 
 from conftest import DECLINED_FIELDS, FAST_FIELDS, require_library, write_corpus
 
@@ -273,8 +274,8 @@ class TestBackgroundBuild:
         path = os.environ["PATH"]
         monkeypatch.setenv("PATH", str(_fake_cc(tmp_path / "tools")))
         native.start_build()
-        native._pending.join(timeout=60)
-        assert not native._pending.is_alive()
+        native._pending[1].exception(timeout=60)
+        assert native._pending[1].done()
         # the next test, with its own cache and a working cc
         native.library.cache_clear()
         monkeypatch.setenv("PATH", path)
@@ -295,3 +296,44 @@ class TestBackgroundBuild:
         native.library.cache_clear()
         monkeypatch.setenv("PATH", path)
         assert native.library() is not None
+
+    def test_a_second_start_while_one_is_pending_builds_once(
+        self, tmp_path, monkeypatch, caplog, rebuilt_library
+    ):
+        if platform.machine() not in native._MACHINES:
+            pytest.skip(f"no compiled library on {platform.machine()}")
+        builds = []
+        build = native._build
+        monkeypatch.setattr(native, "_build", lambda path: builds.append(path) or build(path))
+        monkeypatch.setenv("PATH", str(_fake_cc(tmp_path / "tools", delay=0.2)))
+        native.start_build()
+        native.start_build()
+        assert native.library() is None
+        for thread in threading.enumerate():
+            if thread.name.startswith("claimdist-build"):
+                thread.join(timeout=60)
+        assert builds == [native._path(platform.machine())]
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "cc exited with 1" in caplog.messages[0]
+
+    def test_dist_starts_the_build_before_it_reads_its_inputs(
+        self, tmp_path, monkeypatch, rebuilt_library
+    ):
+        if platform.machine() not in native._MACHINES:
+            pytest.skip(f"no compiled library on {platform.machine()}")
+        write_corpus(tmp_path)
+        hashed = []
+        file_sha256 = embeddings.file_sha256
+
+        def recording(path):
+            hashed.append(native._pending)
+            return file_sha256(path)
+
+        monkeypatch.setattr(embeddings, "file_sha256", recording)
+        docs = tmp_path / "docs"
+        argv = ["dist", str(docs / "query.txt"), str(docs / "alpha1.txt"),
+                "--embeddings", str(tmp_path / "emb.txt")]
+        assert cli.main(argv) == 0
+        [(path, build)] = hashed
+        assert path == native._path(platform.machine())
+        assert build.done() and build.exception() is None and native._pending is None

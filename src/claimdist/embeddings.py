@@ -1,10 +1,10 @@
 """Pretrained word-vector tables and cosine-similarity kernels.
 
 Vectors are loaded from the plain-text format popularized by GloVe
-(``token v_1 ... v_d`` per line, whitespace separated). A two-integer
-header line, as written by word2vec-style text exports, is detected and
-skipped. The loaded table is immutable and every query operation is
-pure, so concurrent readers are safe.
+(``token v_1 ... v_d`` per line, whitespace separated). A leading UTF-8
+byte-order mark and a two-integer header line, as written by
+word2vec-style text exports, are skipped. The loaded table is immutable
+and every query operation is pure, so concurrent readers are safe.
 
 The text is parsed in batches of whole lines by one parser. The
 compiled parser of :mod:`claimdist.native` reads a batch in one pass,
@@ -27,13 +27,13 @@ run's memory therefore follows the rows it uses, not the table size.
 
 A parsed table is kept in an on-disk cache keyed by the SHA-256 of its
 file, under ``$XDG_CACHE_HOME/claimdist`` (``~/.cache/claimdist`` when
-that is unset). An entry ``v2-<sha256>`` holds ``matrix.f64`` (the
+that is unset). An entry ``v3-<sha256>`` holds ``matrix.f64`` (the
 rows), ``norms.npy``, ``vocab.txt`` and ``meta.json``; the parse writes
 ``matrix.f64`` straight into it. A later load of the same file opens the
 stored rows instead of parsing the text again. Writing an entry removes
-every other entry that can no longer be hit, because its table file is
-gone or changed since it was parsed. Deleting the cache is always safe:
-a missing or damaged entry is parsed and written again.
+every other entry, of any format, parsed from the same file or from one
+gone or changed since. Deleting the cache is always safe: a missing or
+damaged entry is parsed and written again.
 When the cache cannot be written, the rows go to an anonymous
 temporary file under ``TMPDIR``.
 """
@@ -72,8 +72,8 @@ _BATCH_BYTES = 1 << 20
 # that both threads take about as long on a batch.
 _HEAD_SHARE = 0.8
 
-# Directory name prefix of a cache entry; change it when the layout does.
-_CACHE_FORMAT = "v2"
+# Directory name prefix of a cache entry; change it when its contents do.
+_CACHE_FORMAT = "v3"
 
 # Byte order and type of the stored rows.
 _ROW_DTYPE = np.dtype("<f8")
@@ -199,16 +199,17 @@ class _CompiledBatch:
     for the head and one for the tail, by their bytes. :meth:`parse`
     reads one half with ``claimdist_parse_batch``, given pointers into
     the one batch (the ctypes call releases the GIL): the helper thread
-    reads the head, the main thread the tail. A load alternates two of
-    these, so that the helper reads the next batch's head while the rows
-    of the batch before are kept; the buffers of a batch are reused only
-    after that.
+    reads the head, the main thread the tail. A load swaps two of these
+    after each batch, so that the helper reads the next batch's head
+    while the rows of the batch before are kept; the buffers of a batch
+    are reused only after that.
     """
 
     def __init__(self, lib):
         self._lib = lib
         self._capacity = 0
         self._sizes = np.zeros((2, 3), dtype=np.int64)
+        self._parts = []  # no batch yet: nothing to keep
 
     def _allocate(self, capacity: int):
         # a field takes at least 2 bytes of the batch, a row 3, and each
@@ -587,7 +588,7 @@ def _write_entry(entry: Path, tmp: Path, digest: str, rows: _Rows, table: Embedd
             log.warning("%s: cannot write embedding cache %s: %s", table.source_name, entry, exc)
         shutil.rmtree(tmp, ignore_errors=True)
         return
-    for other in entry.parent.glob(f"{_CACHE_FORMAT}-*"):
+    for other in entry.parent.glob("v[0-9]*-*"):  # entries of every format
         if other != entry and _stale(other, source):
             shutil.rmtree(other, ignore_errors=True)
 
@@ -602,8 +603,8 @@ def _add_batches(stream: BinaryIO, rows: _Rows, lib):
     the head raises what its read raised. A batch's head is kept before
     its tail, and the worker has ended before this returns or raises,
     so no head is still being read into a buffer. Without the library,
-    :func:`_line_rows` reads every batch here. A header line is cut off
-    the first batch before either parser sees it.
+    :func:`_line_rows` reads every batch here. A byte-order mark and a
+    header line are cut off the first batch before either parser sees it.
     """
 
     def read() -> bytes:
@@ -611,7 +612,7 @@ def _add_batches(stream: BinaryIO, rows: _Rows, lib):
         return batch + stream.readline() if batch else batch
 
     lineno = 1
-    batch = read()
+    batch = read().removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark
     skip = _header_bytes(batch)
     if skip:
         lineno += batch.count(b"\n", 0, skip)
@@ -623,19 +624,17 @@ def _add_batches(stream: BinaryIO, rows: _Rows, lib):
         return
     from concurrent.futures import ThreadPoolExecutor  # only a cold load with the library
 
-    current, other, previous = _CompiledBatch(lib), _CompiledBatch(lib), None
+    current, previous = _CompiledBatch(lib), _CompiledBatch(lib)
     with ThreadPoolExecutor(1, thread_name_prefix="claimdist-parse") as helper:
         while batch:
             current.start(batch)
             head = helper.submit(current.parse, 0)
-            if previous is not None:
-                lineno = previous.add_to(rows, lineno)
+            lineno = previous.add_to(rows, lineno)
             current.parse(1)
             batch = read()
             head.result()
-            previous, current, other = current, other, current
-        if previous is not None:
-            previous.add_to(rows, lineno)
+            current, previous = previous, current
+        previous.add_to(rows, lineno)
 
 
 def load_embeddings(

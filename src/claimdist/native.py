@@ -10,9 +10,10 @@ first caller compiles with ``cc`` into the on-disk cache beside the
 table entries (``native-<sha256>.so``) and loads with ctypes. The
 ``run`` and ``dist`` commands start that build on a background thread
 (:func:`start_build`), so that ``cc`` works while they read their
-inputs. Where it cannot be built or loaded, :func:`library` returns
-None and each caller runs its Python or numpy code instead (a table is
-then read line by line), which gives the same results.
+inputs; :func:`library` waits for the build of its own file. Where it
+cannot be built or loaded, :func:`library` returns None and each caller
+runs its Python or numpy code instead (a table is then read line by
+line), which gives the same results.
 """
 
 from __future__ import annotations
@@ -210,34 +211,33 @@ def _path(machine: str) -> Path:
     return cache_dir() / f"native-{key}.so"
 
 
-# The library file and the concurrent.futures.Future of the build that
-# start_build started for it, until library() waits for it.
-_pending = None
+# The concurrent.futures.Future of each build start_build started, by its
+# library file, until library() waits for it (another cache's stays here).
+_builds = {}
 
 
 def start_build():
     """Start building the library in the background, where :func:`library` would build it.
 
     Nothing starts when this process has already settled the library,
-    when this machine has no compiled code, when the file exists (so a
-    warm run starts no thread and imports neither ``subprocess`` nor
-    ``concurrent.futures``), or when a build of it is already pending.
-    The build runs on the worker of a one-worker thread pool, which is
-    not a daemon: the interpreter waits for it, and for ``cc`` and the
-    removal of the temporary directory, on every way out.
-    :func:`library` waits for the build.
+    when this machine has no compiled code, when a build of the file was
+    started already, or when the file exists (so a warm run starts no
+    thread and imports neither ``subprocess`` nor
+    ``concurrent.futures``). The build runs on the worker of a
+    one-worker thread pool, which is not a daemon: the interpreter waits
+    for it, and for ``cc`` and the removal of the temporary directory, on
+    every way out. :func:`library` waits for the build.
     """
-    global _pending
     machine = platform.machine()
     if library.cache_info().currsize or not _supported(machine):
         return
     path = _path(machine)
-    if path.exists() or (_pending is not None and _pending[0] == path):
+    if path in _builds or path.exists():
         return
     from concurrent.futures import ThreadPoolExecutor  # only a build starts a thread
 
     builder = ThreadPoolExecutor(1, thread_name_prefix="claimdist-build")
-    _pending = path, builder.submit(_build, path)
+    _builds[path] = builder.submit(_build, path)
     builder.shutdown(wait=False)
 
 
@@ -247,25 +247,21 @@ def library() -> ctypes.CDLL | None:
 
     It is ``cache_dir()/native-<key>.so``, the key being the SHA-256 of
     the C source, the compiler flags and the machine. It is built with
-    ``cc`` when missing, or waited for when :func:`start_build` is
-    building it (whose error counts only if the build was for this
-    file), and loaded only if the current user owns it. On another
-    machine, or when it cannot be built or loaded, one WARNING is logged
-    and None is returned. Memoized per process.
+    ``cc`` when missing, or waited for when :func:`start_build` started
+    its build, whose error counts here (a build for another cache
+    directory is neither waited for nor reported), and loaded only if the
+    current user owns it. On another machine, or when it cannot be built
+    or loaded, one WARNING is logged and None is returned. Memoized per
+    process.
     """
-    global _pending
     machine = platform.machine()
     path = _path(machine)
-    build, _pending = _pending, None
+    build = _builds.pop(path, None)
     try:
         if not _supported(machine):
             raise OSError(f"no compiled code on this {machine} Python")
-        if build is not None:
-            built, future = build
-            error = future.exception()  # waits for the build
-            # a build for another cache directory is not this one's
-            if built == path and error is not None:
-                raise error
+        if build is not None and build.exception() is not None:  # waits for the build
+            raise build.exception()
         if not path.exists():
             _build(path)
         if path.stat().st_uid != os.getuid():

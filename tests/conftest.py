@@ -16,14 +16,21 @@ from claimdist.textprep import NBow
 def private_cache_home(tmp_path, monkeypatch):
     """Point the on-disk cache (tables, the compiled library) at the test's directory, not ``~/.cache``.
 
-    A library build that a run started in the background and nothing
-    waited for ends with the test, not during a later one.
+    The library builds that a test started in the background and nothing
+    waited for, one per cache directory, end with the test, not during a
+    later one.
     """
     cache = tmp_path / "xdg-cache"
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
     yield cache
-    if native._pending is not None:
-        native._pending[1].exception(timeout=60)
+    wait_for_builds()
+
+
+def wait_for_builds():
+    """Wait for every library build started in the background and not waited for, then forget them."""
+    for build in native._builds.values():
+        build.exception(timeout=60)
+    native._builds.clear()
 
 
 @pytest.fixture

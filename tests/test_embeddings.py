@@ -14,7 +14,7 @@ import pytest
 
 from claimdist.embeddings import load_embeddings, similarity_matrix
 from claimdist.errors import EmbeddingParseError, OutOfVocabularyError
-from claimdist import embeddings, native
+from claimdist import cli, embeddings, native
 
 from conftest import (
     DECLINED_FIELDS,
@@ -287,9 +287,14 @@ def _table_file(path, n_words=2000, dim=50, seed=2):
     return path
 
 
+def _entry_name(digest):
+    """The name of the cache entry of the table with SHA-256 ``digest``."""
+    return f"{embeddings._CACHE_FORMAT}-{digest}"
+
+
 def _entries(cache_home):
     """The table entries in the cache, beside the compiled library that a parse may build."""
-    return list((cache_home / "claimdist").glob("v2-*"))
+    return list((cache_home / "claimdist").glob(_entry_name("*")))
 
 
 def _entry(cache_home):
@@ -315,7 +320,7 @@ class TestEmbeddingCache:
         path = _table_file(tmp_path / "emb.txt")
         with caplog.at_level(logging.WARNING):
             cold = load_embeddings(path)
-            assert _entry(private_cache_home).name == f"v2-{embeddings.file_sha256(path)}"
+            assert _entry(private_cache_home).name == _entry_name(embeddings.file_sha256(path))
             monkeypatch.setattr(embeddings, "_Rows", _no_parse)
             hit = load_embeddings(path)
         _assert_same_table(hit, cold)
@@ -392,7 +397,7 @@ class TestEmbeddingCache:
         for seed in (4, 5):
             load_embeddings(_table_file(path, n_words=20, seed=seed))
         digests = {embeddings.file_sha256(kept), embeddings.file_sha256(path)}
-        assert {e.name for e in _entries(private_cache_home)} == {f"v2-{d}" for d in digests}
+        assert {e.name for e in _entries(private_cache_home)} == {_entry_name(d) for d in digests}
 
     def test_entry_of_a_deleted_table_is_removed(self, tmp_path, private_cache_home):
         a = _table_file(tmp_path / "a.txt", n_words=20, seed=3)
@@ -400,7 +405,7 @@ class TestEmbeddingCache:
         a.unlink()
         b = _table_file(tmp_path / "b.txt", n_words=20, seed=4)
         load_embeddings(b)
-        assert _entry(private_cache_home).name == f"v2-{embeddings.file_sha256(b)}"
+        assert _entry(private_cache_home).name == _entry_name(embeddings.file_sha256(b))
 
     @pytest.mark.parametrize("change", ["mtime", "size", "no-source", "no-meta"])
     def test_entry_that_cannot_be_hit_is_removed(
@@ -424,7 +429,7 @@ class TestEmbeddingCache:
             meta_file.unlink()
         b = _table_file(tmp_path / "b.txt", n_words=20, seed=4)
         load_embeddings(b)
-        assert _entry(private_cache_home).name == f"v2-{embeddings.file_sha256(b)}"
+        assert _entry(private_cache_home).name == _entry_name(embeddings.file_sha256(b))
 
     def test_entry_written_meanwhile_is_left_in_place(
         self, tmp_path, private_cache_home, monkeypatch
@@ -936,7 +941,7 @@ class TestBatchOrder:
         assert len(heads) == 3 and threading.main_thread() not in heads
         assert threading.active_count() == threads
         assert len(sinks) == 1 and sinks[0][0].closed
-        assert list((private_cache_home / "claimdist").glob(".v2-*")) == []
+        assert list((private_cache_home / "claimdist").glob("." + _entry_name("*"))) == []
 
     def test_an_error_in_a_tail_read_waits_for_its_head(self, tmp_path, monkeypatch):
         require_library()
@@ -959,6 +964,92 @@ class TestBatchOrder:
         with pytest.raises(_Failure, match="tail of batch 3"):
             load_embeddings(_table_file(tmp_path / "emb.txt"))
         assert head_done.is_set()
+
+
+BOM = b"\xef\xbb\xbf"  # a UTF-8 byte-order mark
+
+
+class TestByteOrderMark:
+    """A byte-order mark that starts a table is dropped; one that starts a later token is kept."""
+
+    # a duplicate of line 1 on line 4
+    ROWS = b"novel 1 0\ncat 0 1\ndog 1 1\nnovel 2 2\n"
+
+    @pytest.mark.parametrize("parser", PARSERS)
+    @pytest.mark.parametrize("header", [b"", b"3 2\n"], ids=["no-header", "header"])
+    @pytest.mark.parametrize("batch_bytes", [1, 1 << 20])
+    def test_a_leading_mark_is_dropped_and_counts_no_line(
+        self, tmp_path, monkeypatch, compiled_batches, caplog, parser, header, batch_bytes
+    ):
+        _use_parser(monkeypatch, parser)
+        monkeypatch.setattr(embeddings, "_BATCH_BYTES", batch_bytes)
+        monkeypatch.setattr(embeddings, "_read_entry", lambda *args: None)  # parse every load
+        path = tmp_path / "emb.txt"
+        path.write_bytes(header + self.ROWS)
+        with caplog.at_level(logging.WARNING):
+            plain = load_embeddings(path)
+            path.write_bytes(BOM + header + self.ROWS)
+            marked = load_embeddings(path)
+        assert list(marked.vocabulary) == ["novel", "cat", "dog"]
+        _assert_same_table(marked, plain)
+        line = 4 + bool(header)
+        assert caplog.messages == [f"{path}: duplicate tokens ignored: 1 (line {line})"] * 2
+        if parser == "compiled":
+            assert compiled_batches and all(compiled_batches)
+        path.write_bytes(BOM + header + self.ROWS + b"cow 1 2 3\n")
+        with pytest.raises(EmbeddingParseError) as info:
+            load_embeddings(path)
+        assert str(info.value) == f"{path}: line {line + 1}: row has dimension 3, table has 2"
+
+    @pytest.mark.parametrize("parser", PARSERS)
+    @pytest.mark.parametrize("batch_bytes", [1, 1 << 20])
+    def test_a_later_token_keeps_its_mark(
+        self, tmp_path, monkeypatch, compiled_batches, parser, batch_bytes
+    ):
+        _use_parser(monkeypatch, parser)
+        monkeypatch.setattr(embeddings, "_BATCH_BYTES", batch_bytes)
+        path = tmp_path / "emb.txt"
+        # with one-line batches, the mark starts the second batch
+        path.write_bytes(self.ROWS.replace(b"cat", BOM + b"cat"))
+        table = load_embeddings(path)
+        assert list(table.vocabulary) == ["novel", "\ufeffcat", "dog"]
+        if parser == "compiled":
+            assert compiled_batches and all(compiled_batches)
+
+    @pytest.mark.parametrize("parser", PARSERS)
+    def test_dist_scores_as_without_the_mark(self, tmp_path, monkeypatch, capsys, parser):
+        _use_parser(monkeypatch, parser)
+        monkeypatch.setattr(native, "start_build", lambda: None)  # no build in the background
+        (tmp_path / "query.txt").write_text("novel cat")
+        (tmp_path / "candidate.txt").write_text("novel dog")
+        argv = ["dist", str(tmp_path / "query.txt"), str(tmp_path / "candidate.txt"),
+                "--embeddings", str(tmp_path / "emb.txt")]
+        distances = []
+        for mark in (b"", BOM):
+            (tmp_path / "emb.txt").write_bytes(mark + self.ROWS)
+            assert cli.main(argv) == 0
+            distances.append(json.loads(capsys.readouterr().out)["distance"])
+        assert distances[0] == distances[1] == pytest.approx(0.1464466)
+
+    @pytest.mark.parametrize("parser", PARSERS)
+    def test_an_entry_of_the_older_format_is_not_read_and_is_removed(
+        self, tmp_path, private_cache_home, monkeypatch, parser
+    ):
+        _use_parser(monkeypatch, parser)
+        path = tmp_path / "emb.txt"
+        path.write_bytes(BOM + self.ROWS)
+        load_embeddings(path)
+        # the entry an older version wrote for this table, its first token
+        # with the mark
+        entry = _entry(private_cache_home)
+        old = entry.with_name(f"v2-{embeddings.file_sha256(path)}")
+        entry.rename(old)
+        (old / "vocab.txt").write_text("\ufeffnovel\ncat\ndog", encoding="utf-8")
+        assert embeddings._read_entry(old, embeddings.file_sha256(path), str(path)) is not None
+        table = load_embeddings(path)
+        assert list(table.vocabulary) == ["novel", "cat", "dog"]
+        assert not old.exists()
+        assert _entry(private_cache_home).name == _entry_name(embeddings.file_sha256(path))
 
 
 class _Failure(Exception):

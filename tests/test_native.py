@@ -12,7 +12,7 @@ import pytest
 
 from claimdist import cli, embeddings, native
 
-from conftest import DECLINED_FIELDS, FAST_FIELDS, require_library, write_corpus
+from conftest import DECLINED_FIELDS, FAST_FIELDS, require_library, wait_for_builds, write_corpus
 
 
 @pytest.fixture
@@ -274,14 +274,85 @@ class TestBackgroundBuild:
         path = os.environ["PATH"]
         monkeypatch.setenv("PATH", str(_fake_cc(tmp_path / "tools")))
         native.start_build()
-        native._pending[1].exception(timeout=60)
-        assert native._pending[1].done()
+        [build] = native._builds.values()
+        build.exception(timeout=60)
+        assert build.done()
         # the next test, with its own cache and a working cc
         native.library.cache_clear()
         monkeypatch.setenv("PATH", path)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "next-test"))
-        assert native.library() is not None and native._pending is None
+        assert native.library() is not None and list(native._builds.values()) == [build]
         assert caplog.records == []
+
+    @staticmethod
+    def _start_gated_builds(tmp_path, monkeypatch, build):
+        """Start a build in the caches ``other`` and ``own``; each calls ``build`` once its gate opens.
+
+        Returns the two library files and their gates.
+        """
+        gates, paths = {}, []
+        for cache in ("other", "own"):
+            monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / cache))
+            paths.append(native._path(platform.machine()))
+            gates[paths[-1]] = threading.Event()
+
+        def gated(path):
+            assert gates[path].wait(timeout=30)
+            build(path)
+
+        monkeypatch.setattr(native, "_build", gated)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "other"))
+        native.start_build()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "own"))
+        native.start_build()
+        return paths, gates
+
+    def test_library_waits_only_for_its_own_cache_s_build(
+        self, tmp_path, monkeypatch, caplog, rebuilt_library
+    ):
+        if platform.machine() not in native._MACHINES:
+            pytest.skip(f"no compiled library on {platform.machine()}")
+        real_build = native._build
+
+        def build(path):
+            if path.parent.parent.name == "other":
+                raise OSError("cc exited with 1: the other cache's build")
+            real_build(path)
+
+        (other, own), gates = self._start_gated_builds(tmp_path, monkeypatch, build)
+        builds = dict(native._builds)
+        assert set(builds) == {other, own}
+        gates[own].set()
+        assert native.library() is not None
+        assert builds[own].done() and not builds[other].done()
+        assert list(native._builds) == [other]
+        # the other cache's build fails: a later load here does not report it
+        gates[other].set()
+        assert "the other cache's build" in str(builds[other].exception(timeout=60))
+        native.library.cache_clear()
+        assert native.library() is not None
+        assert list(native._builds) == [other]
+        assert caplog.records == []
+
+    def test_the_teardown_waits_for_every_cache_s_build(
+        self, tmp_path, monkeypatch, rebuilt_library
+    ):
+        if platform.machine() not in native._MACHINES:
+            pytest.skip(f"no compiled library on {platform.machine()}")
+        built = []
+        (other, own), gates = self._start_gated_builds(tmp_path, monkeypatch, built.append)
+        builds = dict(native._builds)
+        assert set(builds) == {other, own}
+        # the build started first ends last, after the teardown started waiting
+        opening = [threading.Timer(0.4, gates[other].set), threading.Timer(0.2, gates[own].set)]
+        for timer in opening:
+            timer.start()
+        wait_for_builds()
+        assert all(build.done() for build in builds.values()) and native._builds == {}
+        assert sorted(built) == sorted([own, other])
+        for timer in opening:
+            timer.join(timeout=10)
+            assert not timer.is_alive()
 
     def test_a_failed_build_is_reported_once(self, tmp_path, monkeypatch, caplog, rebuilt_library):
         if platform.machine() not in native._MACHINES:
@@ -326,7 +397,7 @@ class TestBackgroundBuild:
         file_sha256 = embeddings.file_sha256
 
         def recording(path):
-            hashed.append(native._pending)
+            hashed.append(dict(native._builds))
             return file_sha256(path)
 
         monkeypatch.setattr(embeddings, "file_sha256", recording)
@@ -334,6 +405,7 @@ class TestBackgroundBuild:
         argv = ["dist", str(docs / "query.txt"), str(docs / "alpha1.txt"),
                 "--embeddings", str(tmp_path / "emb.txt")]
         assert cli.main(argv) == 0
-        [(path, build)] = hashed
+        [builds] = hashed
+        [(path, build)] = builds.items()
         assert path == native._path(platform.machine())
-        assert build.done() and build.exception() is None and native._pending is None
+        assert build.done() and build.exception() is None and native._builds == {}

@@ -7,6 +7,7 @@ invariant violation or unexpected failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -16,6 +17,7 @@ from . import __version__, native
 from .errors import ConfigError, DataError, EmptyDocumentError, InternalInvariantError
 from .embeddings import load_embeddings
 from .pipeline import (
+    DEFAULT_SEED,
     REPORT_FORMATS,
     SELECTOR_METHODS,
     SelectorConfig,
@@ -53,6 +55,10 @@ def _non_negative_int(text: str) -> int:
 
 def _int_list(text: str) -> list[int]:
     return [int(s) for s in text.split(",") if s.strip()]
+
+
+def _word_tuple(text: str) -> tuple[str, ...] | None:
+    return tuple(text.split(",")) if text else None
 
 
 def _read_doc_tokens(path: str, label: str, stopwords) -> list[str]:
@@ -105,11 +111,8 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    cfg = SelectorConfig(
-        method=args.selector, top_k=args.top_k, n_topics=args.k, alpha=args.alpha,
-        beta=args.beta, iterations=args.iters, window=args.window,
-        cue_words=tuple(args.cues.split(",")) if args.cues else None,
-    )
+    settings = {f.name: getattr(args, f.name) for f in dataclasses.fields(SelectorConfig)}
+    cfg = SelectorConfig(**{k: v for k, v in settings.items() if v is not None})
     text = read_text(args.file, "input file")
     stopwords = stopwords_from(args.stopwords)
     if cfg.method == "ma" and not args.embeddings:
@@ -179,17 +182,20 @@ def build_parser() -> _Parser:
     p.add_argument("--stopwords", default=None)
     p.set_defaults(fn=_cmd_dist)
 
+    # Selector flags are named by their SelectorConfig field (dest); one
+    # not given keeps that field's default, as a manifest key does.
     p = sub.add_parser("extract", help="select knowledge-claim sentences from a document")
     p.add_argument("file")
-    p.add_argument("--selector", choices=SELECTOR_METHODS, required=True)
-    p.add_argument("--top-k", type=int, default=5)
-    p.add_argument("--k", type=int, default=5, help="topic count (lda)")
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--beta", type=float, default=0.01)
-    p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--cues", default=None, help="comma-separated cue words (lda)")
-    p.add_argument("--window", type=int, default=3, help="smoothing window (ma)")
+    p.add_argument("--selector", dest="method", choices=SELECTOR_METHODS, required=True)
+    p.add_argument("--top-k", type=int)
+    p.add_argument("--k", dest="n_topics", type=int, help="topic count (lda)")
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--iters", dest="iterations", type=int)
+    p.add_argument("--seed", type=_non_negative_int, default=DEFAULT_SEED)
+    p.add_argument("--cues", dest="cue_words", type=_word_tuple,
+                   help="comma-separated cue words (lda)")
+    p.add_argument("--window", type=int, help="smoothing window (ma)")
     p.add_argument("--embeddings", default=None, help="word-vector file (required for ma)")
     p.add_argument("--stopwords", default=None)
     p.set_defaults(fn=_cmd_extract)

@@ -16,7 +16,9 @@ of the batch before, then reads the tail, and the rows are kept in file
 order. A half the compiled parser declines, and every batch without the
 library, is read line by line with ``float`` rules, up to its first bad
 row, so that the error names that row's line. Both give the same bits
-for a number they both read. One row norm,
+for a number they both read, and their rows in one shape (tokens,
+numbers, line numbers, the newline count and the error that ended the
+rows), which one keeper takes. One row norm,
 ``np.linalg.norm(values, axis=1)``, both rejects a row (not finite) or
 drops it (zero) and is the norm stored for it.
 
@@ -30,7 +32,10 @@ file, under ``$XDG_CACHE_HOME/claimdist`` (``~/.cache/claimdist`` when
 that is unset). An entry ``v3-<sha256>`` holds ``matrix.f64`` (the
 rows), ``norms.npy``, ``vocab.txt`` and ``meta.json``; the parse writes
 ``matrix.f64`` straight into it. A later load of the same file opens the
-stored rows instead of parsing the text again. Writing an entry removes
+stored rows instead of parsing the text again. The parse hashes the
+bytes it reads; when they no longer have the digest the entry was looked
+up by, the file changed after it was hashed, and the load raises
+:class:`DataError` and writes no entry. Writing an entry removes
 every other entry, of any format, parsed from the same file or from one
 gone or changed since. Deleting the cache is always safe: a missing or
 damaged entry is parsed and written again.
@@ -56,7 +61,7 @@ from typing import BinaryIO, Sequence
 import numpy as np
 
 from . import native
-from .errors import ConfigError, EmbeddingParseError, OutOfVocabularyError
+from .errors import ConfigError, DataError, EmbeddingParseError, OutOfVocabularyError
 
 log = logging.getLogger(__name__)
 
@@ -83,6 +88,10 @@ _IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 # Line numbers shown per kind of dropped row in the load summary.
 _SHOWN_LINES = 5
+
+# Rows as both parsers give them: tokens, numbers (a row per token), line
+# numbers, the newline count and the error of the line that ended them.
+_Parsed = tuple[list[str], np.ndarray, np.ndarray, int, "EmbeddingParseError | None"]
 
 
 @dataclass(frozen=True)
@@ -245,15 +254,16 @@ class _CompiledBatch:
             self._sizes[half].ctypes.data,
         )
 
-    def result(self, half: int) -> tuple[list[str], np.ndarray, np.ndarray, int] | None:
-        """The tokens, numbers, line indices and newline count of a half, or None where declined.
+    def result(self, half: int, lineno: int) -> _Parsed | None:
+        """The rows of a half, the first on line ``lineno``, as :func:`_line_rows` gives them.
 
-        The compiled parser declines a half unless every line is blank or
-        a token and plain decimals it rounds exactly as ``float`` does
-        (``claimdist_parse_batch`` in :mod:`claimdist.native`). A half is
-        declined here too when its tokens are not UTF-8 or one holds
-        whitespace that ``str.split`` splits on. The numbers are a view of
-        the buffer, valid until this object reads its next batch.
+        None where the half is declined. The compiled parser declines a
+        half unless every line is blank or a token and plain decimals it
+        rounds exactly as ``float`` does (``claimdist_parse_batch`` in
+        :mod:`claimdist.native`), so a half it takes has no bad line. A
+        half is declined here too when its tokens are not UTF-8 or one
+        holds whitespace that ``str.split`` splits on. The numbers are a
+        view of the buffer, valid until this object reads its next batch.
         """
         rows = self._rows[half]
         if rows < 0:
@@ -267,15 +277,13 @@ class _CompiledBatch:
         words = blob.split("\n") if rows else []
         if words != blob.split():
             return None
-        return words, values[: rows * dim].reshape(rows, dim), lines[:rows], newlines
+        return words, values[: rows * dim].reshape(rows, dim), lines[:rows] + lineno, newlines, None
 
     def add_to(self, rows: _Rows, lineno: int) -> int:
         """Keep the head's rows, then the tail's, the first on line ``lineno``; returns the next line."""
         for half, (first, last, *_) in enumerate(self._parts):
-            compiled = self.result(half)
-            # a half is sliced out of the batch only to be read line by line
-            part = self._batch[first:last] if compiled is None else b""
-            lineno += rows.add(part, lineno, compiled)
+            parsed = self.result(half, lineno) or _line_rows(self._batch[first:last], lineno)
+            lineno += rows.add(*parsed)
         return lineno
 
 
@@ -296,9 +304,7 @@ def _header_bytes(batch: bytes) -> int:
     return len(line) + (end >= 0)
 
 
-def _line_rows(
-    batch: bytes, first_lineno: int
-) -> tuple[list[str], np.ndarray | None, np.ndarray | None, int, EmbeddingParseError | None]:
+def _line_rows(batch: bytes, first_lineno: int) -> _Parsed:
     """The rows of ``batch`` read line by line with ``float`` rules, up to its first bad line.
 
     Returns their tokens, numbers, line numbers, the batch's newline count
@@ -333,11 +339,10 @@ def _line_rows(
         tokens.append(parts[0])
         values.append(row)
         linenos.append(lineno)
-    if not values:
-        if error is not None:
-            raise error
-        return [], None, None, len(lines) - 1, None
-    return tokens, np.array(values), np.array(linenos), len(lines) - 1, error
+    if not values and error is not None:
+        raise error
+    matrix = np.array(values) if values else np.empty((0, 0))
+    return tokens, matrix, np.array(linenos, dtype=np.int64), len(lines) - 1, error
 
 
 def _row_values(rest: str) -> np.ndarray:
@@ -377,27 +382,22 @@ class _Rows:
 
     def add(
         self,
-        batch: bytes,
-        first_lineno: int,
-        compiled: tuple[list[str], np.ndarray, np.ndarray, int] | None = None,
+        tokens: list[str],
+        values: np.ndarray,
+        linenos: np.ndarray,
+        newlines: int,
+        error: EmbeddingParseError | None,
     ) -> int:
-        """Keep the rows of the whole lines in ``batch``, the first of them numbered ``first_lineno``.
+        """Keep parsed rows, as :func:`_line_rows` gives them; returns ``newlines``.
 
-        ``compiled`` is the batch as :meth:`_CompiledBatch.result` gives
-        it; without it, :func:`_line_rows` reads the batch line by line.
-        Returns the number of newlines in ``batch``, which the next batch's
-        first line number adds. A line that is not UTF-8, has a token but
-        no values, has a non-numeric field or changes the row length ends
-        the batch; the rows before it are checked before its error is
-        raised, so every error names the first bad line. One row norm both
-        rejects a row (not finite) or drops it (zero) and is the norm
-        stored for it. A duplicate token is skipped unchecked.
+        ``values`` holds one row of numbers per token, read from the line
+        ``linenos`` names; the next batch's first line number adds
+        ``newlines``. ``error``, the error of the line that ended the rows,
+        is raised after they are checked, so every error names the first
+        bad line. One row norm both rejects a row (not finite) or drops it
+        (zero) and is the norm stored for it. A duplicate token is
+        skipped unchecked.
         """
-        if compiled is None:
-            tokens, values, linenos, newlines, error = _line_rows(batch, first_lineno)
-        else:
-            tokens, values, lines, newlines = compiled
-            linenos, error = lines + first_lineno, None
         if not tokens:
             return newlines
         dim = values.shape[1]
@@ -556,14 +556,16 @@ def _stale(entry: Path, source: str) -> bool:
     return meta["source"] == source or (st.st_size, st.st_mtime_ns) != recorded
 
 
-def _write_entry(entry: Path, tmp: Path, digest: str, rows: _Rows, table: EmbeddingTable):
+def _write_entry(
+    entry: Path, tmp: Path, digest: str, st: os.stat_result, rows: _Rows, table: EmbeddingTable
+):
     """Complete the entry whose rows were parsed into ``tmp``; rename it into place.
 
-    Then remove every other entry that can no longer be hit (``_stale``).
+    ``st`` is the status of the file parsed, as it was opened. Then
+    remove every other entry that can no longer be hit (``_stale``).
     """
     source = os.path.realpath(table.source_name)
     try:
-        st = os.stat(source)
         meta = {
             "key": digest,
             "source": source,
@@ -593,8 +595,8 @@ def _write_entry(entry: Path, tmp: Path, digest: str, rows: _Rows, table: Embedd
             shutil.rmtree(other, ignore_errors=True)
 
 
-def _add_batches(stream: BinaryIO, rows: _Rows, lib):
-    """Add every batch of whole lines in ``stream`` to ``rows``, in order.
+def _add_batches(stream: BinaryIO, rows: _Rows, lib) -> str:
+    """Add every batch of whole lines in ``stream`` to ``rows``, in order; returns their SHA-256.
 
     With the compiled library ``lib``, each batch is split in two
     (:class:`_CompiledBatch`). The one worker of a thread pool, for the
@@ -603,13 +605,19 @@ def _add_batches(stream: BinaryIO, rows: _Rows, lib):
     the head raises what its read raised. A batch's head is kept before
     its tail, and the worker has ended before this returns or raises,
     so no head is still being read into a buffer. Without the library,
-    :func:`_line_rows` reads every batch here. A byte-order mark and a
-    header line are cut off the first batch before either parser sees it.
+    :func:`_line_rows` reads every batch here. Each batch is hashed as
+    it is read, so the digest covers exactly the bytes parsed. A
+    byte-order mark and a header line are then cut off the first batch,
+    before either parser sees it.
     """
+    digest = hashlib.sha256()
 
     def read() -> bytes:
         batch = stream.read(_BATCH_BYTES)
-        return batch + stream.readline() if batch else batch
+        if batch:
+            batch += stream.readline()
+            digest.update(batch)
+        return batch
 
     lineno = 1
     batch = read().removeprefix(b"\xef\xbb\xbf")  # a UTF-8 byte-order mark
@@ -619,9 +627,9 @@ def _add_batches(stream: BinaryIO, rows: _Rows, lib):
         batch = batch[skip:] or read()  # a batch may hold only the header
     if lib is None:
         while batch:
-            lineno += rows.add(batch, lineno)
+            lineno += rows.add(*_line_rows(batch, lineno))
             batch = read()
-        return
+        return digest.hexdigest()
     from concurrent.futures import ThreadPoolExecutor  # only a cold load with the library
 
     current, previous = _CompiledBatch(lib), _CompiledBatch(lib)
@@ -635,6 +643,7 @@ def _add_batches(stream: BinaryIO, rows: _Rows, lib):
             head.result()
             current, previous = previous, current
         previous.add_to(rows, lineno)
+    return digest.hexdigest()
 
 
 def load_embeddings(
@@ -649,9 +658,11 @@ def load_embeddings(
     one logged warning. Inconsistent dimensions, non-numeric or
     non-finite fields and bytes that are not UTF-8 raise
     :class:`EmbeddingParseError` naming the file and carrying the
-    offending line number. A file that cannot be opened or read, or is
-    not a regular file, raises :class:`ConfigError` naming it, and so
-    does a file for the parsed rows that cannot be created or written.
+    offending line number. A file whose bytes no longer have the digest
+    the cache was looked up by (it changed after it was hashed) raises
+    :class:`DataError` naming it. A file that cannot be opened or read, or is not a regular
+    file, raises :class:`ConfigError` naming it, and so does a file for
+    the parsed rows that cannot be created or written.
 
     The load goes through the on-disk cache, keyed by ``sha256``, the
     file's digest when the caller already has it (computed here
@@ -669,7 +680,10 @@ def load_embeddings(
     try:
         rows = _Rows(expected_dim, sink, sink_dir)
         with open(source, "rb") as stream:
-            _add_batches(stream, rows, native.library())
+            parsed = _add_batches(stream, rows, native.library())
+            st = os.fstat(stream.fileno())
+        if parsed != digest:  # the rows would be stored under another table's digest
+            raise DataError(f"embedding file {name} changed while it was read")
         table = rows.table(name)
     except BaseException as exc:
         # the table owns the sink only once it is returned
@@ -683,7 +697,7 @@ def load_embeddings(
         raise
     _log_dropped(table, rows.duplicate_lines, rows.zero_lines)
     if tmp is not None:
-        _write_entry(entry, tmp, digest, rows, table)
+        _write_entry(entry, tmp, digest, st, rows, table)
     return table
 
 

@@ -2,7 +2,9 @@
 
 The tokenizer lowercases and splits on every non-alphanumeric character
 (hyphens, slashes, underscores and all punctuation split; pure-digit
-tokens survive). Non-ASCII letters count as alphanumeric. Stopword
+tokens survive). Non-ASCII letters count as alphanumeric, and non-ASCII
+text is composed to Unicode NFC first, so "café" tokenizes alike whether
+its "é" is one code point or "e" and a combining accent. Stopword
 filtering and out-of-vocabulary dropping are separate, order-preserving
 steps so each stage stays inspectable from the CLI.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import re
 import string
+import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
 from importlib import resources
@@ -62,10 +65,14 @@ class NBow:
 
 
 def normalize_and_tokenize(raw: str) -> list[str]:
-    """Lowercase ``raw`` and split on any non-alphanumeric character."""
+    """Lowercase ``raw`` and split on any non-alphanumeric character.
+
+    Non-ASCII text is first composed to NFC, so that a letter and its
+    combining marks make one letter, as in a table's tokens.
+    """
     if raw.isascii():  # the same tokens as _TOKEN, three to five times faster
         return raw.lower().translate(_SEPARATORS).split()
-    return _TOKEN.findall(raw.lower())
+    return _TOKEN.findall(unicodedata.normalize("NFC", raw.lower()))
 
 
 def remove_stopwords(tokens: Sequence[str], stopwords: Iterable[str]) -> list[str]:

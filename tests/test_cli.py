@@ -1,12 +1,13 @@
 import json
 import os
 import platform
+import unicodedata
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from claimdist import native
+from claimdist import native, pipeline
 from claimdist.cli import main
 
 from conftest import write_corpus
@@ -162,6 +163,20 @@ class TestDistCommand:
         assert rc == 0
         assert json.loads(out)["similarity"] == pytest.approx(1.0, abs=1e-12)
 
+    def test_decomposed_text_scores_as_composed(self, tmp_path, capsys):
+        (tmp_path / "emb.txt").write_text("café 1 0\nnaïve 0 1\nthé 1 1\n", encoding="utf-8")
+        distances = []
+        for form in ("NFC", "NFD"):
+            for name, text in (("q.txt", "Café naïve"), ("c.txt", "café thé")):
+                (tmp_path / name).write_text(unicodedata.normalize(form, text), encoding="utf-8")
+            rc, out, _ = run_cli(
+                capsys, "dist", str(tmp_path / "q.txt"), str(tmp_path / "c.txt"),
+                "--embeddings", str(tmp_path / "emb.txt"),
+            )
+            assert rc == 0
+            distances.append(json.loads(out)["distance"])
+        assert distances[0] == distances[1] == pytest.approx(0.1464466)
+
     def test_bad_embedding_file_exit_2(self, tmp_path, capsys):
         write_corpus(tmp_path)
         bad = tmp_path / "bad.txt"
@@ -257,7 +272,7 @@ class TestExtractCommand:
                 ],
             ),
             (
-                ["--selector", "ma", "--window", "3"],
+                ["--selector", "ma", "--window", "3", "--seed", "0"],
                 [
                     (4, 0.5237211900609067, "Results show word9 word10 gains."),
                     (0, 0.520117650968758, "We propose a novel index word0 word1 word2."),
@@ -270,18 +285,40 @@ class TestExtractCommand:
         ids=["lda", "ma"],
     )
     def test_golden_selection(self, tmp_path, capsys, flags, expected):
-        # Pinned output of the default --top-k 5 on a fixed document and the
-        # conftest table; guards the selector dispatch, order and scores.
+        # Pinned output of --top-k 5 on a fixed document and the conftest
+        # table; guards the selector dispatch, order and scores.
         write_corpus(tmp_path)
         f = tmp_path / "doc.txt"
         f.write_text(self.GOLDEN_DOC)
         rc, out, _ = run_cli(
-            capsys, "extract", str(f), *flags, "--embeddings", str(tmp_path / "emb.txt")
+            capsys, "extract", str(f), "--top-k", "5", *flags,
+            "--embeddings", str(tmp_path / "emb.txt"),
         )
         assert rc == 0
         got = [(s["index"], s["score"], s["text"]) for s in json.loads(out)]
         assert [(i, t) for i, _, t in got] == [(i, t) for i, _, t in expected]
         assert [s for _, s, _ in got] == pytest.approx([s for _, s, _ in expected], abs=1e-12)
+
+    def test_lda_defaults_select_what_run_scores(self, tmp_path, capsys, monkeypatch):
+        manifest = write_corpus(
+            tmp_path, manifest_extra={"query": {"selector": {"method": "lda"}}}
+        )
+        query = tmp_path / "docs" / "query.txt"
+        query.write_text(self.GOLDEN_DOC * 3)
+        selected = []
+        select_claims = pipeline.select_claims
+        monkeypatch.setattr(
+            pipeline, "select_claims",
+            lambda *args: selected.append(select_claims(*args)) or selected[-1],
+        )
+        pipeline.run_experiment(pipeline.load_manifest(manifest))
+        rc, out, _ = run_cli(capsys, "extract", str(query), "--selector", "lda")
+        assert rc == 0
+        (run_selected,) = selected
+        assert len(run_selected) == pipeline.SelectorConfig("lda").top_k
+        assert [(s["index"], s["score"]) for s in json.loads(out)] == [
+            (s.index, s.score) for s in run_selected
+        ]
 
 
 class TestPreprocessCommand:

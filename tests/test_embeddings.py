@@ -556,7 +556,7 @@ class TestRowReader:
         assert not root.exists() or [p.name[:7] for p in root.iterdir()] in ([], ["native-"])
 
 
-def _declined(self, half):
+def _declined(self, half, lineno):
     return None
 
 
@@ -585,8 +585,8 @@ def compiled_batches(request, monkeypatch):
     taken = []
     real = embeddings._CompiledBatch.result
 
-    def recording(self, half):
-        got = real(self, half)
+    def recording(self, half, lineno):
+        got = real(self, half, lineno)
         taken.append(got is not None)
         return got
 
@@ -701,10 +701,27 @@ class TestParsersAgainstReference:
 
     @pytest.mark.parametrize("chunk", range(8))
     def test_odd_tables(self, tmp_path, monkeypatch, compiled_batches, chunk):
+        # every half the compiled parser takes gives the rows the line
+        # parser gives for the same bytes
+        result, compared = embeddings._CompiledBatch.result, []
+
+        def compared_with_the_line_parser(self, half, lineno):
+            got = result(self, half, lineno)
+            if got is not None:
+                first, last, *_ = self._parts[half]
+                want = embeddings._line_rows(self._batch[first:last], lineno)
+                assert (got[0], got[3], got[4]) == (want[0], want[3], want[4])
+                assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+                compared.append(len(got[0]))
+            return got
+
+        monkeypatch.setattr(embeddings._CompiledBatch, "result", compared_with_the_line_parser)
         # 8 chunks of 40 tables, each loaded four ways
         self._check_chunk(tmp_path, monkeypatch, chunk, ["compiled", "declined"])
-        # with halves that the compiled parser read and declined
+        # with halves that the compiled parser read and declined, and
+        # compared halves with rows and without
         assert set(compiled_batches) == {True, False}
+        assert min(compared) == 0 and max(compared) > 0
 
     @pytest.mark.parametrize("chunk", range(8), ids=lambda chunk: f"no-library-{chunk}")
     def test_odd_tables_without_the_library(self, tmp_path, monkeypatch, chunk):
@@ -1050,6 +1067,47 @@ class TestByteOrderMark:
         assert list(table.vocabulary) == ["novel", "cat", "dog"]
         assert not old.exists()
         assert _entry(private_cache_home).name == _entry_name(embeddings.file_sha256(path))
+
+
+class TestChangedWhileRead:
+    """A table whose bytes differ from the digest it was looked up by is not parsed into the cache."""
+
+    ROWS = b"novel 1 0\ncat 0 1\ndog 1 1\n"
+    SWAPPED = b"novel 0 1\ncat 1 0\ndog 1 1\n"  # as long as ROWS
+
+    @pytest.mark.parametrize("parser", PARSERS)
+    def test_a_table_changed_after_its_hash_exits_2_and_leaves_no_entry(
+        self, tmp_path, private_cache_home, monkeypatch, capsys, compiled_batches, parser
+    ):
+        _use_parser(monkeypatch, parser)
+        monkeypatch.setattr(native, "start_build", lambda: None)  # no build in the background
+        path = tmp_path / "emb.txt"
+        path.write_bytes(self.ROWS)
+        (tmp_path / "query.txt").write_text("novel cat")
+        (tmp_path / "candidate.txt").write_text("novel dog")
+        file_sha256 = embeddings.file_sha256
+
+        def hash_then_change(source):
+            digest = file_sha256(source)
+            path.write_bytes(self.SWAPPED)  # another writer, between the hash and the parse
+            return digest
+
+        monkeypatch.setattr(embeddings, "file_sha256", hash_then_change)
+        argv = ["dist", str(tmp_path / "query.txt"), str(tmp_path / "candidate.txt"),
+                "--embeddings", str(path)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: embedding file {path} changed while it was read\n"
+        root = private_cache_home / "claimdist"
+        assert not root.exists() or [p.name[:7] for p in root.iterdir()] in ([], ["native-"])
+        if parser == "compiled":
+            assert compiled_batches and all(compiled_batches)
+        # the original bytes, loaded again, read their own rows
+        monkeypatch.setattr(embeddings, "file_sha256", file_sha256)
+        path.write_bytes(self.ROWS)
+        table = load_embeddings(path)
+        assert row(table, "novel").tolist() == [1.0, 0.0]
+        assert _entry(private_cache_home).name == _entry_name(file_sha256(path))
 
 
 class _Failure(Exception):

@@ -1,3 +1,5 @@
+import unicodedata
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,19 @@ class TestNormalizeAndTokenize:
 
     def test_unicode_letters(self):
         assert normalize_and_tokenize("Müller's Index") == ["müller", "s", "index"]
+
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            ("Café naïve", ["café", "naïve"]),
+            ("Ångström", ["ångström"]),
+            ("\u212bngstr\u00f6m", ["ångström"]),  # ANGSTROM SIGN composes to Å
+        ],
+    )
+    def test_composed_and_decomposed_text_give_the_same_tokens(self, text, tokens):
+        for form in ("NFC", "NFD"):
+            assert normalize_and_tokenize(unicodedata.normalize(form, text)) == tokens
+        assert normalize_and_tokenize(text) == tokens
 
     def test_idempotent_on_rejoined_output(self):
         rng = np.random.default_rng(0)

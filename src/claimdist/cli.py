@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import os
 import sys
 import traceback
 
@@ -73,19 +74,32 @@ def _nbow(tokens: list[str], table, label: str, path: str):
         raise EmptyDocumentError(f"{label} {path}: {exc}") from None
 
 
-def _write_out(data: bytes, out: str | None):
-    if out:
-        try:
+def _write_out(data: bytes, out: str | None = None):
+    """Write ``data`` to the file ``out``, or to stdout when it is None.
+
+    Either one failing is a config error (exit 1). A stdout that failed,
+    such as a closed pipe, is pointed at the null device, so that the
+    flush at shutdown has nothing left to fail on.
+    """
+    try:
+        if out:
             with open(out, "wb") as fh:
                 fh.write(data)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {out}: {exc}") from None
-    else:
-        sys.stdout.buffer.write(data)
+        else:
+            view = memoryview(data)
+            while view:  # unbuffered (python -u), a pipe may take only part
+                view = view[sys.stdout.buffer.write(view) :]
+            sys.stdout.buffer.flush()
+    except OSError as exc:
+        if not out:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise ConfigError(f"cannot write {out or 'standard output'}: {exc}") from None
 
 
 def _print_json(obj):
-    print(json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False))
+    _write_out((json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False) + "\n").encode())
 
 
 def _cmd_run(args) -> int:
@@ -146,10 +160,12 @@ def _cmd_preprocess(args) -> int:
 
 def _cmd_embeddings_info(args) -> int:
     table = load_embeddings(args.path)
-    print(f"dimension: {table.dimension}")
-    print(f"vocabulary_size: {len(table)}")
-    print(f"zero_rows_dropped: {table.n_zero_dropped}")
-    print(f"duplicate_tokens_ignored: {table.n_duplicates}")
+    _write_out(
+        f"dimension: {table.dimension}\n"
+        f"vocabulary_size: {len(table)}\n"
+        f"zero_rows_dropped: {table.n_zero_dropped}\n"
+        f"duplicate_tokens_ignored: {table.n_duplicates}\n".encode()
+    )
     return 0
 
 

@@ -1,6 +1,8 @@
 import json
 import os
 import platform
+import subprocess
+import sys
 import unicodedata
 from pathlib import Path
 
@@ -176,6 +178,21 @@ class TestDistCommand:
             assert rc == 0
             distances.append(json.loads(out)["distance"])
         assert distances[0] == distances[1] == pytest.approx(0.1464466)
+
+    def test_a_word_with_combining_marks_scores_whole(self, tmp_path, capsys):
+        # Split at its vowel signs and virama, "हिन्दी" would be the rows
+        # "ह", "न" and "द", and the query would match the candidate at 0.
+        (tmp_path / "emb.txt").write_text(
+            "हिन्दी 1 0 0\nह 0 1 0\nन 0 0 1\nद 0 1 1\nभाषा 1 1 0\n", encoding="utf-8"
+        )
+        (tmp_path / "q.txt").write_text("हिन्दी", encoding="utf-8")
+        (tmp_path / "c.txt").write_text("हिन्दी भाषा", encoding="utf-8")
+        rc, out, _ = run_cli(
+            capsys, "dist", str(tmp_path / "q.txt"), str(tmp_path / "c.txt"),
+            "--embeddings", str(tmp_path / "emb.txt"),
+        )
+        assert rc == 0
+        assert json.loads(out)["distance"] == pytest.approx(0.1464466)
 
     def test_bad_embedding_file_exit_2(self, tmp_path, capsys):
         write_corpus(tmp_path)
@@ -775,6 +792,57 @@ def test_unwritable_cache_and_temporary_directory_exit_1(tmp_path, capsys, monke
     rc, out, err = run_cli(capsys, "run", str(manifest))
     assert (rc, out) == (1, "")
     assert "cannot create a temporary file" in err and str(missing) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["preprocess", "{doc}", "--embeddings", "{emb}"],
+        ["run", "{manifest}", "--format", "json"],
+        ["dist", "{doc}", "{doc}", "--embeddings", "{emb}"],
+        ["embeddings", "info", "{emb}"],
+    ],
+    ids=["preprocess", "run-json", "dist", "embeddings-info"],
+)
+def test_closed_stdout_exits_1_with_one_line(tmp_path, argv):
+    manifest = write_corpus(tmp_path)
+    paths = {"doc": tmp_path / "docs" / "alpha1.txt", "emb": tmp_path / "emb.txt",
+             "manifest": manifest}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the child's stdout fails with EPIPE
+    env = {**os.environ, "PYTHONPATH": str(Path(native.__file__).parents[1])}
+    for unbuffered in ("1", ""):  # a failed buffered write is retried at shutdown
+        done = subprocess.run(
+            [sys.executable, "-m", "claimdist.cli", *(a.format(**paths) for a in argv)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={**env, "PYTHONUNBUFFERED": unbuffered},
+        )
+        assert (done.returncode, done.stderr) == (
+            1, "error: cannot write standard output: [Errno 32] Broken pipe\n"
+        )
+    os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_a_reader_that_exits_mid_output_gives_exit_1(tmp_path, unbuffered):
+    # As in `claimdist preprocess doc.txt | head`: the output is several
+    # times a pipe's 64 KiB, so the reader closes it mid-write. Unbuffered,
+    # that write returns part of its length instead of raising.
+    doc = tmp_path / "doc.txt"
+    doc.write_text(" ".join(f"word{i}" for i in range(20_000)))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "claimdist.cli", "preprocess", str(doc)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(native.__file__).parents[1]),
+             "PYTHONUNBUFFERED": unbuffered},
+    )
+    child.stdout.read(1)
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=60), err) == (
+        1, "error: cannot write standard output: [Errno 32] Broken pipe\n"
+    )
 
 
 class TestVersionFlag:

@@ -3,7 +3,6 @@ import unicodedata
 import numpy as np
 import pytest
 
-from claimdist import textprep
 from claimdist.errors import EmptyDocumentError
 from claimdist.textprep import (
     build_nbow,
@@ -14,6 +13,51 @@ from claimdist.textprep import (
 )
 
 from conftest import make_table
+
+
+def reference_tokens(raw: str) -> list[str]:
+    """The token rule, character by character: after lower() and NFC, the
+    runs of letters, digits and combining marks (general category M*), as
+    the running Python's unicodedata classifies them."""
+    tokens, current = [], ""
+    for c in unicodedata.normalize("NFC", raw.lower()):
+        if c.isalnum() or unicodedata.category(c).startswith("M"):
+            current += c
+        elif current:
+            tokens.append(current)
+            current = ""
+    return tokens + [current] if current else tokens
+
+
+def seeded_strings(seed, alphabet, count, max_len):
+    """``count`` strings of up to ``max_len`` characters from ``alphabet``.
+
+    Indices are drawn, not a numpy string array, which would drop NUL.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        picks = rng.integers(len(alphabet), size=rng.integers(0, max_len))
+        yield "".join(alphabet[i] for i in picks)
+
+
+# ASCII with its odd separators oversampled; Latin-1, the combining
+# diacritics, Devanagari, Arabic marks and letters, Hangul jamo and CJK;
+# and single characters that spacing, case or composition treat specially
+# (no-break space, soft hyphen, NEL, zero-width space and joiners, line
+# separator, ideographic space, Kelvin sign, İ, titlecase Dž).
+MIXED_SCRIPT_ALPHABET = (
+    [chr(c) for c in range(128)]
+    + list("_\x1c\x1d\x1e\x1f\v\f\r") * 4
+    + [
+        chr(c)
+        for lo, hi in [
+            (0x00A0, 0x0100), (0x0300, 0x0370), (0x0900, 0x0980),
+            (0x0610, 0x0660), (0x1100, 0x1200), (0x4E00, 0x4E80),
+        ]
+        for c in range(lo, hi)
+    ]
+    + list("\u00a0\u00ad\u0085\u200b\u200c\u200d\u2028\u3000\u212a\u0130\u01c5") * 8
+)
 
 
 class TestNormalizeAndTokenize:
@@ -57,29 +101,37 @@ class TestNormalizeAndTokenize:
             again = normalize_and_tokenize(" ".join(once))
             assert once == again
 
-    def test_ascii_path_matches_the_regex(self):
+    def test_ascii_path_matches_the_reference(self):
         # Every ASCII character, with "_", digits, uppercase and the
         # whitespace str.split splits on besides " \t\n" oversampled.
-        rng = np.random.default_rng(1)
         alphabet = [chr(c) for c in range(128)] + list("_09AZaz\x1c\x1d\x1e\x1f\v\f\r") * 4
-        for _ in range(500):
-            raw = "".join(rng.choice(alphabet, size=rng.integers(0, 80)))
-            assert normalize_and_tokenize(raw) == textprep._TOKEN.findall(raw.lower())
+        for raw in seeded_strings(1, alphabet, 500, 80):
+            assert normalize_and_tokenize(raw) == reference_tokens(raw)
 
-    def test_non_ascii_text_goes_through_the_regex(self, monkeypatch):
-        calls = []
-        regex = textprep._TOKEN
+    @pytest.mark.parametrize("text", ["Café naïve", "Café—naïve", "Cafe naive", "it’s"])
+    def test_non_ascii_text_matches_the_reference(self, text):
+        assert normalize_and_tokenize(text) == reference_tokens(text)
 
-        class Spy:
-            def findall(self, text):
-                calls.append(text)
-                return regex.findall(text)
+    def test_seeded_mixed_script_strings_match_the_reference(self):
+        mismatches = [
+            raw
+            for raw in seeded_strings(29, MIXED_SCRIPT_ALPHABET, 6000, 40)
+            if normalize_and_tokenize(raw) != reference_tokens(raw)
+        ]
+        assert mismatches == []
 
-        monkeypatch.setattr(textprep, "_TOKEN", Spy())
-        assert normalize_and_tokenize("Café naïve") == ["café", "naïve"]
-        assert normalize_and_tokenize("Café—naïve") == ["café", "naïve"]
-        assert normalize_and_tokenize("Cafe naive") == ["cafe", "naive"]
-        assert calls == ["café naïve", "café—naïve"]
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            # vowel signs and a virama (Mn, Mc) inside a Devanagari word
+            ("हिन्दी भाषा", ["हिन्दी", "भाषा"]),
+            # "İ".lower() is "i" and U+0307, which has no precomposed form
+            ("İstanbul", ["i\u0307stanbul"]),
+            ("x\u0301y, x\u0301", ["x\u0301y", "x\u0301"]),
+        ],
+    )
+    def test_combining_marks_stay_in_their_token(self, text, tokens):
+        assert normalize_and_tokenize(text) == tokens
 
 
 class TestRemoveStopwords:

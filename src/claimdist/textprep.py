@@ -4,12 +4,13 @@ The tokenizer lowercases the text and keeps the runs of token
 characters: letters, digits and combining marks, in any script
 (``_is_token_char``). Every other character separates, so hyphens,
 slashes, underscores and all punctuation split, and pure-digit tokens
-survive. Non-ASCII text is composed to Unicode NFC first, so "café"
-tokenizes alike whether its "é" is one code point or "e" and a
-combining accent; a mark with no precomposed form, such as a
-Devanagari vowel sign, stays inside its word. Stopword filtering and
-out-of-vocabulary dropping are separate, order-preserving steps so each
-stage stays inspectable from the CLI.
+survive. In non-ASCII text a soft hyphen (U+00AD) is deleted, so a
+word hyphenated with one stays whole, and the text is composed to
+Unicode NFC, so "café" tokenizes alike whether its "é" is one code
+point or "e" and a combining accent; a mark with no precomposed form,
+such as a Devanagari vowel sign, stays inside its word. Stopword
+filtering and out-of-vocabulary dropping are separate, order-preserving
+steps so each stage stays inspectable from the CLI.
 """
 
 from __future__ import annotations
@@ -71,19 +72,18 @@ class NBow:
 def normalize_and_tokenize(raw: str) -> list[str]:
     """Lowercase ``raw`` and return its runs of ``_is_token_char`` characters.
 
-    Non-ASCII text is first composed to NFC, so that a letter and its
-    combining marks make one letter where Unicode has one, as in a
-    table's tokens; the marks left over stay in their token.
+    In non-ASCII text a soft hyphen, which only marks where a word may
+    break, is deleted, and NFC then makes a letter and its combining marks
+    one letter where Unicode has one, as in a table's tokens.
     """
     if raw.isascii():  # three to five times faster than a regex
         return raw.lower().translate(_SEPARATORS).split()
-    text = unicodedata.normalize("NFC", raw.lower())
-    # [^\W_] is str.isalnum(). The token characters it misses, the marks
-    # among the text's non-ASCII non-word characters, join it only when
-    # there are any, as the alternation is slower; sorted, one set of
-    # marks is one cached pattern.
-    marks = "".join(sorted(filter(_is_token_char, set(re.sub(r"[\x00-\x7f\w]+", "", text)))))
-    return re.findall(f"(?:[^\\W_]|[{marks}])+" if marks else r"[^\W_]+", text)
+    text = unicodedata.normalize("NFC", raw.lower().replace("\u00ad", ""))
+    # _SEPARATORS' rule for this text: one class of the characters it
+    # holds that are not token characters, sorted so that one set is one
+    # cached pattern. The space keeps the class nonempty.
+    separators = "".join(sorted(c for c in set(text) if not _is_token_char(c)))
+    return re.findall(f"[^ {re.escape(separators)}]+", text)
 
 
 def remove_stopwords(tokens: Sequence[str], stopwords: Iterable[str]) -> list[str]:

@@ -11,8 +11,10 @@ import pytest
 
 from claimdist import native, pipeline
 from claimdist.cli import main
+from claimdist.textprep import NBow
 
-from conftest import write_corpus
+from conftest import dense_rwmd, make_table, write_corpus
+from test_textprep import reference_tokens
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +133,70 @@ class TestRunCommand:
         assert rc == 1
 
 
+# Typeset text: curly quotes, dashes, accented names in NFC and NFD, soft
+# hyphens from a PDF, and one Devanagari document.
+NON_ASCII_CORPUS = {
+    ("query", "q"): "“Naïve” models—Müller’s co\u00adoperate claims of novelty.",
+    ("alpha", "1"): "Müller’s café study – a co\u00adoperate model…",
+    ("alpha", "2"): unicodedata.normalize("NFD", "Naïve “redundancy”; Ångström’s claims."),
+    ("alpha", "3"): "हिन्दी भाषा — novelty, “हिन्दी” claims",
+    ("beta", "1"): "Ångström’s hype—hype—and re\u00addun\u00addancy.",
+    ("beta", "2"): "Café models « novelty » co-operate",
+}
+NON_ASCII_WORDS = [
+    "naïve", "models", "müller", "cooperate", "claims", "novelty", "café", "study",
+    "model", "redundancy", "ångström", "हिन्दी", "भाषा", "hype", "operate",
+]
+
+
+def test_non_ascii_corpus_scores_as_the_reference(tmp_path, capsys):
+    """Every candidate's similarity equals a dense RWMD over reference-token bags."""
+    rng = np.random.default_rng(30)
+    matrix = rng.normal(size=(len(NON_ASCII_WORDS), 5))
+    rows = zip(NON_ASCII_WORDS, matrix.tolist())
+    (tmp_path / "emb.txt").write_text(
+        "".join(f"{w} {' '.join(map(repr, row))}\n" for w, row in rows), encoding="utf-8"
+    )
+    paths = {}
+    for (group, doc_id), text in NON_ASCII_CORPUS.items():
+        paths[group, doc_id] = f"{group}{doc_id}.txt"
+        (tmp_path / paths[group, doc_id]).write_text(text, encoding="utf-8")
+    manifest = {
+        "query": {"id": "q", "path": paths["query", "q"]},
+        "documents": [
+            {"id": doc_id, "group": group, "path": path}
+            for (group, doc_id), path in paths.items()
+            if group != "query"
+        ],
+        "embedding": {"path": "emb.txt"},
+        "options": {"variant": "symmetric-max", "seed": 3},
+    }
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    rc, out, err = run_cli(capsys, "run", str(tmp_path / "manifest.json"), "--format", "json")
+    assert (rc, err) == (0, "")
+    report = json.loads(out)
+    assert report["skipped"] == []
+
+    table = make_table(NON_ASCII_WORDS, matrix)
+
+    def bag(text):
+        tokens = [t for t in reference_tokens(text) if t in table.vocabulary]
+        words = tuple(dict.fromkeys(tokens))
+        return NBow(words, np.array([tokens.count(w) / len(tokens) for w in words]))
+
+    query = bag(NON_ASCII_CORPUS["query", "q"])
+    assert "cooperate" in query.words
+    scored = {
+        (group, d["id"]): d["similarity"]
+        for group, g in report["groups"].items()
+        for d in g["documents"]
+    }
+    assert set(scored) == {key for key in NON_ASCII_CORPUS if key[0] != "query"}
+    for key, similarity in scored.items():
+        expected = 1.0 - dense_rwmd(query, bag(NON_ASCII_CORPUS[key]), table)
+        assert abs(similarity - expected) <= 1e-12, key
+
+
 class TestRankCommand:
     def test_rank_text_has_no_significance(self, corpus_manifest, capsys):
         rc, out, _ = run_cli(capsys, "rank", str(corpus_manifest))
@@ -193,6 +259,18 @@ class TestDistCommand:
         )
         assert rc == 0
         assert json.loads(out)["distance"] == pytest.approx(0.1464466)
+
+    def test_a_soft_hyphenated_word_scores_whole(self, tmp_path, capsys):
+        # Split at its soft hyphen, the query would be the row "operate".
+        (tmp_path / "emb.txt").write_text("cooperate 1 0\noperate 0 1\n")
+        (tmp_path / "q.txt").write_text("co\u00adoperate", encoding="utf-8")
+        (tmp_path / "c.txt").write_text("cooperate")
+        rc, out, _ = run_cli(
+            capsys, "dist", str(tmp_path / "q.txt"), str(tmp_path / "c.txt"),
+            "--embeddings", str(tmp_path / "emb.txt"),
+        )
+        assert rc == 0
+        assert json.loads(out)["distance"] == 0.0
 
     def test_bad_embedding_file_exit_2(self, tmp_path, capsys):
         write_corpus(tmp_path)

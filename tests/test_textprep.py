@@ -16,11 +16,12 @@ from conftest import make_table
 
 
 def reference_tokens(raw: str) -> list[str]:
-    """The token rule, character by character: after lower() and NFC, the
-    runs of letters, digits and combining marks (general category M*), as
-    the running Python's unicodedata classifies them."""
+    """The token rule, character by character: after lower(), deleting
+    soft hyphens (U+00AD) and NFC, the runs of letters, digits and
+    combining marks (general category M*), as the running Python's
+    unicodedata classifies them."""
     tokens, current = [], ""
-    for c in unicodedata.normalize("NFC", raw.lower()):
+    for c in unicodedata.normalize("NFC", raw.lower().replace("\u00ad", "")):
         if c.isalnum() or unicodedata.category(c).startswith("M"):
             current += c
         elif current:
@@ -108,9 +109,33 @@ class TestNormalizeAndTokenize:
         for raw in seeded_strings(1, alphabet, 500, 80):
             assert normalize_and_tokenize(raw) == reference_tokens(raw)
 
-    @pytest.mark.parametrize("text", ["Café naïve", "Café—naïve", "Cafe naive", "it’s"])
+    # After the first four, each text puts a character that is special in
+    # a regex character class among its separators; in the last, an
+    # unescaped "!-—" would be a range over every ASCII letter.
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "Café naïve", "Café—naïve", "Cafe naive", "it’s",
+            "é]x", "é\\x", "é^x", "é-x", "é[x y", "—a]—", "é[:x:]", "é&&b||c~~d", "a!b-c—d",
+        ],
+    )
     def test_non_ascii_text_matches_the_reference(self, text):
         assert normalize_and_tokenize(text) == reference_tokens(text)
+
+    @pytest.mark.parametrize(
+        "text, tokens",
+        [
+            ("co\u00adoperate", ["cooperate"]),
+            ("Co\u00adoperate—and\u00ad", ["cooperate", "and"]),
+            ("\u00ad", []),
+            # deleted before NFC, which then composes the letter and its accent
+            ("cafe\u00ad\u0301", ["café"]),
+            # ZWSP, ZWNJ, ZWJ, word joiner, BOM
+            *((f"co{cf}operate", ["co", "operate"]) for cf in "\u200b\u200c\u200d\u2060\ufeff"),
+        ],
+    )
+    def test_a_soft_hyphen_is_deleted_and_other_format_characters_separate(self, text, tokens):
+        assert normalize_and_tokenize(text) == tokens
 
     def test_seeded_mixed_script_strings_match_the_reference(self):
         mismatches = [

@@ -72,7 +72,7 @@ class SelectorConfig:
     beta: float = 0.01
     iterations: int = 500
     window: int = 3
-    cue_words: tuple[str, ...] | None = None
+    cue_words: tuple[str, ...] = tuple(sorted(DEFAULT_CUE_WORDS))
 
     def __post_init__(self):
         if self.method not in SELECTOR_METHODS:
@@ -84,6 +84,7 @@ class SelectorConfig:
             ("window", self.window >= 1 and self.window % 2 == 1, "an odd integer >= 1"),
             ("alpha", math.isfinite(self.alpha) and self.alpha > 0, "finite and > 0"),
             ("beta", math.isfinite(self.beta) and self.beta > 0, "finite and > 0"),
+            ("cue_words", len(self.cue_words) > 0, "a nonempty list"),
         ):
             if not ok:
                 raise ConfigError(f"selector {name} must be {rule}, got {getattr(self, name)!r}")
@@ -97,7 +98,7 @@ class SelectorConfig:
                 "alpha": self.alpha,
                 "beta": self.beta,
                 "iterations": self.iterations,
-                "cue_words": sorted(self.cue_words or DEFAULT_CUE_WORDS),
+                "cue_words": sorted(self.cue_words),
             }
         return {"method": "ma", "top_k": self.top_k, "window": self.window}
 
@@ -306,14 +307,12 @@ def load_corpus(manifest: CorpusManifest) -> LoadedCorpus:
         return tuple(map(shared.setdefault, tokens, tokens))
 
     query_text = read_text(manifest.query_path, f"query {manifest.query_id!r}")
-    query = TokenizedDoc(id=manifest.query_id, group="query", tokens=tokenize(query_text))
+    query = TokenizedDoc(id=manifest.query_id, tokens=tokenize(query_text))
 
     groups: dict[str, list[TokenizedDoc]] = {}
     for doc in manifest.documents:
         text = read_text(doc.path, f"document {doc.id!r}")
-        groups.setdefault(doc.group, []).append(
-            TokenizedDoc(id=doc.id, group=doc.group, tokens=tokenize(text))
-        )
+        groups.setdefault(doc.group, []).append(TokenizedDoc(id=doc.id, tokens=tokenize(text)))
     return LoadedCorpus(query=query, query_text=query_text, groups=groups, stopwords=stopwords)
 
 
@@ -396,9 +395,7 @@ def select_claims(
         iterations=cfg.iterations,
         seed=seed,
     )
-    return lda_select(
-        model, sentences, cue_words=cfg.cue_words or DEFAULT_CUE_WORDS, top_k=cfg.top_k
-    )
+    return lda_select(model, sentences, cue_words=cfg.cue_words, top_k=cfg.top_k)
 
 
 def _query_label(manifest: CorpusManifest) -> str:

@@ -46,7 +46,6 @@ class TokenizedDoc:
     """A document reduced to its normalized token stream."""
 
     id: str
-    group: str
     tokens: tuple[str, ...]
 
 

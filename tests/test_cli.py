@@ -60,6 +60,10 @@ class TestRunCommand:
             ({"query": {"selector": {"method": "lda", "iterations": 0}}}, "selector iterations"),
             ({"query": {"selector": {"method": "lda", "alpha": -1}}}, "selector alpha"),
             (
+                {"query": {"selector": {"method": "lda", "cue_words": []}}},
+                "selector cue_words must be a nonempty list",
+            ),
+            (
                 {"query": {"selector": {}}},
                 "manifest query.selector is missing required key 'method'",
             ),
@@ -73,7 +77,7 @@ class TestRunCommand:
         ids=[
             "top_k", "options", "documents",
             "top_k=0", "window=2", "n_topics=0", "iterations=0", "alpha=-1",
-            "empty-selector", "method=xyz", "expected_dim=0", "no-documents",
+            "cue_words=[]", "empty-selector", "method=xyz", "expected_dim=0", "no-documents",
         ],
     )
     def test_mistyped_manifest_exit_1(self, tmp_path, capsys, extra, message):

@@ -1,3 +1,4 @@
+import errno
 import json
 import logging
 import os
@@ -25,6 +26,7 @@ from conftest import (
     random_unit_table,
     reference_table,
     require_library,
+    write_corpus,
 )
 
 
@@ -469,6 +471,20 @@ def _block_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "blocker" / "cache"))
 
 
+@pytest.fixture
+def sinks(monkeypatch):
+    """Every file that a load's parsed rows go to, in order."""
+    sinks = []
+    rows_init = embeddings._Rows.__init__
+
+    def recording_init(self, expected_dim, sink, sink_dir):
+        sinks.append(sink)
+        rows_init(self, expected_dim, sink, sink_dir)
+
+    monkeypatch.setattr(embeddings._Rows, "__init__", recording_init)
+    return sinks
+
+
 def _load_as(kind, path, monkeypatch, tmp_path):
     if kind == "unwritable":
         _block_cache(tmp_path, monkeypatch)
@@ -534,19 +550,11 @@ class TestRowReader:
 
     @pytest.mark.parametrize("kind", ["file", "unwritable"])
     def test_parse_error_leaves_no_directory_and_no_open_file(
-        self, tmp_path, private_cache_home, monkeypatch, kind
+        self, tmp_path, private_cache_home, monkeypatch, sinks, kind
     ):
         path = _table_file(tmp_path / "emb.txt", n_words=200)
         path.write_text(path.read_text() + "late 1 oops\n" + "after 1 2\n" * 5)
         monkeypatch.setattr(embeddings, "_BATCH_BYTES", 4096)
-        sinks = []
-        rows_init = embeddings._Rows.__init__
-
-        def recording_init(self, expected_dim, sink, sink_dir):
-            sinks.append(sink)
-            rows_init(self, expected_dim, sink, sink_dir)
-
-        monkeypatch.setattr(embeddings._Rows, "__init__", recording_init)
         if kind == "unwritable":  # the rows go to a temporary file, not the cache
             _block_cache(tmp_path, monkeypatch)
         with pytest.raises(EmbeddingParseError, match="line 201"):
@@ -1108,6 +1116,136 @@ class TestChangedWhileRead:
         table = load_embeddings(path)
         assert row(table, "novel").tolist() == [1.0, 0.0]
         assert _entry(private_cache_home).name == _entry_name(file_sha256(path))
+
+
+class _Unwritable:
+    """A file whose writes fail as on a full disk; everything else is the file's."""
+
+    def __init__(self, file):
+        self.file = file
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self.file, name)
+
+
+class _FailingReads:
+    """A stream whose reads after the first fail, as on a failing disk."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.reads = 0
+
+    def read(self, size):
+        self.reads += 1
+        if self.reads > 1:
+            raise OSError(errno.EIO, "Input/output error")
+        return self.stream.read(size)
+
+    def readline(self):
+        return self.stream.readline()
+
+
+class TestCacheErrors:
+    """A cache that cannot be written, or a table that cannot be read, in the middle of a run.
+
+    Each run leaves no cache entry and no partial one, and the file of
+    its parsed rows is closed once the run is over.
+    """
+
+    @pytest.fixture(autouse=True)
+    def no_background_build(self, monkeypatch):
+        monkeypatch.setattr(native, "start_build", lambda: None)
+
+    @staticmethod
+    def _run(manifest, capsys):
+        rc = cli.main(["run", str(manifest), "--format", "json"])
+        out, err = capsys.readouterr()
+        return rc, out, err
+
+    @staticmethod
+    def _entries_and_partial_ones(cache_home):
+        root = cache_home / "claimdist"
+        names = [p.name for p in root.iterdir()] if root.exists() else []
+        return [name for name in names if _entry_name("") in name]
+
+    def test_a_failed_write_of_parsed_rows_exits_1_naming_the_directory(
+        self, tmp_path, private_cache_home, monkeypatch, capsys, sinks
+    ):
+        manifest = write_corpus(tmp_path)
+        cache_sink = embeddings._cache_sink
+
+        def unwritable_sink(entry, name):
+            sink, sink_dir, tmp = cache_sink(entry, name)
+            return _Unwritable(sink), sink_dir, tmp
+
+        monkeypatch.setattr(embeddings, "_cache_sink", unwritable_sink)
+        rc, out, err = self._run(manifest, capsys)
+        digest = embeddings.file_sha256(tmp_path / "emb.txt")
+        partial = private_cache_home / "claimdist" / f".{_entry_name(digest)}."
+        assert (rc, out) == (1, "")
+        assert f"error: cannot write parsed embedding rows to {partial}" in err
+        assert len(sinks) == 1 and sinks[0].closed
+        assert self._entries_and_partial_ones(private_cache_home) == []
+
+    def test_a_failed_read_in_the_parse_exits_1_naming_the_table(
+        self, tmp_path, private_cache_home, monkeypatch, capsys, sinks
+    ):
+        manifest = write_corpus(tmp_path)
+        monkeypatch.setattr(embeddings, "_BATCH_BYTES", 256)  # the table is about 2.4 kB
+        add_batches = embeddings._add_batches
+        monkeypatch.setattr(
+            embeddings, "_add_batches",
+            lambda stream, rows, lib: add_batches(_FailingReads(stream), rows, lib),
+        )
+        rc, out, err = self._run(manifest, capsys)
+        assert (rc, out) == (1, "")
+        assert err == (
+            f"error: cannot read embedding file {tmp_path / 'emb.txt'}: "
+            "[Errno 5] Input/output error\n"
+        )
+        assert len(sinks) == 1 and sinks[0].closed
+        assert self._entries_and_partial_ones(private_cache_home) == []
+
+    @pytest.mark.parametrize("step", ["open-rows-file", "rename-entry"])
+    def test_a_cache_that_cannot_be_written_warns_once_and_is_parsed_into_again(
+        self, tmp_path, private_cache_home, monkeypatch, capsys, sinks, step
+    ):
+        manifest = write_corpus(tmp_path)
+        # warnings kept as text: a log record would keep the exception, its
+        # traceback's frames and so the table and its rows file alive
+        warnings = []
+        with monkeypatch.context() as m:
+            m.setattr(embeddings.log, "warning", lambda msg, *args: warnings.append(msg % args))
+            if step == "open-rows-file":  # in the directory that mkdtemp made
+
+                def failing_open(file, mode="r", *args, **kwargs):
+                    if Path(file).name == "matrix.f64" and "w" in mode:
+                        raise OSError(errno.EACCES, "Permission denied")
+                    return open(file, mode, *args, **kwargs)
+
+                m.setattr(embeddings, "open", failing_open, raising=False)
+            else:  # the finished entry, into place
+                replace = os.replace
+
+                def failing_replace(src, dst):
+                    if Path(dst).name.startswith(_entry_name("")):
+                        raise OSError(errno.EACCES, "Permission denied")
+                    return replace(src, dst)
+
+                m.setattr(embeddings.os, "replace", failing_replace)
+            rc, report, _ = self._run(manifest, capsys)
+        assert rc == 0
+        assert len(warnings) == 1 and "cannot write embedding cache" in warnings[0]
+        assert self._entries_and_partial_ones(private_cache_home) == []
+        assert len(sinks) == 1 and sinks[0].closed
+        # the next run parses the table again, into the cache, for the same report
+        assert self._run(manifest, capsys)[:2] == (0, report)
+        assert len(sinks) == 2
+        digest = embeddings.file_sha256(tmp_path / "emb.txt")
+        assert self._entries_and_partial_ones(private_cache_home) == [_entry_name(digest)]
 
 
 class _Failure(Exception):

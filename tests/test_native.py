@@ -1,3 +1,4 @@
+import ctypes
 import os
 import platform
 import random
@@ -143,9 +144,16 @@ class TestParseRows:
 
 
 class TestLibrary:
-    def test_exports_both_functions(self, lib):
-        assert lib.claimdist_sweep.restype is None
-        assert lib.claimdist_parse_batch.restype is not None
+    def test_exports_all_three_functions(self, lib):
+        restypes = {
+            name: getattr(lib, name).restype
+            for name in ("claimdist_sweep", "claimdist_parse_batch", "claimdist_gather_max")
+        }
+        assert restypes == {
+            "claimdist_sweep": None,
+            "claimdist_parse_batch": ctypes.c_int64,
+            "claimdist_gather_max": None,
+        }
 
     def test_build_removes_other_libraries(self, private_cache_home, rebuilt_library):
         cache = private_cache_home / "claimdist"

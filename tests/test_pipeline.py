@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from claimdist.claimselect import DEFAULT_CUE_WORDS
 from claimdist.errors import ConfigError, DataError, EmptyDocumentError
 from claimdist.pipeline import (
     SelectorConfig,
@@ -196,6 +197,13 @@ class TestRunExperiment:
         )
         report = run_experiment(load_manifest(path))
         assert report.provenance["selector"] == {"method": "ma", "top_k": 2, "window": 3}
+
+    @pytest.mark.parametrize("cues", [{}, {"cue_words": None}], ids=["absent", "null"])
+    def test_cue_words_absent_or_null_are_the_default_list(self, tmp_path, cues):
+        selector = {"method": "lda", **cues}
+        path = write_corpus(tmp_path, manifest_extra={"query": {"selector": selector}})
+        provenance = load_manifest(path).selector.to_provenance()
+        assert provenance["cue_words"] == sorted(DEFAULT_CUE_WORDS)
 
     def test_lda_selector_runs_and_is_deterministic(self, tmp_path):
         # seed the query with cue words so the claim topic is anchorable

@@ -74,11 +74,6 @@ class SentenceRecord:
 class LdaModel:
     """Final state of a collapsed Gibbs chain over sentences-as-documents."""
 
-    n_topics: int
-    alpha: float
-    beta: float
-    iterations: int
-    seed: int
     vocabulary: tuple[str, ...]
     word_topic: np.ndarray      # (K, V) counts
     sentence_topic: np.ndarray  # (S, K) counts
@@ -102,8 +97,8 @@ def split_sentences(
 
     Breaks at '.', '?' or '!' followed by whitespace and an uppercase
     letter or digit, unless the text ends in a guarded abbreviation
-    ("et al.", "Fig." and friends). Empty sentences are discarded and
-    the survivors are indexed contiguously from 0.
+    ("et al.", "Fig." and friends). Sentences are indexed from 0; none is
+    empty, since each ends in its break's punctuation or the text's end.
     """
     text = raw.strip()
     if not text:
@@ -129,8 +124,6 @@ def split_sentences(
     records: list[SentenceRecord] = []
     for piece in pieces:
         sentence = piece.strip()
-        if not sentence:
-            continue
         tokens = normalize_and_tokenize(sentence)
         if sw is not None:
             tokens = remove_stopwords(tokens, sw)
@@ -166,11 +159,6 @@ def fit_lda(
         docs, len(vocab), n_topics, alpha, beta, iterations, seed, _compiled_sweep()
     )
     return LdaModel(
-        n_topics=n_topics,
-        alpha=alpha,
-        beta=beta,
-        iterations=iterations,
-        seed=seed,
         vocabulary=tuple(vocab),
         word_topic=tables[0],
         sentence_topic=tables[1],
@@ -273,15 +261,13 @@ def lda_select(
 ) -> list[SentenceRecord]:
     """Sentences ranked by their share of the cue-anchored claim topic.
 
-    The claim topic is the one with the highest aggregate assignment
-    among sentences containing at least one cue word; every sentence is
-    then scored by that topic's share of its tokens. Ties break by
-    ascending sentence index.
+    ``model`` is :func:`fit_lda` over ``sentences``, and each cue word is a
+    token as :func:`normalize_and_tokenize` writes it. The claim topic is
+    the one with the highest aggregate assignment among sentences
+    containing at least one cue word; every sentence is then scored by
+    that topic's share of its tokens. Ties break by ascending sentence
+    index.
     """
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
-    if model.sentence_topic.shape[0] != len(sentences):
-        raise ValueError("model was not fitted over this sentence list")
     cues = frozenset(cue_words)
     cue_rows = [i for i, s in enumerate(sentences) if any(t in cues for t in s.tokens)]
     if not cue_rows:
@@ -327,13 +313,6 @@ def ma_select(
     in-vocabulary token score 0. The signal is smoothed by a centered
     moving average before ranking; ties break by ascending index.
     """
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
-    if window < 1 or window % 2 == 0:
-        raise ValueError("window must be an odd integer >= 1")
-    if not sentences:
-        raise DataError("no sentences to select from")
-
     vectors: list[np.ndarray | None] = []
     any_tokens = False
     doc_sum = np.zeros(table.dimension)

@@ -210,7 +210,8 @@ def build_parser() -> _Parser:
     p.add_argument("--iters", dest="iterations", type=int)
     p.add_argument("--seed", type=_non_negative_int, default=DEFAULT_SEED)
     p.add_argument("--cues", dest="cue_words", type=_word_tuple,
-                   help="comma-separated cue words (lda)")
+                   help="comma-separated cue words (lda), one word each, matched "
+                   "lowercased and NFC-normalized as the tokenizer writes them")
     p.add_argument("--window", type=int, help="smoothing window (ma)")
     p.add_argument("--embeddings", default=None, help="word-vector file (required for ma)")
     p.add_argument("--stopwords", default=None)

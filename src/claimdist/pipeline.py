@@ -88,6 +88,14 @@ class SelectorConfig:
         ):
             if not ok:
                 raise ConfigError(f"selector {name} must be {rule}, got {getattr(self, name)!r}")
+        # lda_select matches cues against tokens: keep each cue's one token, sorted and unique.
+        cues = set()
+        for cue in self.cue_words:
+            tokens = normalize_and_tokenize(cue)
+            if len(tokens) != 1:
+                raise ConfigError(f"selector cue_words must be one word each, got {cue!r}")
+            cues.update(tokens)
+        object.__setattr__(self, "cue_words", tuple(sorted(cues)))
 
     def to_provenance(self) -> dict:
         if self.method == "lda":
@@ -98,7 +106,7 @@ class SelectorConfig:
                 "alpha": self.alpha,
                 "beta": self.beta,
                 "iterations": self.iterations,
-                "cue_words": sorted(self.cue_words),
+                "cue_words": list(self.cue_words),
             }
         return {"method": "ma", "top_k": self.top_k, "window": self.window}
 

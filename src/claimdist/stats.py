@@ -59,12 +59,8 @@ class HypothesisTestResult:
 
 
 def quantile(values: Sequence[float], p: float) -> float:
-    """Type-7 quantile of ``values`` at probability ``p``."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
+    """Type-7 quantile of nonempty ``values`` at probability ``p`` in [0, 1]."""
     x = np.sort(np.asarray(values, dtype=np.float64))
-    if x.size == 0:
-        raise ValueError("empty input")
     h = (x.size - 1) * p
     lo = int(math.floor(h))
     hi = min(lo + 1, x.size - 1)

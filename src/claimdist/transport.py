@@ -185,21 +185,20 @@ def wmd_exact(
     a: NBow,
     b: NBow,
     table: EmbeddingTable,
-    max_words: int = DEFAULT_ORACLE_LIMIT,
 ) -> tuple[DistanceResult, np.ndarray]:
     """Exact optimal-transport distance with full marginal constraints.
 
     This is a verification oracle, not a production scorer: instances
-    with more than ``max_words`` unique words on either side are
+    with more than ``DEFAULT_ORACLE_LIMIT`` unique words on either side are
     refused. The returned plan is a read-only |a| x |b| flow matrix,
     checked to reproduce the objective within 1e-9 and to satisfy both
     marginals within 1e-7.
     """
     n, m = len(a), len(b)
-    if n > max_words or m > max_words:
+    if n > DEFAULT_ORACLE_LIMIT or m > DEFAULT_ORACLE_LIMIT:
         raise OracleSizeError(
             f"instance is {n}x{m} unique words; the exact oracle is capped at "
-            f"{max_words}x{max_words}"
+            f"{DEFAULT_ORACLE_LIMIT}x{DEFAULT_ORACLE_LIMIT}"
         )
     cost = ground_cost(similarity_matrix(table, a.words, b.words))
     objective, plan = _min_cost_transport(a.weights, b.weights, cost)

@@ -447,3 +447,15 @@ class TestMaSelect:
     def test_even_window_rejected(self, table):
         with pytest.raises(ValueError):
             ma_select(records(["v0"]), table, window=2, top_k=1)
+
+    def test_zero_document_centroid_scores_every_sentence_zero(self):
+        table = make_table(["v0", "w0"], [[1.0, 2.0], [-1.0, -2.0]])
+        out = ma_select(records(["v0"], ["w0"]), table, window=1, top_k=2)
+        assert [(s.index, s.score) for s in out] == [(0, 0.0), (1, 0.0)]
+
+    def test_sentence_with_zero_mean_scores_zero(self):
+        table = make_table(["v0", "w0", "u0"], [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        # document centroid (0.25, 0.25): v0 and u0 sit 45 degrees from it
+        out = ma_select(records(["v0", "w0"], ["v0"], ["u0"]), table, window=1, top_k=3)
+        assert [s.index for s in out] == [1, 2, 0]
+        assert [s.score for s in out] == pytest.approx([1 - 0.5**0.5] * 2 + [0.0], abs=1e-12)

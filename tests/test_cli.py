@@ -64,6 +64,10 @@ class TestRunCommand:
                 "selector cue_words must be a nonempty list",
             ),
             (
+                {"query": {"selector": {"method": "lda", "cue_words": ["state-of-the-art"]}}},
+                "selector cue_words must be one word each, got 'state-of-the-art'",
+            ),
+            (
                 {"query": {"selector": {}}},
                 "manifest query.selector is missing required key 'method'",
             ),
@@ -77,7 +81,8 @@ class TestRunCommand:
         ids=[
             "top_k", "options", "documents",
             "top_k=0", "window=2", "n_topics=0", "iterations=0", "alpha=-1",
-            "cue_words=[]", "empty-selector", "method=xyz", "expected_dim=0", "no-documents",
+            "cue_words=[]", "cue_words=[state-of-the-art]", "empty-selector", "method=xyz",
+            "expected_dim=0", "no-documents",
         ],
     )
     def test_mistyped_manifest_exit_1(self, tmp_path, capsys, extra, message):
@@ -98,18 +103,26 @@ class TestRunCommand:
         assert (rc, out) == (1, "")
         assert message in err
 
-    def test_cue_words_reach_the_provenance_sorted(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "cues, provenance",
+        [
+            (["word7", "word4"], ["word4", "word7"]),
+            (["Propose", "propose", " novel"], ["novel", "propose"]),
+        ],
+        ids=["sorted", "as-tokens"],
+    )
+    def test_cue_words_reach_the_provenance_sorted(self, tmp_path, capsys, cues, provenance):
         path = write_corpus(tmp_path)
         (tmp_path / "docs" / "query.txt").write_text(
-            "Word1 word2 word3. Word4 word5 word6. Word7 word8 word9."
+            "Word1 word2 word3. Word4 novel word6. Word7 propose word9."
         )
-        selector = {"method": "lda", "iterations": 2, "top_k": 1, "cue_words": ["word7", "word4"]}
+        selector = {"method": "lda", "iterations": 2, "top_k": 1, "cue_words": cues}
         spec = json.loads(path.read_text())
         spec["query"]["selector"] = selector
         path.write_text(json.dumps(spec))
         rc, out, _ = run_cli(capsys, "run", str(path), "--format", "json")
         assert rc == 0
-        assert json.loads(out)["provenance"]["selector"]["cue_words"] == ["word4", "word7"]
+        assert json.loads(out)["provenance"]["selector"]["cue_words"] == provenance
 
     def test_group_with_no_embeddable_document_exit_2_names_it(self, tmp_path, capsys):
         # the only group, so no candidate reaches the kernel
@@ -329,6 +342,25 @@ class TestExtractCommand:
         assert len(selected) == 2
         assert {"index", "score", "text"} <= set(selected[0])
 
+    @pytest.mark.parametrize(
+        "cues, tokens", [("Propose", "propose"), ("index, novel", "index,novel")]
+    )
+    def test_cues_select_as_their_tokens(self, tmp_path, capsys, cues, tokens):
+        f = tmp_path / "doc.txt"
+        f.write_text(
+            "We propose a novel metric here. "
+            "Existing metrics count citations only. "
+            "Data were collected from two databases."
+        )
+        flags = ["--selector", "lda", "--top-k", "1", "--k", "2", "--iters", "100", "--seed", "4"]
+        selected = []
+        for words in (cues, tokens):
+            rc, out, err = run_cli(capsys, "extract", str(f), *flags, "--cues", words)
+            assert (rc, err) == (0, "")
+            selected.append(json.loads(out))
+        assert selected[0] == selected[1]
+        assert [s["index"] for s in selected[0]] == [0]
+
     def test_ma_extract_requires_embeddings(self, tmp_path, capsys):
         f = tmp_path / "doc.txt"
         f.write_text("One sentence here. Another sentence there.")
@@ -476,6 +508,8 @@ class TestBenchCommand:
         (["extract", "{doc}", "--selector", "lda", "--alpha", "-1"], 1, "alpha"),
         (["extract", "{doc}", "--selector", "lda", "--alpha", "nan"], 1, "alpha"),
         (["extract", "{doc}", "--selector", "lda", "--beta", "0"], 1, "beta"),
+        (["extract", "{doc}", "--selector", "lda", "--cues", ","], 1,
+         "selector cue_words must be one word each, got ''"),
         (["preprocess", "{doc}", "--stopwords", "{bad}"], 2, "stopword file"),
         (["run", "{manifest}"], 2, "stopword file"),
         (["bench", "--sizes", "x"], 1, "--sizes"),
@@ -483,8 +517,8 @@ class TestBenchCommand:
          "--expected-dim"),
     ],
     ids=[
-        "top-k", "k", "iters", "window", "alpha", "alpha-nan", "beta", "stopwords-not-utf8",
-        "manifest-stopwords-not-utf8", "sizes", "expected-dim",
+        "top-k", "k", "iters", "window", "alpha", "alpha-nan", "beta", "cues-empty",
+        "stopwords-not-utf8", "manifest-stopwords-not-utf8", "sizes", "expected-dim",
     ],
 )
 def test_bad_input_exit_code_names_it(tmp_path, capsys, argv, code, message):

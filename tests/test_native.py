@@ -155,6 +155,14 @@ class TestLibrary:
             "claimdist_gather_max": None,
         }
 
+    def test_no_compiled_code_for_the_machine_gives_none_and_one_warning(
+        self, monkeypatch, caplog, rebuilt_library
+    ):
+        monkeypatch.setattr(platform, "machine", lambda: "riscv64")
+        assert native.library() is None
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "no compiled code on this riscv64 Python" in caplog.messages[0]
+
     def test_build_removes_other_libraries(self, private_cache_home, rebuilt_library):
         cache = private_cache_home / "claimdist"
         cache.mkdir(parents=True)

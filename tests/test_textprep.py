@@ -257,3 +257,11 @@ class TestStopwordLists:
         assert sw.name == "sw.txt"
         assert sw.words >= {"foo", "bar"}
         assert remove_stopwords(["foo", "baz"], sw.words) == ["baz"]
+
+    def test_blank_lines_add_no_word(self, tmp_path):
+        plain, blank = tmp_path / "plain.txt", tmp_path / "blank.txt"
+        plain.write_text("foo\nbar\n")
+        blank.write_text("\nfoo\n\n  \nbar\n\n")
+        words = load_stopwords(blank).words
+        assert words == load_stopwords(plain).words
+        assert "" not in words

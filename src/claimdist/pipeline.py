@@ -4,10 +4,12 @@ A JSON manifest names the query document, the grouped candidate
 documents, the word-vector file, and run options. ``run_experiment``
 scores every candidate against the query with the batched relaxed
 distance, summarizes each group, runs the omnibus and pairwise rank
-tests, and returns a report that mirrors the classic two-table layout:
-per-group ranked scores with median/[IQR] footers, then a significance
-block. Reports carry a provenance block (file hashes, variant, seed,
-selector settings) so any configuration gap stays auditable.
+tests, and returns the report as its JSON document. ``emit_report``
+renders that document as JSON, as CSV, or as text in the classic
+two-table layout: per-group ranked scores with median/[IQR] footers, then
+a significance block. Reports carry a provenance block (file hashes,
+variant, seed, selector settings) so any configuration gap stays
+auditable.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from pathlib import Path
 from typing import Sequence
@@ -38,7 +40,7 @@ from .embeddings import EmbeddingTable, load_embeddings
 # perfbench/trace.py wraps to time the hash.
 from .embeddings import file_sha256 as _file_sha256
 from .errors import ConfigError, DataError, EmptyDocumentError
-from .stats import GroupSummary, HypothesisTestResult, kruskal_wallis, median_iqr, wilcoxon_rank_sum_exact
+from .stats import kruskal_wallis, median_iqr, wilcoxon_rank_sum_exact
 from .textprep import (
     NBow,
     StopwordList,
@@ -324,72 +326,21 @@ def load_corpus(manifest: CorpusManifest) -> LoadedCorpus:
     return LoadedCorpus(query=query, query_text=query_text, groups=groups, stopwords=stopwords)
 
 
-@dataclass(frozen=True)
-class RankedDoc:
-    id: str
-    similarity: float
-    oov_dropped: int
-
-
-@dataclass(frozen=True)
-class SkippedDoc:
-    id: str
-    group: str
-    reason: str
-
-
-@dataclass(frozen=True)
-class ExperimentReport:
-    group_order: tuple[str, ...]
-    rankings: dict[str, list[RankedDoc]]
-    summaries: dict[str, GroupSummary]
-    skipped: tuple[SkippedDoc, ...]
-    omnibus: HypothesisTestResult | None
-    pairwise: tuple[HypothesisTestResult, ...]
-    note: str | None
-    provenance: dict
-
-    def to_dict(self) -> dict:
-        groups = {
-            g: {
-                "documents": [
-                    {"id": d.id, "similarity": d.similarity, "oov_dropped": d.oov_dropped}
-                    for d in self.rankings[g]
-                ],
-                "summary": {
-                    "n": self.summaries[g].n,
-                    "median": self.summaries[g].median,
-                    "q1": self.summaries[g].q1,
-                    "q3": self.summaries[g].q3,
-                },
-            }
-            for g in self.group_order
-        }
-        significance: dict = {
-            "kruskal_wallis": self.omnibus.to_dict() if self.omnibus else None,
-            "pairwise_wilcoxon_exact": [t.to_dict() for t in self.pairwise],
-        }
-        if self.note:
-            significance["note"] = self.note
-        return {
-            "group_order": list(self.group_order),
-            "groups": groups,
-            "significance": significance,
-            "skipped": [
-                {"id": s.id, "group": s.group, "reason": s.reason} for s in self.skipped
-            ],
-            "provenance": self.provenance,
-        }
-
-
 def select_claims(
     text: str, cfg: SelectorConfig, stopwords: StopwordList, table: EmbeddingTable | None, seed: int
 ) -> list[SentenceRecord]:
     """The claim sentences of ``text``, best first, chosen by ``cfg.method``.
 
     ``table`` is used only by the moving-average selector and ``seed``
-    only by the topic model.
+    only by the topic model, whose cue words, matched against tokens
+    left after stopword removal, must not be stopwords.
     """
+    stopped = [cue for cue in cfg.cue_words if cue in stopwords.words]
+    if cfg.method == "lda" and stopped:
+        raise ConfigError(
+            f"selector cue_words {stopped} are stopwords of {stopwords.name}, "
+            "which removes them before cues are matched"
+        )
     sentences = split_sentences(text, stopwords.words)
     if not sentences:
         raise EmptyDocumentError("text has no sentences")
@@ -425,8 +376,13 @@ def _select_query_tokens(
     return [t for s in sorted(selected, key=lambda s: s.index) for t in s.tokens]
 
 
-def run_experiment(manifest: CorpusManifest) -> ExperimentReport:
+def run_experiment(manifest: CorpusManifest) -> dict:
     """Score the corpus against the query and run the significance protocol.
+
+    The report is its JSON document: ``group_order``; ``groups``, each
+    with its ``documents`` best first and their median/IQR ``summary``;
+    ``significance``, with a ``note`` in place of the tests for a single
+    group; ``skipped``; and ``provenance``.
 
     Deterministic for a fixed manifest, file contents, and seed. A query
     that cannot be embedded is fatal. A candidate that cannot be embedded
@@ -455,45 +411,44 @@ def run_experiment(manifest: CorpusManifest) -> ExperimentReport:
         raise EmptyDocumentError(f"{_query_label(manifest)}: {exc}") from None
 
     scored: list[tuple[str, str, NBow]] = []  # group, id, nbow
-    skipped: list[SkippedDoc] = []
+    skipped: list[dict] = []
     for group, docs in corpus.groups.items():
         for doc in docs:
             try:
                 scored.append((group, doc.id, build_nbow(doc.tokens, table)))
             except EmptyDocumentError as exc:
-                skipped.append(SkippedDoc(id=doc.id, group=group, reason=str(exc)))
+                skipped.append({"id": doc.id, "group": group, "reason": str(exc)})
 
     scores = lc_rwmd_batch(query_nbow, [nbow for _, _, nbow in scored], table, manifest.variant)
 
-    group_order = tuple(corpus.groups)
-    rankings: dict[str, list[RankedDoc]] = {g: [] for g in group_order}
+    group_order = list(corpus.groups)
+    rankings: dict[str, list[dict]] = {g: [] for g in group_order}
     for (group, doc_id, nbow), res in zip(scored, scores):
         rankings[group].append(
-            RankedDoc(id=doc_id, similarity=res.similarity, oov_dropped=nbow.oov_dropped)
+            {"id": doc_id, "similarity": res.similarity, "oov_dropped": nbow.oov_dropped}
         )
-    for group in group_order:
-        if not rankings[group]:
+    for group, docs in rankings.items():
+        if not docs:
             raise DataError(
                 f"group {group!r} has no scoreable documents (all were skipped)"
             )
-        rankings[group].sort(key=lambda d: (-d.similarity, d.id))
+        docs.sort(key=lambda d: (-d["similarity"], d["id"]))
 
-    summaries = {
-        g: median_iqr([d.similarity for d in rankings[g]]) for g in group_order
+    by_group = {g: [d["similarity"] for d in docs] for g, docs in rankings.items()}
+    groups = {
+        g: {"documents": rankings[g], "summary": asdict(median_iqr(by_group[g]))}
+        for g in group_order
     }
 
-    omnibus = None
-    pairwise: tuple[HypothesisTestResult, ...] = ()
-    note = None
+    significance: dict = {"kruskal_wallis": None, "pairwise_wilcoxon_exact": []}
     if len(group_order) >= 2:
-        by_group = {g: [d.similarity for d in rankings[g]] for g in group_order}
-        omnibus = kruskal_wallis(by_group)
-        pairwise = tuple(
-            wilcoxon_rank_sum_exact(by_group[a], by_group[b], labels=(a, b))
+        significance["kruskal_wallis"] = kruskal_wallis(by_group).to_dict()
+        significance["pairwise_wilcoxon_exact"] = [
+            wilcoxon_rank_sum_exact(by_group[a], by_group[b], labels=(a, b)).to_dict()
             for a, b in combinations(group_order, 2)
-        )
+        ]
     else:
-        note = "significance tests omitted: corpus has a single group"
+        significance["note"] = "significance tests omitted: corpus has a single group"
 
     provenance = {
         "tool": "claimdist",
@@ -515,101 +470,99 @@ def run_experiment(manifest: CorpusManifest) -> ExperimentReport:
         "test_sidedness": "two-sided",
     }
 
-    return ExperimentReport(
-        group_order=group_order,
-        rankings=rankings,
-        summaries=summaries,
-        skipped=tuple(skipped),
-        omnibus=omnibus,
-        pairwise=pairwise,
-        note=note,
-        provenance=provenance,
-    )
+    return {
+        "group_order": group_order,
+        "groups": groups,
+        "significance": significance,
+        "skipped": skipped,
+        "provenance": provenance,
+    }
 
 
 def _format_p(p: float) -> str:
     return "<0.001" if p < 0.001 else f"{p:.4f}"
 
 
-def _emit_text(report: ExperimentReport, include_significance: bool) -> str:
+def _emit_text(report: dict, include_significance: bool) -> str:
     label_width = len("Median") + 2
+    groups = [(g, report["groups"][g]) for g in report["group_order"]]
     columns: list[list[str]] = []
-    for g in report.group_order:
+    for g, payload in groups:
         col = [g, "Doc ID - Distance"]
-        col.extend(f"{d.id} - {d.similarity:.4f}" for d in report.rankings[g])
+        col.extend(f"{d['id']} - {d['similarity']:.4f}" for d in payload["documents"])
         columns.append(col)
     widths = [max(len(line) for line in col) + 3 for col in columns]
     n_rows = max(len(col) for col in columns)
 
     out = io.StringIO()
-    query_id = report.provenance.get("query_id", "?")
-    variant = report.provenance.get("rwmd_variant", "?")
+    query_id = report["provenance"].get("query_id", "?")
+    variant = report["provenance"].get("rwmd_variant", "?")
     out.write(f"RWMD similarity to query '{query_id}' (variant: {variant})\n\n")
     for r in range(n_rows):
         cells = [
             (col[r] if r < len(col) else "").ljust(w) for col, w in zip(columns, widths)
         ]
         out.write(" " * label_width + "".join(cells).rstrip() + "\n")
-    med = "".join(
-        f"{report.summaries[g].median:.4f}".ljust(w)
-        for g, w in zip(report.group_order, widths)
-    )
+    summaries = [payload["summary"] for _, payload in groups]
+    med = "".join(f"{s['median']:.4f}".ljust(w) for s, w in zip(summaries, widths))
     iqr = "".join(
-        f"[{report.summaries[g].q1:.4f}-{report.summaries[g].q3:.4f}]".ljust(w)
-        for g, w in zip(report.group_order, widths)
+        f"[{s['q1']:.4f}-{s['q3']:.4f}]".ljust(w) for s, w in zip(summaries, widths)
     )
     out.write("Median".ljust(label_width) + med.rstrip() + "\n")
     out.write("[IQR]".ljust(label_width) + iqr.rstrip() + "\n")
 
     if include_significance:
+        sig = report["significance"]
         out.write("\nSignificance: * 0.01 < p <= 0.05, ** p <= 0.01\n")
-        if report.omnibus is not None:
+        omnibus = sig["kruskal_wallis"]
+        if omnibus is not None:
             out.write(
-                f"Kruskal-Wallis test: {_format_p(report.omnibus.p_value)}"
-                f"{report.omnibus.stars}\n"
+                f"Kruskal-Wallis test: {_format_p(omnibus['p_value'])}"
+                f"{omnibus['significance']}\n"
             )
             out.write("Pairwise Wilcoxon rank sum exact test:\n")
-            for t in report.pairwise:
-                method = "" if t.method == "exact" else f"  [{t.method}]"
+            for t in sig["pairwise_wilcoxon_exact"]:
+                method = "" if t["method"] == "exact" else f"  [{t['method']}]"
                 out.write(
-                    f"  {t.groups[0]} vs {t.groups[1]}: {_format_p(t.p_value)}"
-                    f"{t.stars}{method}\n"
+                    f"  {t['groups'][0]} vs {t['groups'][1]}: {_format_p(t['p_value'])}"
+                    f"{t['significance']}{method}\n"
                 )
-        if report.note:
-            out.write(f"{report.note}\n")
+        if sig.get("note"):
+            out.write(f"{sig['note']}\n")
 
-    if report.skipped:
+    if report["skipped"]:
         out.write("\nSkipped documents:\n")
-        for s in report.skipped:
-            out.write(f"  {s.group}/{s.id}: {s.reason}\n")
+        for s in report["skipped"]:
+            out.write(f"  {s['group']}/{s['id']}: {s['reason']}\n")
     return out.getvalue()
 
 
-def _emit_csv(report: ExperimentReport) -> str:
+def _emit_csv(report: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["group", "doc_id", "similarity"])
-    for g in report.group_order:
-        for d in report.rankings[g]:
-            writer.writerow([g, d.id, f"{d.similarity:.6f}"])
+    for g in report["group_order"]:
+        for d in report["groups"][g]["documents"]:
+            writer.writerow([g, d["id"], f"{d['similarity']:.6f}"])
     return buf.getvalue()
 
 
 def emit_report(
-    report: ExperimentReport,
+    report: dict,
     format: str = "text",
     include_significance: bool = True,
 ) -> bytes:
-    """Serialize a report as a UTF-8 byte stream.
+    """Serialize a report, as ``run_experiment`` returns it, as a UTF-8 byte stream.
 
-    JSON output is canonical (sorted keys, fixed layout): parsing and
-    re-emitting it is byte-identical.
+    ``report`` may also be a JSON report read back with ``json.loads``:
+    it renders to the same bytes. JSON output is canonical (sorted keys,
+    fixed layout): parsing and re-emitting it is byte-identical. The
+    report is not modified.
     """
     if format == "json":
-        doc = report.to_dict()
         if not include_significance:
-            doc.pop("significance")
-        return (json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode(
+            report = {k: v for k, v in report.items() if k != "significance"}
+        return (json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode(
             "utf-8"
         )
     if format == "csv":

@@ -361,6 +361,25 @@ class TestExtractCommand:
         assert selected[0] == selected[1]
         assert [s["index"] for s in selected[0]] == [0]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["extract", "{query}", "--selector", "lda", "--cues", "we"],
+            ["extract", "{query}", "--selector", "lda", "--cues", "we,propose"],
+            ["run", "{manifest}"],
+        ],
+        ids=["extract-we", "extract-we,propose", "manifest-we"],
+    )
+    def test_stopword_cue_exit_1_names_it(self, tmp_path, capsys, argv):
+        # the bundled list drops "we" from every sentence before cues are matched
+        selector = {"method": "lda", "iterations": 2, "cue_words": ["we"]}
+        manifest = write_corpus(tmp_path, manifest_extra={"query": {"selector": selector}})
+        query = tmp_path / "docs" / "query.txt"
+        query.write_text("We propose a novel index here. Existing metrics count citations.")
+        rc, out, err = run_cli(capsys, *(a.format(query=query, manifest=manifest) for a in argv))
+        assert (rc, out) == (1, "")
+        assert "cue_words ['we'] are stopwords of snowball_en.txt" in err
+
     def test_ma_extract_requires_embeddings(self, tmp_path, capsys):
         f = tmp_path / "doc.txt"
         f.write_text("One sentence here. Another sentence there.")

@@ -5,6 +5,7 @@ import pytest
 from claimdist.claimselect import DEFAULT_CUE_WORDS
 from claimdist.errors import ConfigError, DataError, EmptyDocumentError
 from claimdist.pipeline import (
+    REPORT_FORMATS,
     SelectorConfig,
     bench_scaling,
     emit_report,
@@ -114,13 +115,14 @@ class TestLoadCorpus:
 class TestRunExperiment:
     def test_full_report_shape(self, corpus_manifest):
         report = run_experiment(load_manifest(corpus_manifest))
-        assert report.group_order == ("alpha", "beta")
-        assert all(len(report.rankings[g]) == 5 for g in report.group_order)
-        assert report.omnibus is not None
-        assert len(report.pairwise) == 1
-        assert report.pairwise[0].groups == ("alpha", "beta")
-        for g in report.group_order:
-            sims = [d.similarity for d in report.rankings[g]]
+        assert report["group_order"] == ["alpha", "beta"]
+        assert all(len(report["groups"][g]["documents"]) == 5 for g in report["group_order"])
+        significance = report["significance"]
+        assert significance["kruskal_wallis"] is not None
+        assert len(significance["pairwise_wilcoxon_exact"]) == 1
+        assert significance["pairwise_wilcoxon_exact"][0]["groups"] == ["alpha", "beta"]
+        for g in report["group_order"]:
+            sims = [d["similarity"] for d in report["groups"][g]["documents"]]
             assert sims == sorted(sims, reverse=True)
             assert all(0.0 <= s <= 1.0 for s in sims)
 
@@ -134,10 +136,10 @@ class TestRunExperiment:
 
         rewrite_manifest(path, mutate)
         report = run_experiment(load_manifest(path))
-        scored = sum(len(report.rankings[g]) for g in report.group_order)
-        assert scored + len(report.skipped) == 11
-        assert report.skipped[0].id == "oov"
-        assert report.skipped[0].group == "alpha"
+        scored = sum(len(report["groups"][g]["documents"]) for g in report["group_order"])
+        assert scored + len(report["skipped"]) == 11
+        assert report["skipped"][0]["id"] == "oov"
+        assert report["skipped"][0]["group"] == "alpha"
 
     def test_group_emptied_by_oov_errors(self, tmp_path):
         path = write_corpus(tmp_path)
@@ -160,9 +162,9 @@ class TestRunExperiment:
     def test_single_group_omits_tests_with_note(self, tmp_path):
         path = write_corpus(tmp_path, groups=("solo",), docs_per_group=3)
         report = run_experiment(load_manifest(path))
-        assert report.omnibus is None
-        assert report.pairwise == ()
-        assert "single group" in report.note
+        assert report["significance"]["kruskal_wallis"] is None
+        assert report["significance"]["pairwise_wilcoxon_exact"] == []
+        assert "single group" in report["significance"]["note"]
 
     def test_determinism_byte_identical_json(self, corpus_manifest):
         m = load_manifest(corpus_manifest)
@@ -172,7 +174,7 @@ class TestRunExperiment:
 
     def test_provenance_completeness(self, corpus_manifest):
         report = run_experiment(load_manifest(corpus_manifest))
-        p = report.provenance
+        p = report["provenance"]
         for key in (
             "embedding_sha256",
             "stopword_sha256",
@@ -196,7 +198,7 @@ class TestRunExperiment:
             },
         )
         report = run_experiment(load_manifest(path))
-        assert report.provenance["selector"] == {"method": "ma", "top_k": 2, "window": 3}
+        assert report["provenance"]["selector"] == {"method": "ma", "top_k": 2, "window": 3}
 
     @pytest.mark.parametrize("cues", [{}, {"cue_words": None}], ids=["absent", "null"])
     def test_cue_words_absent_or_null_are_the_default_list(self, tmp_path, cues):
@@ -259,14 +261,14 @@ class TestEmitReport:
         assert "Kruskal-Wallis test:" in text
         assert "Wilcoxon rank sum exact test" in text
         assert "Skipped" not in text  # empty skip list -> no section
-        med = report.summaries["alpha"].median
+        med = report["groups"]["alpha"]["summary"]["median"]
         assert f"{med:.4f}" in text
 
     def test_text_median_matches_recomputation(self, corpus_manifest):
         report = run_experiment(load_manifest(corpus_manifest))
-        for g in report.group_order:
-            sims = [d.similarity for d in report.rankings[g]]
-            assert report.summaries[g].median == median_iqr(sims).median
+        for g in report["group_order"]:
+            sims = [d["similarity"] for d in report["groups"][g]["documents"]]
+            assert report["groups"][g]["summary"]["median"] == median_iqr(sims).median
 
     def test_csv_format(self, corpus_manifest):
         report = run_experiment(load_manifest(corpus_manifest))
@@ -286,6 +288,13 @@ class TestEmitReport:
             json.dumps(reparsed, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
         ).encode()
         assert blob == again
+        # a saved JSON report re-renders to the same bytes in every format
+        for fmt in REPORT_FORMATS:
+            for significance in (True, False):
+                assert emit_report(reparsed, fmt, significance) == emit_report(
+                    report, fmt, significance
+                )
+        assert emit_report(report, "json") == blob  # rendering left the report as it was
 
     def test_json_median_matches_documents(self, corpus_manifest):
         report = run_experiment(load_manifest(corpus_manifest))
@@ -368,13 +377,14 @@ class TestProtocolSeparation:
 
     def test_ordering_and_significance(self, tmp_path):
         report = run_experiment(load_manifest(self.build(tmp_path)))
-        med = {g: report.summaries[g].median for g in report.group_order}
+        med = {g: report["groups"][g]["summary"]["median"] for g in report["group_order"]}
         assert med["near"] > med["mid"] > med["far"]
-        assert report.omnibus.p_value < 0.001
-        assert len(report.pairwise) == 3
-        for test in report.pairwise:
-            assert test.p_value < 0.001
-            assert test.stars == "**"
+        significance = report["significance"]
+        assert significance["kruskal_wallis"]["p_value"] < 0.001
+        assert len(significance["pairwise_wilcoxon_exact"]) == 3
+        for test in significance["pairwise_wilcoxon_exact"]:
+            assert test["p_value"] < 0.001
+            assert test["significance"] == "**"
 
 
 class TestBenchScaling:

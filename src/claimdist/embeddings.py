@@ -32,19 +32,26 @@ file, under ``$XDG_CACHE_HOME/claimdist`` (``~/.cache/claimdist`` when
 that is unset). An entry ``v3-<sha256>`` holds ``matrix.f64`` (the
 rows), ``norms.npy``, ``vocab.txt`` and ``meta.json``; the parse writes
 ``matrix.f64`` straight into it. A later load of the same file opens the
-stored rows instead of parsing the text again. The parse hashes the
-bytes it reads; when they no longer have the digest the entry was looked
-up by, the file changed after it was hashed, and the load raises
-:class:`DataError` and writes no entry. Writing an entry removes
-every other entry, of any format, parsed from the same file or from one
-gone or changed since. Deleting the cache is always safe: a missing or
-damaged entry is parsed and written again.
+stored rows instead of parsing the text again. The file's digest is
+kept too, in a memo ``memo-<sha256 of its real path>.json`` with the
+file's stat key (device, inode, size, mtime and ctime), so that a later
+load of an unchanged file reads only the memo, not the file
+(:func:`file_sha256`). A cold load still reads the file twice, to hash
+it and to parse it. The parse hashes the bytes it reads; when they no
+longer have the digest the entry was looked up by, the file changed
+after it was hashed, and the load raises :class:`DataError`, writes no
+entry and removes the file's memo. Writing an entry removes every other
+entry, of any format, parsed from the same file or from one gone or
+changed since, and every memo of a file gone or changed since. Deleting
+the cache, or any memo or entry in it, is always safe: a missing or
+damaged one is written again.
 When the cache cannot be written, the rows go to an anonymous
 temporary file under ``TMPDIR``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -134,21 +141,104 @@ class EmbeddingTable:
             raise OutOfVocabularyError(f"word not in embedding table: {exc.args[0]!r}") from None
 
 
+def _stat_key(st: os.stat_result) -> list[int]:
+    """The status fields that tell a file's bytes have not changed.
+
+    A rewrite in place keeps the device, inode, size and even the mtime
+    (``os.utime`` sets it back), but every write, ``chmod`` or rename sets
+    the ctime, which no user-space call can set back.
+    """
+    return [st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns]
+
+
+def _memo_path(source: str) -> Path:
+    """The digest memo of the table whose real path is ``source``."""
+    return native.cache_dir() / f"memo-{hashlib.sha256(os.fsencode(source)).hexdigest()}.json"
+
+
+def _memo_digest(memo: Path, source: str, st: os.stat_result) -> str | None:
+    """The digest in ``memo`` if it proves ``source``, of status ``st``, unchanged; else None.
+
+    It does when it names ``source`` with the stat key of ``st``, and
+    that status's last change (mtime or ctime) is in an earlier whole
+    second than ``fs_time_ns``, the filesystem's time when the memo's
+    hash began. A change made after that moment sets a ctime in that
+    second or later, so it never matches a trusted memo; a memo taken in
+    the second of the table's last change is "racily clean", as git
+    calls it, and not trusted. Whole seconds keep the rule sound on a
+    filesystem with 1-second timestamps.
+    """
+    try:
+        record = json.loads(memo.read_text(encoding="utf-8"))
+        trusted = (
+            record["source"] == source
+            and record["source_stat"] == _stat_key(st)
+            and max(st.st_mtime_ns, st.st_ctime_ns) // 10**9 < record["fs_time_ns"] // 10**9
+            and len(bytes.fromhex(record["digest"])) == 32
+        )
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    return record["digest"] if trusted else None
+
+
+def _write_memo(file: BinaryIO, memo: Path, record: dict | None):
+    """Write ``record`` into the temporary ``file`` and rename it to ``memo``; else remove it.
+
+    A memo that cannot be written is skipped without a warning.
+    """
+    with contextlib.suppress(OSError):
+        with file:
+            if record is not None:
+                # nothing was written to the file yet: its mtime is the time it was made
+                record["fs_time_ns"] = os.fstat(file.fileno()).st_mtime_ns
+                file.write(json.dumps(record).encode())
+        if record is not None:
+            os.replace(file.name, memo)
+    with contextlib.suppress(OSError):
+        os.unlink(file.name)  # still there unless the memo was written
+
+
 def file_sha256(path: str | Path) -> str:
     """Hex SHA-256 of an embedding file; an unreadable file raises ConfigError.
 
-    So does a path that is not a regular file: a table is read twice, to
-    hash it and to parse it, and a pipe or a device cannot be.
+    So does a path that is not a regular file: a cold load reads a table
+    twice, to hash it and to parse it, and a pipe or a device cannot be.
+
+    When the file's memo in the cache directory proves it unchanged
+    (:func:`_memo_digest`), the digest is the memo's and the file is not
+    read. Otherwise the file is hashed and a fresh memo written, in this
+    order: the memo's temporary file is created, and its mtime, before
+    anything is written to it, is the memo's ``fs_time_ns``; the table is
+    opened and its status taken from the open handle; its bytes are
+    hashed; the memo is written and renamed into place.
     """
+    source = os.path.realpath(path)
+    memo = _memo_path(source)
     digest = hashlib.sha256()
+    file = record = None
     try:
-        if not stat.S_ISREG(os.stat(path).st_mode):
+        st = os.stat(path)
+        if not stat.S_ISREG(st.st_mode):
             raise ConfigError(f"cannot read embedding file {path}: not a regular file")
+        known = _memo_digest(memo, source, st)
+        if known is not None:
+            return known
+        try:
+            memo.parent.mkdir(parents=True, exist_ok=True)
+            # made before the table is opened, so a change the hash may miss comes after its mtime
+            file = tempfile.NamedTemporaryFile(dir=memo.parent, prefix=".memo-", delete=False)
+        except OSError:
+            pass  # a cache that cannot be written keeps no memo
         with open(path, "rb") as fh:
+            st = os.fstat(fh.fileno())
             for chunk in iter(lambda: fh.read(1 << 20), b""):
                 digest.update(chunk)
+        record = {"source": source, "source_stat": _stat_key(st), "digest": digest.hexdigest()}
     except OSError as exc:
         raise ConfigError(f"cannot read embedding file {path}: {exc}") from None
+    finally:
+        if file is not None:
+            _write_memo(file, memo, record)
     return digest.hexdigest()
 
 
@@ -539,21 +629,22 @@ def _cache_sink(entry: Path, name: str) -> tuple[BinaryIO, str, Path | None]:
         ) from None
 
 
-def _stale(entry: Path, source: str) -> bool:
-    """Whether ``entry``, parsed from another file than ``source``, can no longer be hit.
+def _stale(meta_file: Path, source: str | None = None) -> bool:
+    """Whether the entry or digest memo recorded in ``meta_file`` can no longer be hit.
 
     It can be hit only if its table file still holds the bytes it was
-    parsed from, so it is stale when it names no file, when its file is
-    ``source`` (which now holds other bytes), or when its file is gone or
-    no longer has the size and mtime recorded with it.
+    taken from, so it is stale when it names no file, when its file is
+    ``source`` (a table just parsed into another entry), or when its
+    file is gone or no longer has the stat key recorded with it
+    (:func:`_stat_key`).
     """
     try:
-        meta = json.loads((entry / "meta.json").read_text(encoding="utf-8"))
+        meta = json.loads(meta_file.read_text(encoding="utf-8"))
         st = os.stat(meta["source"])
-        recorded = (meta["source_size"], meta["source_mtime_ns"])
+        recorded = meta["source_stat"]
     except (OSError, ValueError, KeyError, TypeError):
         return True
-    return meta["source"] == source or (st.st_size, st.st_mtime_ns) != recorded
+    return meta["source"] == source or _stat_key(st) != recorded
 
 
 def _write_entry(
@@ -562,15 +653,15 @@ def _write_entry(
     """Complete the entry whose rows were parsed into ``tmp``; rename it into place.
 
     ``st`` is the status of the file parsed, as it was opened. Then
-    remove every other entry that can no longer be hit (``_stale``).
+    remove every other entry, and every digest memo, that can no longer
+    be hit (``_stale``).
     """
     source = os.path.realpath(table.source_name)
     try:
         meta = {
             "key": digest,
             "source": source,
-            "source_size": st.st_size,
-            "source_mtime_ns": st.st_mtime_ns,
+            "source_stat": _stat_key(st),
             "rows": len(table),
             "dimension": table.dimension,
             "duplicates": table.n_duplicates,
@@ -591,8 +682,12 @@ def _write_entry(
         shutil.rmtree(tmp, ignore_errors=True)
         return
     for other in entry.parent.glob("v[0-9]*-*"):  # entries of every format
-        if other != entry and _stale(other, source):
+        if other != entry and _stale(other / "meta.json", source):
             shutil.rmtree(other, ignore_errors=True)
+    for memo in entry.parent.glob("memo-*.json"):
+        if _stale(memo):
+            with contextlib.suppress(OSError):
+                memo.unlink()
 
 
 def _add_batches(stream: BinaryIO, rows: _Rows, lib) -> str:
@@ -683,6 +778,9 @@ def load_embeddings(
             parsed = _add_batches(stream, rows, native.library())
             st = os.fstat(stream.fileno())
         if parsed != digest:  # the rows would be stored under another table's digest
+            # a memo that gave the digest is wrong, so the next run hashes again
+            with contextlib.suppress(OSError):
+                _memo_path(os.path.realpath(source)).unlink()
             raise DataError(f"embedding file {name} changed while it was read")
         table = rows.table(name)
     except BaseException as exc:

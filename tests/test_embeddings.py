@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import logging
 import os
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from claimdist.embeddings import load_embeddings, similarity_matrix
-from claimdist.errors import EmbeddingParseError, OutOfVocabularyError
+from claimdist.errors import DataError, EmbeddingParseError, OutOfVocabularyError
 from claimdist import cli, embeddings, native
 
 from conftest import (
@@ -317,6 +318,23 @@ def _no_parse(*args, **kwargs):
     raise AssertionError("the text was parsed again")
 
 
+def _rewrite_in_place(path, data):
+    """Write ``data``, as long as the file, over ``path``, then set its mtime back.
+
+    The write comes a clock tick or more after the file's last change, so
+    that it gets another ctime.
+    """
+    st = path.stat()
+    assert len(data) == st.st_size
+    time.sleep(max(0.0, (st.st_ctime_ns + 20_000_000 - time.time_ns()) / 1e9))
+    with open(path, "r+b") as fh:
+        fh.write(data)
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+    now = path.stat()
+    assert (now.st_size, now.st_mtime_ns) == (st.st_size, st.st_mtime_ns)
+    assert now.st_ctime_ns != st.st_ctime_ns
+
+
 class TestEmbeddingCache:
     def test_hit_equals_cold(self, tmp_path, private_cache_home, monkeypatch, caplog):
         path = _table_file(tmp_path / "emb.txt")
@@ -409,7 +427,7 @@ class TestEmbeddingCache:
         load_embeddings(b)
         assert _entry(private_cache_home).name == _entry_name(embeddings.file_sha256(b))
 
-    @pytest.mark.parametrize("change", ["mtime", "size", "no-source", "no-meta"])
+    @pytest.mark.parametrize("change", ["mtime", "size", "rewritten", "no-source", "no-meta"])
     def test_entry_that_cannot_be_hit_is_removed(
         self, tmp_path, private_cache_home, change
     ):
@@ -421,8 +439,10 @@ class TestEmbeddingCache:
             os.utime(a, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000_000))
         elif change == "size":
             meta = json.loads(meta_file.read_text())
-            meta["source_size"] += 1
+            meta["source_stat"][2] += 1
             meta_file.write_text(json.dumps(meta))
+        elif change == "rewritten":  # other bytes, same size, mtime set back: a new ctime
+            _rewrite_in_place(a, b"u" + a.read_bytes()[1:])
         elif change == "no-source":
             meta = json.loads(meta_file.read_text())
             del meta["source"]
@@ -561,7 +581,10 @@ class TestRowReader:
             load_embeddings(path)
         assert len(sinks) == 1 and sinks[0].closed
         root = private_cache_home / "claimdist"
-        assert not root.exists() or [p.name[:7] for p in root.iterdir()] in ([], ["native-"])
+        # the table's digest memo stays: its hash was right
+        assert not root.exists() or [
+            p.name[:7] for p in root.iterdir() if not p.name.startswith("memo-")
+        ] in ([], ["native-"])
 
 
 def _declined(self, half, lineno):
@@ -1116,6 +1139,205 @@ class TestChangedWhileRead:
         table = load_embeddings(path)
         assert row(table, "novel").tolist() == [1.0, 0.0]
         assert _entry(private_cache_home).name == _entry_name(file_sha256(path))
+
+
+def _memo_file(path):
+    """The digest memo of the table at ``path`` in the test's cache."""
+    return embeddings._memo_path(os.path.realpath(path))
+
+
+def _forge_memo(path, **fields):
+    """Write the memo of the table at ``path`` as its hash would, with ``fields`` changed."""
+    st = os.stat(path)
+    record = {
+        "source": os.path.realpath(path),
+        "source_stat": embeddings._stat_key(st),
+        "fs_time_ns": (max(st.st_mtime_ns, st.st_ctime_ns) // 10**9 + 1) * 10**9,
+        "digest": hashlib.sha256(path.read_bytes()).hexdigest(),
+        **fields,
+    }
+    _memo_file(path).parent.mkdir(parents=True, exist_ok=True)
+    _memo_file(path).write_text(json.dumps(record))
+
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """Every buffer given to a SHA-256 hash while the test runs, in order."""
+    fed = []
+    sha256 = hashlib.sha256
+
+    class Recording:
+        def __init__(self, data=b""):
+            fed.append(bytes(data))
+            self._hash = sha256(data)
+
+        def update(self, data):
+            fed.append(bytes(data))
+            self._hash.update(data)
+
+        def __getattr__(self, name):
+            return getattr(self._hash, name)
+
+    monkeypatch.setattr(hashlib, "sha256", Recording)
+    return fed
+
+
+def _table_bytes_hashed(fed, path):
+    """How many bytes of the table at ``path`` were hashed, by the buffers in ``fed``."""
+    data = path.read_bytes()
+    return sum(len(b) for b in fed if len(b) >= 16 and b in data)
+
+
+# Tables of TestDigestMemo, one per test that changes its table.
+SETTLED = ("guard.txt", "in-place.txt", "replaced.txt")
+
+
+@pytest.fixture(scope="class")
+def settled(tmp_path_factory):
+    """A directory of the tables in SETTLED, last changed in an earlier whole second than now.
+
+    A memo taken from them is trusted. The fixture waits once, for the
+    next whole second after the last write, and a little more: the
+    filesystem's clock may lag ``time.time`` by a clock tick.
+    """
+    root = tmp_path_factory.mktemp("settled")
+    for name in SETTLED:
+        (root / name).write_bytes(TestChangedWhileRead.ROWS)
+    last = max(max(p.stat().st_mtime_ns, p.stat().st_ctime_ns) for p in root.iterdir())
+    time.sleep(max(0.0, (last // 10**9 + 1) - time.time()) + 0.05)
+    return root
+
+
+class TestDigestMemo:
+    """A table's digest comes from its memo only while the memo proves the table unchanged."""
+
+    ROWS = TestChangedWhileRead.ROWS
+    SWAPPED = TestChangedWhileRead.SWAPPED
+    ROWS_SHA256 = hashlib.sha256(ROWS).hexdigest()
+    SWAPPED_SHA256 = hashlib.sha256(SWAPPED).hexdigest()
+
+    @pytest.fixture(autouse=True)
+    def no_background_build(self, monkeypatch):
+        monkeypatch.setattr(native, "start_build", lambda: None)
+
+    @pytest.mark.parametrize("how", ["load", "dist"])
+    def test_a_warm_run_does_not_hash_the_table(self, tmp_path, settled, capsys, hashed, how):
+        path = settled / "guard.txt"
+        (tmp_path / "query.txt").write_text("novel cat")
+        (tmp_path / "candidate.txt").write_text("novel dog")
+        argv = ["dist", str(tmp_path / "query.txt"), str(tmp_path / "candidate.txt"),
+                "--embeddings", str(path)]
+        table_bytes = []
+        for _ in range(2):
+            hashed.clear()
+            if how == "load":
+                assert row(load_embeddings(path), "novel").tolist() == [1.0, 0.0]
+            else:
+                assert cli.main(argv) == 0
+                assert json.loads(capsys.readouterr().out)["distance"] == pytest.approx(0.1464466)
+            table_bytes.append(_table_bytes_hashed(hashed, path))
+        # the cold run hashes the table twice, before and while parsing it;
+        # the warm one reads only the memo
+        assert table_bytes == [2 * len(self.ROWS), 0]
+
+    def test_an_in_place_rewrite_with_its_mtime_set_back_is_hashed_again(self, settled, hashed):
+        path = settled / "in-place.txt"
+        assert row(load_embeddings(path), "novel").tolist() == [1.0, 0.0]
+        hashed.clear()
+        assert embeddings.file_sha256(path) == self.ROWS_SHA256
+        assert _table_bytes_hashed(hashed, path) == 0  # the memo was trusted
+        _rewrite_in_place(path, self.SWAPPED)
+        assert embeddings.file_sha256(path) == self.SWAPPED_SHA256
+        assert row(load_embeddings(path), "novel").tolist() == [0.0, 1.0]
+
+    def test_a_table_replaced_by_rename_is_hashed_again(self, tmp_path, settled, hashed):
+        path = settled / "replaced.txt"
+        assert row(load_embeddings(path), "novel").tolist() == [1.0, 0.0]
+        hashed.clear()
+        assert embeddings.file_sha256(path) == self.ROWS_SHA256
+        assert _table_bytes_hashed(hashed, path) == 0  # the memo was trusted
+        new = tmp_path / "new.txt"
+        new.write_bytes(self.SWAPPED)
+        st = path.stat()
+        os.utime(new, ns=(st.st_atime_ns, st.st_mtime_ns))
+        os.replace(new, path)
+        assert embeddings.file_sha256(path) == self.SWAPPED_SHA256
+        assert row(load_embeddings(path), "novel").tolist() == [0.0, 1.0]
+
+    @pytest.mark.parametrize("change", ["same-second", "other-source"])
+    def test_a_memo_that_does_not_prove_the_table_unchanged_is_not_trusted(
+        self, tmp_path, change
+    ):
+        path, other = tmp_path / "emb.txt", tmp_path / "other.txt"
+        path.write_bytes(self.ROWS)
+        other.write_bytes(self.ROWS)
+        forged = "0" * 64
+        _forge_memo(path, digest=forged)  # taken in the second after the table's last change
+        assert embeddings.file_sha256(path) == forged
+        st = path.stat()
+        if change == "same-second":  # the last nanosecond of the table's last change's second
+            fields = {"fs_time_ns": max(st.st_mtime_ns, st.st_ctime_ns) // 10**9 * 10**9 + 10**9 - 1}
+        else:
+            fields = {"source": os.path.realpath(other)}
+        _forge_memo(path, digest=forged, **fields)
+        assert embeddings.file_sha256(path) == self.ROWS_SHA256
+        # and the memo is written afresh
+        assert json.loads(_memo_file(path).read_text())["digest"] != forged
+
+    @pytest.mark.parametrize("how", ["not-a-directory", "rename-fails"])
+    def test_a_memo_that_cannot_be_written_is_skipped_without_a_warning(
+        self, tmp_path, private_cache_home, monkeypatch, capsys, caplog, hashed, how
+    ):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(self.ROWS)
+        (tmp_path / "query.txt").write_text("novel cat")
+        (tmp_path / "candidate.txt").write_text("novel dog")
+        native.library()  # loaded before, so that a blocked cache does not stop its build
+        if how == "not-a-directory":
+            _block_cache(tmp_path, monkeypatch)
+        else:
+            replace = os.replace
+
+            def failing_replace(src, dst):
+                if Path(dst).name.startswith("memo-"):
+                    raise OSError(errno.EACCES, "Permission denied")
+                return replace(src, dst)
+
+            monkeypatch.setattr(embeddings.os, "replace", failing_replace)
+        argv = ["dist", str(tmp_path / "query.txt"), str(tmp_path / "candidate.txt"),
+                "--embeddings", str(path)]
+        with caplog.at_level(logging.WARNING):
+            assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["distance"] == pytest.approx(0.1464466)
+        # an entry that cannot be written warns, as before; the memo adds nothing
+        assert len(caplog.messages) == (how == "not-a-directory")
+        assert all("cannot write embedding cache" in m for m in caplog.messages)
+        assert _table_bytes_hashed(hashed, path) == 2 * len(self.ROWS)
+        root = private_cache_home / "claimdist"
+        assert not root.exists() or not [p for p in root.iterdir() if "memo-" in p.name]
+
+    def test_a_memo_the_parse_contradicts_is_removed(self, tmp_path, private_cache_home):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(self.ROWS)
+        # a trusted memo with another digest, as after a write the stat key missed
+        _forge_memo(path, digest=self.SWAPPED_SHA256)
+        with pytest.raises(DataError, match="changed while it was read"):
+            load_embeddings(path)
+        assert not _memo_file(path).exists() and _entries(private_cache_home) == []
+        assert row(load_embeddings(path), "novel").tolist() == [1.0, 0.0]
+
+    def test_memos_of_tables_gone_or_changed_are_removed_with_the_next_entry(self, tmp_path):
+        gone, changed, kept, parsed = (tmp_path / f"{n}.txt" for n in "abcd")
+        for path in (gone, changed, kept, parsed):
+            path.write_bytes(self.ROWS)
+            embeddings.file_sha256(path)
+        gone.unlink()
+        _rewrite_in_place(changed, self.SWAPPED)
+        assert all(_memo_file(p).exists() for p in (gone, changed, kept))
+        load_embeddings(parsed)
+        assert [_memo_file(p).exists() for p in (gone, changed, kept, parsed)] == [
+            False, False, True, True,
+        ]
 
 
 class _Unwritable:

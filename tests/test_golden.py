@@ -12,7 +12,8 @@ that read a different file, or a row in another order, changes them.
 The digests were captured before the embedding store was rewritten;
 the ``rank`` text digests and the ``tied-groups`` case, whose pairwise
 test falls back to the tie-corrected normal approximation, before the
-report became its JSON document.
+report became its JSON document; the ``multi-block`` case before the
+kernel capped the union rows of one block.
 They depend on the exact float64 results of the kernel and statistics,
 so a change that moves any reported value in its last bit fails here.
 """
@@ -20,6 +21,7 @@ so a change that moves any reported value in its last bit fails here.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from claimdist.cli import main
@@ -93,6 +95,20 @@ def _tied_groups(root):
     return path
 
 
+def _multi_block(root):
+    # A union of 2,600 words at dimension 300 against a query of at most 30
+    # distinct words: a candidate union that spans several kernel blocks,
+    # with the GloVe dimension, so the GEMM splits its inner products as
+    # it does on a real table.
+    path = write_corpus(root, n_words=2600, dim=300)
+    rng = np.random.default_rng(11)
+    words = rng.permutation([f"word{i}" for i in range(2600)])
+    entries = json.loads(path.read_text())["documents"]
+    for entry, part in zip(entries, np.array_split(words, len(entries))):
+        (root / entry["path"]).write_text(" ".join([*part, *rng.choice(words, 40)]) + ".")
+    return path
+
+
 CASES = {
     "plain": write_corpus,
     "lda": _lda,
@@ -104,6 +120,7 @@ CASES = {
     "skipped-document": _skipped,
     "duplicate-and-zero-rows": _duplicate_and_zero_rows,
     "tied-groups": _tied_groups,
+    "multi-block": _multi_block,
 }
 
 GOLDEN = {
@@ -162,6 +179,13 @@ GOLDEN = {
         "14e7d17dea7a5b1365ab960a8dcbae043025266303b37c3c4ea4f1ef610e0cd8",
         "8fbb86e95148013b0898f65b96ee901a666c31c92e853a1e379fbb14d72a9cbe",
         "b283ffbe183c8487f81abc6f8f3150f4b6d3863a33885bf8ff3612974df3f9fc",
+    ),
+    "multi-block": (
+        "cc5b60977ebe98e6b427e020304de9500adc6ea6554c6a011409f06fd397414d",
+        "7d326955a466799956d7d52696b244246deb26e01a01f009d1d7c97a351f673d",
+        "74178f7516bc50292444461a5a779bc455df9eb1a42a5e074e4089620e011412",
+        "a0f6769bfc6739f594ac30b0cef5be06a6f8a02bfa9c78e03b5d13a5ef858a5e",
+        "ac7e26101881d17e244fa2dabd8f164ec9ee8268ff77b58309263c50aebbe710",
     ),
 }
 

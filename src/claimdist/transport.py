@@ -33,10 +33,15 @@ RWMD_VARIANTS = (SYMMETRIC_MAX, ONE_SIDED_QUERY)
 
 DEFAULT_ORACLE_LIMIT = 64
 
-# Byte budget for one block of raw cosines in lc_rwmd_batch; the rows per
-# block follow from the query length, so peak memory stays flat as the
-# query grows.
+# Byte budget for one block of raw cosines in lc_rwmd_batch: a wide query
+# gets fewer union rows per block, so the cosines stay within 8 MiB.
 _BLOCK_BYTES = 8 << 20
+# Union rows per block, whatever the query's width: a block's normalized
+# rows, and the packed copy of them that BLAS makes for the GEMM, grow with
+# rows x dimension, so without the cap a short query would hold the whole
+# union twice. Moving a block edge can move a cosine's last bit: over query
+# widths 1 to 1,100 this cap moved a distance at 1 width, 512 rows at 13.
+_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -231,6 +236,12 @@ def lc_rwmd_batch(
     reduced vectors. Every candidate is scored: a document that cannot
     be embedded has no bag of words and is set aside by the caller.
 
+    A block is at most ``_BLOCK_ROWS`` union rows and at most
+    ``_BLOCK_BYTES`` of cosines, so besides the query's normalized rows
+    the scan holds one block's normalized union rows (and BLAS's packed
+    copy of them), one block of cosines, the |candidates| x |query| table
+    and the pair arrays, however large the union is.
+
     The (candidate, union word) pairs are sorted once, by block, then
     candidate, then row, and each block folds its slice of them into the
     per-candidate maxima: ``claimdist_gather_max`` from
@@ -254,7 +265,7 @@ def lc_rwmd_batch(
     positions = [np.searchsorted(union_idx, idx) for idx in cand_rows]
 
     q_norm = normalized_rows(table, table.row_indices(query.words))
-    rows = max(1, _BLOCK_BYTES // (8 * len(query)))
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // (8 * len(query))))
     pair_cand, pair_row, edges = _block_pairs(positions, rows, len(union_idx))
     lib = native.library()
 

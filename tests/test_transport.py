@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from claimdist.embeddings import normalized_rows
 from claimdist.errors import InternalInvariantError, OracleSizeError
 from claimdist.textprep import NBow
 from claimdist.transport import (
@@ -184,7 +185,7 @@ class TestLcRwmdBatch:
         vocab = [f"w{i}" for i in range(n_query + n_union)]
         q = random_nbow(rng, vocab[:n_query], n_query)
         cands = [random_nbow(rng, vocab[n_query:], 3) for _ in range(n_cands)]
-        rows = max(1, transport._BLOCK_BYTES // (8 * n_query))
+        rows = max(1, min(transport._BLOCK_ROWS, transport._BLOCK_BYTES // (8 * n_query)))
         block = 8 * min(rows, n_union) * n_query
         table_bytes = 8 * n_cands * n_query
         assert table_bytes > block
@@ -198,6 +199,71 @@ class TestLcRwmdBatch:
         # kernel may hold one such table and small arrays, not a second one.
         q_norm = 8 * n_query * dim
         assert peak < q_norm + 2 * block + 2 * table_bytes
+
+
+def wide_union(rng, n_query, n_union, dim, n_cands):
+    """A table, a query over its first ``n_query`` words, and candidates covering the rest once.
+
+    The candidates split the other ``n_union`` words between them, so the
+    union is table rows ``n_query`` to ``n_query + n_union - 1``.
+    """
+    table = random_unit_table(rng, n_query + n_union, dim)
+    vocab = [f"w{i}" for i in range(n_query + n_union)]
+    q = random_nbow(rng, vocab[:n_query], n_query)
+    parts = np.array_split(rng.permutation(vocab[n_query:]), n_cands)
+    return table, q, [random_nbow(rng, part, len(part)) for part in parts]
+
+
+class TestBlockRows:
+    """A short query's blocks are capped at ``_BLOCK_ROWS`` union rows, not sized by bytes alone."""
+
+    def test_union_is_read_once_in_capped_blocks(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        n_query, n_union = 40, 5000
+        table, q, cands = wide_union(rng, n_query, n_union, 300, 50)
+        reads = []
+
+        def recording(table, indices):
+            reads.append(np.array(indices))
+            return normalized_rows(table, indices)
+
+        monkeypatch.setattr(transport, "normalized_rows", recording)
+        lc_rwmd_batch(q, cands, table)
+        assert np.array_equal(reads[0], table.row_indices(q.words))
+        union_reads = reads[1:]
+        assert max(map(len, union_reads)) <= 1024
+        assert np.array_equal(np.concatenate(union_reads), np.arange(n_query, n_query + n_union))
+
+    def test_peak_memory_holds_a_few_capped_blocks_of_rows(self):
+        rng = np.random.default_rng(25)
+        dim, n_query, n_union, n_cands = 300, 40, 5000, 50
+        table, q, cands = wide_union(rng, n_query, n_union, dim, n_cands)
+        tracemalloc.start()
+        try:
+            lc_rwmd_batch(q, cands, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A few blocks of 1,024 normalized rows, not the whole union's 12 MB,
+        # beside the |candidates| x |query| table and the pair arrays, whose
+        # sort holds a few int64 arrays of n_union pairs.
+        rows_bytes = 3 * 8 * 1024 * dim
+        assert peak < rows_bytes + 8 * n_cands * n_query + 8 * 8 * n_union
+
+    @pytest.mark.parametrize("variant", ["symmetric-max", "one-sided-query"])
+    @pytest.mark.parametrize("with_library", [True, False])
+    def test_capped_blocks_agree_with_one_uncapped_block(self, monkeypatch, variant, with_library):
+        rng = np.random.default_rng(26)
+        table, q, cands = wide_union(rng, 30, 2500, 50, 40)
+        if with_library:
+            require_library()
+        else:
+            monkeypatch.setattr(native, "library", lambda: None)
+        capped = lc_rwmd_batch(q, cands, table, variant)
+        monkeypatch.setattr(transport, "_BLOCK_ROWS", 1 << 30)
+        uncapped = lc_rwmd_batch(q, cands, table, variant)
+        for x, y in zip(capped, uncapped, strict=True):
+            assert abs(x.distance - y.distance) <= 1e-12
 
 
 def gathered_maxima(lib, positions, n_union, q, rows, rng):

@@ -39,8 +39,9 @@ _BLOCK_BYTES = 8 << 20
 # Union rows per block, whatever the query's width: a block's normalized
 # rows, and the packed copy of them that BLAS makes for the GEMM, grow with
 # rows x dimension, so without the cap a short query would hold the whole
-# union twice. Moving a block edge can move a cosine's last bit: over query
-# widths 1 to 1,100 this cap moved a distance at 1 width, 512 rows at 13.
+# union twice. Moving a block edge can move a distance's last bit: on a
+# benchmark table, over query widths 1 to 1,100, this cap did so at 1 width
+# and a 512-row cap at 13.
 _BLOCK_ROWS = 1024
 
 

@@ -317,13 +317,18 @@ def ma_select(
     any_tokens = False
     doc_sum = np.zeros(table.dimension)
     doc_count = 0
+    # every token of every sentence, found in the table's sorted keys in
+    # one lookup (-1 for a word it does not have)
+    found = table.vocabulary.find([t for s in sentences for t in s.tokens])
+    end = 0
     for s in sentences:
-        idx = [table.vocabulary[t] for t in s.tokens if t in table]
-        if not idx:
+        start, end = end, end + len(s.tokens)
+        idx = found[start:end][found[start:end] >= 0]
+        if not idx.size:
             vectors.append(None)
             continue
         any_tokens = True
-        rows = table.matrix[np.array(idx, dtype=np.intp)]
+        rows = table.matrix[idx]
         vectors.append(rows.mean(axis=0))
         doc_sum += rows.sum(axis=0)
         doc_count += len(idx)

@@ -29,9 +29,10 @@ run's memory therefore follows the rows it uses, not the table size.
 
 A parsed table is kept in an on-disk cache keyed by the SHA-256 of its
 file, under ``$XDG_CACHE_HOME/claimdist`` (``~/.cache/claimdist`` when
-that is unset). An entry ``v3-<sha256>`` holds ``matrix.f64`` (the
-rows), ``norms.npy``, ``vocab.txt`` and ``meta.json``; the parse writes
-``matrix.f64`` straight into it. A later load of the same file opens the
+that is unset). An entry ``v4-<sha256>`` holds ``matrix.f64`` (the
+rows), ``norms.npy``, ``keys.npy`` and ``rows.npy`` (the vocabulary,
+below) and ``meta.json``; the parse writes ``matrix.f64`` straight into
+it. A later load of the same file opens the
 stored rows instead of parsing the text again. The file's digest is
 kept too, in a memo ``memo-<sha256 of its real path>.json`` with the
 file's stat key (device, inode, size, mtime and ctime), so that a later
@@ -47,6 +48,13 @@ the cache, or any memo or entry in it, is always safe: a missing or
 damaged one is written again.
 When the cache cannot be written, the rows go to an anonymous
 temporary file under ``TMPDIR``.
+
+A table's vocabulary (:class:`Vocabulary`) is its tokens as sorted
+fixed-width UTF-8 keys with their row numbers, so no Python object per
+token is kept: a parse keeps the keys of its batches as a few sorted
+runs, and a cache hit loads the two arrays with ``np.load``. A word is
+found by a binary search and an exact key compare; callers find a whole
+word list in one call (:meth:`Vocabulary.find`).
 """
 
 from __future__ import annotations
@@ -61,9 +69,10 @@ import shutil
 import stat
 import tempfile
 import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -85,7 +94,7 @@ _BATCH_BYTES = 1 << 20
 _HEAD_SHARE = 0.8
 
 # Directory name prefix of a cache entry; change it when its contents do.
-_CACHE_FORMAT = "v3"
+_CACHE_FORMAT = "v4"
 
 # Byte order and type of the stored rows.
 _ROW_DTYPE = np.dtype("<f8")
@@ -96,24 +105,128 @@ _IOV_MAX = os.sysconf("SC_IOV_MAX")
 # Line numbers shown per kind of dropped row in the load summary.
 _SHOWN_LINES = 5
 
+# Widest vocabulary key, in UTF-8 bytes. A key is as wide as the longest
+# token up to this; a longer token is kept in the vocabulary's side dict.
+_KEY_BYTES = 32
+
 # Rows as both parsers give them: tokens, numbers (a row per token), line
 # numbers, the newline count and the error of the line that ended them.
 _Parsed = tuple[list[str], np.ndarray, np.ndarray, int, "EmbeddingParseError | None"]
+
+
+def _utf8(words: Sequence[str]) -> list[bytes]:
+    # a lone surrogate (never in a table's UTF-8 tokens) gives bytes no key has
+    return [w.encode("utf-8", "surrogatepass") for w in words]
+
+
+def _key_width(encoded: list[bytes], width: int = 1) -> int:
+    """The key width for ``encoded``: the longest of them, at least ``width``, at most ``_KEY_BYTES``."""
+    return min(_KEY_BYTES, max(width, max(map(len, encoded), default=0)))
+
+
+def _keys(encoded: list[bytes], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keys of ``width`` bytes for the UTF-8 words ``encoded``, and which of them are exact.
+
+    A key is exact when it stands for its word alone. It is not when the
+    word is longer than ``width``, as numpy cuts it, or ends in a NUL
+    byte, as numpy's bytes type drops trailing NULs (``b"ab\\0"`` would
+    be ``b"ab"``).
+    """
+    lengths = np.fromiter(map(len, encoded), dtype=np.intp, count=len(encoded))
+    keys = np.array(encoded, dtype=f"S{width}")
+    return keys, (lengths <= width) & (np.char.str_len(keys) == lengths)
+
+
+def _sorted(keys: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``keys`` in ascending order, and ``rows`` in the same order."""
+    order = np.argsort(keys, kind="stable")
+    return keys[order], rows[order]
+
+
+def _lookup(keys: np.ndarray, rows: np.ndarray, probe: np.ndarray, exact: np.ndarray) -> np.ndarray:
+    """The row of each exact ``probe`` key in the sorted ``keys`` (same dtype), else -1."""
+    found = np.full(len(probe), -1, dtype=np.intp)
+    if len(keys):
+        pos = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+        hit = exact & (keys[pos] == probe)
+        found[hit] = rows[pos[hit]]
+    return found
+
+
+class Vocabulary(Mapping):
+    """A table's read-only word -> row map: sorted fixed-width UTF-8 keys with their rows.
+
+    The keys are as wide as the longest token, up to ``_KEY_BYTES``; a
+    token without an exact key (:func:`_keys`: a longer one, or one
+    ending in a NUL byte) is in a small side dict instead. A word is
+    found by ``np.searchsorted`` and an exact key compare, so the map
+    holds two arrays, not a Python object per token. :meth:`find` finds
+    a word list in one call, as every caller on a run's path does;
+    ``vocabulary[word]`` finds one word, for checks and tests. Iteration
+    is in row order.
+    """
+
+    def __init__(self, keys: np.ndarray, rows: np.ndarray, odd: dict[str, int]):
+        self._keys = keys
+        self._rows = rows
+        self._odd = odd
+        keys.setflags(write=False)
+        rows.setflags(write=False)
+
+    @classmethod
+    def from_words(cls, words: Sequence[str]) -> Vocabulary:
+        """The map of distinct ``words`` to rows 0, 1, ... in order; a repeated word raises ValueError."""
+        encoded = _utf8(words)
+        keys, exact = _keys(encoded, _key_width(encoded))
+        rows = np.arange(len(words))
+        odd = {words[i]: i for i in np.flatnonzero(~exact).tolist()}
+        keys, rows = _sorted(keys[exact], rows[exact])
+        if len(keys) + len(odd) < len(words) or np.any(keys[1:] == keys[:-1]):
+            raise ValueError("a vocabulary word is repeated")
+        return cls(keys, rows, odd)
+
+    def find(self, words: Sequence[str]) -> np.ndarray:
+        """The row of each of ``words``, as ``np.intp``, and -1 where the table has none."""
+        keys, exact = _keys(_utf8(words), self._keys.dtype.itemsize)
+        found = _lookup(self._keys, self._rows, keys, exact)
+        if self._odd:
+            for i in np.flatnonzero(~exact).tolist():
+                found[i] = self._odd.get(words[i], -1)
+        return found
+
+    def __getitem__(self, word: str) -> int:
+        row = self.find([word])[0] if isinstance(word, str) else -1
+        if row < 0:
+            raise KeyError(word)
+        return int(row)
+
+    def __len__(self) -> int:
+        return len(self._rows) + len(self._odd)
+
+    def __iter__(self) -> Iterator[str]:
+        at = np.full(len(self), -1, dtype=np.intp)
+        at[self._rows] = np.arange(len(self._rows))
+        odd = {row: word for word, row in self._odd.items()}
+        for row, pos in enumerate(at.tolist()):
+            yield odd[row] if pos < 0 else self._keys[pos].decode("utf-8")
 
 
 @dataclass(frozen=True)
 class EmbeddingTable:
     """Vocabulary -> row map plus a |V| x d matrix of word vectors.
 
-    ``matrix`` is a read-only ndarray for a table built in memory, and a
-    :class:`_RowFile` for a loaded one; both give a |rows| x d array when
-    indexed with a 1-D sequence or array of row numbers. ``row_norms``
-    caches the Euclidean norm of every row; rows with zero norm are
-    rejected at load time, so all cached norms are positive.
+    ``vocabulary`` maps each token to its row, 0 to |V| - 1 in file
+    order, as sorted keys (:class:`Vocabulary`); :meth:`row_indices`
+    finds a word list in one call. ``matrix`` is a read-only ndarray for
+    a table built in memory, and a :class:`_RowFile` for a loaded one;
+    both give a |rows| x d array when indexed with a 1-D sequence or
+    array of row numbers. ``row_norms`` caches the Euclidean norm of
+    every row; rows with zero norm are rejected at load time, so all
+    cached norms are positive.
     """
 
     dimension: int
-    vocabulary: dict[str, int]
+    vocabulary: Vocabulary
     matrix: np.ndarray | _RowFile
     row_norms: np.ndarray
     n_zero_dropped: int = 0
@@ -132,13 +245,12 @@ class EmbeddingTable:
         return word in self.vocabulary
 
     def row_indices(self, words: Sequence[str]) -> np.ndarray:
-        """Row indices for ``words``; raises OutOfVocabularyError on a miss."""
-        try:
-            return np.fromiter(
-                map(self.vocabulary.__getitem__, words), dtype=np.intp, count=len(words)
-            )
-        except KeyError as exc:
-            raise OutOfVocabularyError(f"word not in embedding table: {exc.args[0]!r}") from None
+        """Row indices for ``words``; raises OutOfVocabularyError naming the first miss."""
+        rows = self.vocabulary.find(words)
+        missing = np.flatnonzero(rows < 0)
+        if missing.size:
+            raise OutOfVocabularyError(f"word not in embedding table: {words[missing[0]]!r}")
+        return rows
 
 
 def _stat_key(st: os.stat_result) -> list[int]:
@@ -440,12 +552,77 @@ def _row_values(rest: str) -> np.ndarray:
     return np.array(rest.split(), dtype=np.float64)
 
 
+class _KeyRuns:
+    """The tokens a parse has kept so far, as a few sorted runs of keys with their rows.
+
+    The kept keys of a batch are a new run, and the last two runs merge
+    while the older is no longer than the newer, so that a table of n
+    rows has about log2(n) runs and a key is copied about as often. Every
+    run is as wide as the widest batch so far. A kept token without an
+    exact key is in ``odd``.
+    """
+
+    def __init__(self):
+        self.width = 1
+        self.runs = [(np.empty(0, dtype="S1"), np.empty(0, dtype=np.intp))]
+        self.odd: dict[str, int] = {}
+
+    def keys(self, tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The batch's keys, as wide as the runs (widened first if need be), and which are exact."""
+        encoded = _utf8(tokens)
+        width = _key_width(encoded, self.width)
+        if width > self.width:
+            self.runs = [(keys.astype(f"S{width}"), rows) for keys, rows in self.runs]
+            self.width = width
+        return _keys(encoded, width)
+
+    def duplicates(
+        self, tokens: list[str], keys: np.ndarray, exact: np.ndarray, nonzero: np.ndarray
+    ) -> np.ndarray:
+        """Which rows of a batch repeat a token that an earlier row is kept for.
+
+        One probe of the runs finds the tokens that earlier batches kept.
+        Within the batch, the first row of a token whose norm is not zero
+        (``nonzero``) is kept, or its norm is not finite and ends the
+        parse, so a later row of that token is a duplicate either way.
+        """
+        repeat = np.zeros(len(tokens), dtype=bool)
+        for run_keys, run_rows in self.runs:
+            repeat |= _lookup(run_keys, run_rows, keys, exact) >= 0
+        first = np.flatnonzero(nonzero & exact)
+        first_keys, first = _sorted(keys[first], first)  # stable: the first row of a key leads
+        earlier = _lookup(first_keys, first, keys, exact)
+        repeat |= (earlier >= 0) & (earlier < np.arange(len(tokens)))
+        seen = set()
+        for i in np.flatnonzero(~exact).tolist():
+            if tokens[i] in self.odd or tokens[i] in seen:
+                repeat[i] = True
+            elif nonzero[i]:
+                seen.add(tokens[i])
+        return repeat
+
+    def add(self, tokens: list[str], keys: np.ndarray, exact: np.ndarray, kept: np.ndarray, start: int):
+        """Keep the batch's rows ``kept`` as table rows ``start``, ``start + 1``, ..."""
+        rows = np.arange(start, start + len(kept))
+        odd = ~exact[kept]
+        self.odd.update(zip([tokens[i] for i in kept[odd].tolist()], rows[odd].tolist()))
+        self.runs.append(_sorted(keys[kept[~odd]], rows[~odd]))
+        while len(self.runs) > 1 and len(self.runs[-2][0]) <= len(self.runs[-1][0]):
+            newer, older = self.runs.pop(), self.runs.pop()
+            self.runs.append(_sorted(*map(np.concatenate, zip(older, newer))))
+
+    def vocabulary(self) -> Vocabulary:
+        """The kept tokens as one vocabulary, the runs merged into it."""
+        runs, self.runs = self.runs, []
+        return Vocabulary(*_sorted(*map(np.concatenate, zip(*runs))), self.odd)
+
+
 class _Rows:
     """The rows of a table being parsed.
 
     Kept rows are appended to ``sink`` as raw float64, each batch with
-    its row norms kept in memory; ``sink_dir`` names where the sink is
-    in a write error.
+    its row norms kept in memory, and their tokens to ``index``;
+    ``sink_dir`` names where the sink is in a write error.
     """
 
     def __init__(self, expected_dim: int | None, sink: BinaryIO, sink_dir: str):
@@ -453,7 +630,8 @@ class _Rows:
         self.sink = sink
         self.sink_dir = sink_dir
         self.dim: int | None = None
-        self.index: dict[str, int] = {}
+        self.kept = 0
+        self.index = _KeyRuns()
         self.norms: list[np.ndarray] = []
         self.duplicate_lines: list[int] = []
         self.zero_lines: list[int] = []
@@ -502,9 +680,13 @@ class _Rows:
         self.dim = dim
         with np.errstate(over="ignore"):
             norms = np.linalg.norm(values, axis=1)
-        new: dict[str, int] = {}
-        for i, (token, lineno, norm) in enumerate(zip(tokens, linenos.tolist(), norms.tolist())):
-            if token in self.index or token in new:
+        keys, exact = self.index.keys(tokens)
+        repeats = self.index.duplicates(tokens, keys, exact, norms != 0.0)
+        kept = []
+        for i, (token, lineno, norm, repeat) in enumerate(
+            zip(tokens, linenos.tolist(), norms.tolist(), repeats.tolist())
+        ):
+            if repeat:
                 self.duplicate_lines.append(lineno)
             elif not math.isfinite(norm):
                 raise EmbeddingParseError(
@@ -513,27 +695,26 @@ class _Rows:
             elif norm == 0.0:
                 self.zero_lines.append(lineno)
             else:
-                new[token] = i
-        if len(new) < len(values):
-            kept = list(new.values())
+                kept.append(i)
+        if len(kept) < len(values):
             values, norms = values[kept], norms[kept]
         self._write(values)
         self.norms.append(norms)
-        start = len(self.index)
-        self.index.update(zip(new, range(start, start + len(new))))
+        self.index.add(tokens, keys, exact, np.array(kept, dtype=np.intp), self.kept)
+        self.kept += len(kept)
         if error is not None:
             raise error
         return newlines
 
     def table(self, name: str) -> EmbeddingTable:
         """The parsed table; its matrix reads the rows back from the sink."""
-        if not self.index:
+        if not self.kept:
             raise EmbeddingParseError(f"no usable vector rows in {name}")
         self._write(None)
         return EmbeddingTable(
             dimension=self.dim,
-            vocabulary=self.index,
-            matrix=_RowFile(self.sink, len(self.index), self.dim),
+            vocabulary=self.index.vocabulary(),
+            matrix=_RowFile(self.sink, self.kept, self.dim),
             row_norms=np.concatenate(self.norms),
             n_zero_dropped=len(self.zero_lines),
             n_duplicates=len(self.duplicate_lines),
@@ -559,6 +740,33 @@ def _log_dropped(table: EmbeddingTable, duplicate_lines: list[int], zero_lines: 
         log.warning("%s: %s", table.source_name, "; ".join(parts))
 
 
+def _index_of_rows(keys: np.ndarray, rows: np.ndarray, odd: dict[str, int], n: int) -> bool:
+    """Whether sorted ``keys`` with ``rows``, and the ``odd`` tokens, name each of ``n`` rows once.
+
+    The keys must be distinct and ascending, at most ``_KEY_BYTES`` wide,
+    and no odd token may have an exact key, or a lookup would miss it.
+    """
+    if not (
+        keys.ndim == 1
+        and keys.dtype.kind == "S"
+        and keys.dtype.itemsize <= _KEY_BYTES
+        and rows.dtype == np.intp
+        and rows.shape == keys.shape
+        and len(rows) + len(odd) == n
+    ):
+        return False
+    every = np.concatenate([rows, np.fromiter(odd.values(), dtype=np.intp, count=len(odd))])
+    if every.size and (every.min() < 0 or every.max() >= n):
+        return False
+    named = np.zeros(n, dtype=bool)
+    named[every] = True
+    return bool(
+        named.all()
+        and np.all(keys[1:] > keys[:-1])
+        and not _keys(_utf8(list(odd)), _KEY_BYTES)[1].any()
+    )
+
+
 def _read_entry(
     entry: Path, digest: str, name: str
 ) -> tuple[EmbeddingTable, list[int], list[int]] | None:
@@ -573,23 +781,23 @@ def _read_entry(
     file = None
     try:
         meta = json.loads((entry / "meta.json").read_text(encoding="utf-8"))
-        words = (entry / "vocab.txt").read_text(encoding="utf-8").split("\n")
-        vocabulary = {w: i for i, w in enumerate(words)}
+        keys, index_rows = np.load(entry / "keys.npy"), np.load(entry / "rows.npy")
+        odd = {str(word): int(row) for word, row in meta["odd"]}
         norms = np.load(entry / "norms.npy")
         rows, dim = meta["rows"], meta["dimension"]
         file = open(entry / "matrix.f64", "rb")
         if not (
             meta["key"] == digest
             and norms.dtype == np.float64
-            and rows == len(words) == len(vocabulary)
             and norms.shape == (rows,)
             and np.all((norms > 0.0) & (norms < np.inf))
             and os.fstat(file.fileno()).st_size == _ROW_DTYPE.itemsize * rows * dim
+            and _index_of_rows(keys, index_rows, odd, rows)
         ):
             raise ValueError("entry does not match its key or its own shape")
         table = EmbeddingTable(
             dimension=dim,
-            vocabulary=vocabulary,
+            vocabulary=Vocabulary(keys, index_rows, odd),
             matrix=_RowFile(file, rows, dim),
             row_norms=norms,
             n_zero_dropped=int(meta["zero_rows"]),
@@ -668,10 +876,11 @@ def _write_entry(
             "duplicate_lines": rows.duplicate_lines[:_SHOWN_LINES],
             "zero_rows": table.n_zero_dropped,
             "zero_lines": rows.zero_lines[:_SHOWN_LINES],
+            "odd": list(table.vocabulary._odd.items()),  # the tokens without an exact key
         }
         np.save(tmp / "norms.npy", table.row_norms)
-        # a token never contains whitespace, so newlines separate them
-        (tmp / "vocab.txt").write_text("\n".join(table.vocabulary), encoding="utf-8")
+        np.save(tmp / "keys.npy", table.vocabulary._keys)
+        np.save(tmp / "rows.npy", table.vocabulary._rows)
         (tmp / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
         os.replace(tmp, entry)
     except OSError as exc:

@@ -35,7 +35,7 @@ from .claimselect import (
     ma_select,
     split_sentences,
 )
-from .embeddings import EmbeddingTable, load_embeddings
+from .embeddings import EmbeddingTable, Vocabulary, load_embeddings
 # run_experiment looks the digest function up under this name, which
 # perfbench/trace.py wraps to time the hash.
 from .embeddings import file_sha256 as _file_sha256
@@ -580,7 +580,7 @@ def _synthetic_pair(
     words = [f"w{i}" for i in range(2 * size)]
     table = EmbeddingTable(
         dimension=dimension,
-        vocabulary={w: i for i, w in enumerate(words)},
+        vocabulary=Vocabulary.from_words(words),
         matrix=vectors,
         row_norms=np.linalg.norm(vectors, axis=1),
         source_name="<synthetic>",

@@ -98,10 +98,11 @@ def build_nbow(tokens: Sequence[str], table: EmbeddingTable) -> NBow:
     renormalized. Raises :class:`EmptyDocumentError` when nothing
     survives, which signals the document cannot be scored.
     """
-    # Counter counts in C and keeps first-appearance order; the vocabulary
-    # is then checked once per distinct word.
-    vocabulary = table.vocabulary
-    counts = {w: n for w, n in Counter(tokens).items() if w in vocabulary}
+    # Counter counts in C and keeps first-appearance order; the table then
+    # finds every distinct word in one sorted-key lookup (Vocabulary.find).
+    counts = Counter(tokens)
+    found = table.vocabulary.find(list(counts)) >= 0
+    counts = {w: n for (w, n), hit in zip(counts.items(), found.tolist()) if hit}
     if not counts:
         raise EmptyDocumentError(
             f"no token of {len(tokens)} is in the embedding vocabulary"

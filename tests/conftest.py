@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from claimdist import native
-from claimdist.embeddings import EmbeddingTable
+from claimdist.embeddings import EmbeddingTable, Vocabulary
 from claimdist.textprep import NBow
 
 
@@ -155,7 +155,7 @@ def make_table(words, matrix, name="<fixture>") -> EmbeddingTable:
     matrix = np.asarray(matrix, dtype=np.float64)
     return EmbeddingTable(
         dimension=matrix.shape[1],
-        vocabulary={w: i for i, w in enumerate(words)},
+        vocabulary=Vocabulary.from_words(words),
         matrix=matrix,
         row_norms=np.linalg.norm(matrix, axis=1),
         source_name=name,

@@ -58,8 +58,9 @@ def _int_list(text: str) -> list[int]:
     return [int(s) for s in text.split(",") if s.strip()]
 
 
-def _word_tuple(text: str) -> tuple[str, ...] | None:
-    return tuple(text.split(",")) if text else None
+def _word_tuple(text: str) -> tuple[str, ...]:
+    # an empty flag is one empty word, which the selector rules reject
+    return tuple(text.split(","))
 
 
 def _read_doc_tokens(path: str, label: str, stopwords) -> list[str]:

@@ -529,6 +529,8 @@ class TestBenchCommand:
         (["extract", "{doc}", "--selector", "lda", "--beta", "0"], 1, "beta"),
         (["extract", "{doc}", "--selector", "lda", "--cues", ","], 1,
          "selector cue_words must be one word each, got ''"),
+        (["extract", "{doc}", "--selector", "lda", "--cues", ""], 1,
+         "selector cue_words must be one word each, got ''"),
         (["preprocess", "{doc}", "--stopwords", "{bad}"], 2, "stopword file"),
         (["run", "{manifest}"], 2, "stopword file"),
         (["bench", "--sizes", "x"], 1, "--sizes"),
@@ -537,6 +539,7 @@ class TestBenchCommand:
     ],
     ids=[
         "top-k", "k", "iters", "window", "alpha", "alpha-nan", "beta", "cues-empty",
+        "cues-empty-string",
         "stopwords-not-utf8", "manifest-stopwords-not-utf8", "sizes", "expected-dim",
     ],
 )

@@ -1474,7 +1474,90 @@ class _Failure(Exception):
     pass
 
 
+def lookup_table(seed: int) -> tuple[bytes, dict[str, int]]:
+    """A seeded table with odd tokens and dropped rows, and each token's first kept row.
+
+    Its tokens are non-ASCII, one starts with a byte-order mark, some are
+    longer than a vocabulary key, and some hold or end in NUL. Later rows
+    of a kept token (some all-zero, some not finite) are duplicates, and
+    an all-zero row can come before a token's first kept row.
+    """
+    rng = random.Random(seed)
+    long = "x" * (embeddings._KEY_BYTES + 1)
+    pool = [f"w{i}" for i in range(30)] + [
+        "é", "naïve", "日本語", "\ufeffmark", long, long + "é", "é" * embeddings._KEY_BYTES,
+        "nul\0mid", "end\0", "\0", "z\0\0", "w1\0",
+    ]
+    lines, kept = ["first 1 1"], {"first": 0}
+    for _ in range(rng.randint(40, 120)):
+        token, r = rng.choice(pool), rng.random()
+        if r < 0.15:
+            values = "0 0"
+        elif r < 0.25 and token in kept:
+            values = rng.choice(["nan 1", "inf 0", "1e400 1"])
+        else:
+            values = f"{rng.uniform(-1, 1):.4f} {rng.uniform(0.1, 1):.4f}"
+        if token not in kept and values != "0 0":
+            kept[token] = len(kept)
+        lines.append(f"{token} {values}")
+    return ("\n".join(lines) + "\n").encode(), kept
+
+
 class TestVocabulary:
+    @pytest.mark.parametrize("load", ["cold", "warm"])
+    @pytest.mark.parametrize("parser", ["compiled", "no-library"])
+    def test_every_token_finds_its_first_kept_row(
+        self, tmp_path, monkeypatch, compiled_batches, parser, load
+    ):
+        _use_parser(monkeypatch, parser)
+        rng = random.Random(7)
+        path = tmp_path / "emb.txt"
+        for seed in range(12):
+            data, want = lookup_table(seed)
+            path.write_bytes(data)
+            table = load_embeddings(path)
+            if load == "warm":
+                with monkeypatch.context() as m:
+                    m.setattr(embeddings, "_Rows", _no_parse)
+                    table = load_embeddings(path)
+            assert len(table) == len(want) and list(table.vocabulary) == list(want)
+            words = list(want)
+            assert table.row_indices(words).tolist() == list(want.values())
+            assert [table.vocabulary[w] for w in words] == list(want.values())
+            # strings near the tokens, and random ones, are not in the table
+            near = [w + "\0" for w in words] + [w[:-1] for w in words] + ["mark", "W1", "", "x"]
+            near += ["".join(rng.choice("aéx\0w1") for _ in range(rng.randint(1, 40))) for _ in range(200)]
+            absent = [w for w in near if w not in want]
+            assert (table.vocabulary.find(absent) == -1).all()
+            assert not any(w in table for w in absent)
+            mixed = words[:3] + absent[5:7] + words[3:]
+            with pytest.raises(OutOfVocabularyError) as info:
+                table.row_indices(mixed)
+            assert str(info.value) == f"word not in embedding table: {absent[5]!r}"
+
+    @pytest.mark.parametrize("parser", ["compiled", "no-library"])
+    def test_a_table_keeps_no_object_per_token(self, tmp_path, monkeypatch, compiled_batches, parser):
+        # the parent's dict of 50k tokens held about 110 bytes per token
+        import tracemalloc
+
+        _use_parser(monkeypatch, parser)
+        (tmp_path / "small.txt").write_text("a 1 2\n")
+        load_embeddings(tmp_path / "small.txt")  # the imports and the library a first load makes
+        path = tmp_path / "emb.txt"
+        path.write_text("".join(f"w{i} {i % 7 + 1} 0.5\n" for i in range(50_000)))
+        tracemalloc.start()
+        try:
+            for _ in ("cold", "warm"):
+                before = tracemalloc.get_traced_memory()[0]
+                table = load_embeddings(path)
+                held = tracemalloc.get_traced_memory()[0] - before
+                assert len(table) == 50_000
+                # keys, rows and norms take about 22 bytes per row
+                assert held < 40 * len(table), held
+                del table
+        finally:
+            tracemalloc.stop()
+
     def test_present(self, load_from_text):
         table = load_from_text("a 1 2\n")
         assert "a" in table

@@ -9,18 +9,17 @@ and every query operation is pure, so concurrent readers are safe.
 The text is parsed in batches of whole lines by one parser. The
 compiled parser of :mod:`claimdist.native` reads a batch in one pass,
 tokens, numbers and line numbers, when every row is a token and plain
-decimals it rounds exactly. Each batch is split in two: one helper
-thread (a one-worker ``concurrent.futures`` pool, imported only by a
-load that parses) reads the head while the main thread keeps the rows
-of the batch before, then reads the tail, and the rows are kept in file
-order. A half the compiled parser declines, and every batch without the
-library, is read line by line with ``float`` rules, up to its first bad
-row, so that the error names that row's line. Both give the same bits
-for a number they both read, and their rows in one shape (tokens,
-numbers, line numbers, the newline count and the error that ended the
-rows), which one keeper takes. One row norm,
-``np.linalg.norm(values, axis=1)``, both rejects a row (not finite) or
-drops it (zero) and is the norm stored for it.
+decimals it rounds exactly. One helper thread (a one-worker
+``concurrent.futures`` pool, imported only by a load that parses) reads
+each batch while the main thread keeps the rows of the batch before, so
+the rows are kept in file order. A batch the compiled parser declines,
+and every batch without the library, is read line by line with
+``float`` rules, up to its first bad row, so that the error names that
+row's line. Both give the same bits for a number they both read, and
+their rows in one shape (tokens, numbers, line numbers, the newline
+count and the error that ended the rows), which one keeper takes. One
+row norm, ``np.linalg.norm(values, axis=1)``, both rejects a row (not
+finite) or drops it (zero) and is the norm stored for it.
 
 A loaded matrix stays on disk. The parser streams the kept rows, as raw
 little-endian float64, into a file, and the table's ``matrix`` reads
@@ -32,22 +31,23 @@ file, under ``$XDG_CACHE_HOME/claimdist`` (``~/.cache/claimdist`` when
 that is unset). An entry ``v4-<sha256>`` holds ``matrix.f64`` (the
 rows), ``norms.npy``, ``keys.npy`` and ``rows.npy`` (the vocabulary,
 below) and ``meta.json``; the parse writes ``matrix.f64`` straight into
-it. A later load of the same file opens the
-stored rows instead of parsing the text again. The file's digest is
-kept too, in a memo ``memo-<sha256 of its real path>.json`` with the
-file's stat key (device, inode, size, mtime and ctime), so that a later
-load of an unchanged file reads only the memo, not the file
-(:func:`file_sha256`). A cold load still reads the file twice, to hash
-it and to parse it. The parse hashes the bytes it reads; when they no
-longer have the digest the entry was looked up by, the file changed
-after it was hashed, and the load raises :class:`DataError`, writes no
-entry and removes the file's memo. Writing an entry removes every other
-entry, of any format, parsed from the same file or from one gone or
-changed since, and every memo of a file gone or changed since. Deleting
-the cache, or any memo or entry in it, is always safe: a missing or
-damaged one is written again.
-When the cache cannot be written, the rows go to an anonymous
-temporary file under ``TMPDIR``.
+it. A later load of the same file opens the stored rows instead of
+parsing the text again. The file's digest is kept too, in a memo
+``memo-<sha256 of its real path>.json`` with the file's stat key
+(device, inode, size, mtime and ctime), so that a later load of an
+unchanged file reads only the memo, not the file (:func:`file_sha256`).
+A cold load still reads the file twice, to hash it and to parse it. The
+parse hashes the bytes it reads; when they no longer have the digest
+the entry was looked up by, the file changed after it was hashed, and
+the load raises :class:`DataError`, writes no entry and removes the
+file's memo. Writing an entry removes every other entry, of any format,
+parsed from the same file or from one gone or changed since, every memo
+of a file gone or changed since, and every unfinished entry
+(``.v4-<sha256>.<random>``) whose parse was killed: a parse holds a
+lock on its unfinished entry's rows. Deleting the cache, or any memo or
+entry in it, is always safe: a missing or damaged one is written again.
+When the cache cannot be written, the rows go to an anonymous temporary
+file under ``TMPDIR``.
 
 A table's vocabulary (:class:`Vocabulary`) is its tokens as sorted
 fixed-width UTF-8 keys with their row numbers, so no Python object per
@@ -60,6 +60,7 @@ word list in one call (:meth:`Vocabulary.find`).
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import hashlib
 import json
 import logging
@@ -83,15 +84,9 @@ log = logging.getLogger(__name__)
 
 # Bytes of text parsed per batch in load_embeddings. Each of the two
 # buffer sets of the compiled parser takes about 7.7 bytes per batch byte
-# (values 4, line numbers about 2.7, tokens 1), shared by the batch's head
-# and tail, and they set the peak memory of a cold load; about 1 MiB
-# keeps that small next to the matrix.
+# (values 4, line numbers about 2.7, tokens 1), and they set the peak
+# memory of a cold load; about 1 MiB keeps that small next to the matrix.
 _BATCH_BYTES = 1 << 20
-
-# Share of each batch's bytes that the helper thread parses. The main
-# thread parses the rest, after keeping the rows of the batch before, so
-# that both threads take about as long on a batch.
-_HEAD_SHARE = 0.8
 
 # Directory name prefix of a cache entry; change it when its contents do.
 _CACHE_FORMAT = "v4"
@@ -403,90 +398,72 @@ class _RowFile:
 
 
 class _CompiledBatch:
-    """A batch of table lines as the compiled parser read it, in two halves, into reused buffers.
+    """A batch of table lines as the compiled parser read it, into reused buffers.
 
-    :meth:`start` splits the batch at the first line end after
-    ``_HEAD_SHARE`` of its bytes and lays out one region of each buffer
-    for the head and one for the tail, by their bytes. :meth:`parse`
-    reads one half with ``claimdist_parse_batch``, given pointers into
-    the one batch (the ctypes call releases the GIL): the helper thread
-    reads the head, the main thread the tail. A load swaps two of these
-    after each batch, so that the helper reads the next batch's head
-    while the rows of the batch before are kept; the buffers of a batch
-    are reused only after that.
+    :meth:`parse` reads the whole batch with one ``claimdist_parse_batch``
+    call (the ctypes call releases the GIL), on the helper thread. A load
+    swaps two of these after each batch, so that the helper reads the
+    next batch while the main thread keeps the rows of the batch before;
+    the buffers of a batch are reused only after that.
     """
 
     def __init__(self, lib):
         self._lib = lib
         self._capacity = 0
-        self._sizes = np.zeros((2, 3), dtype=np.int64)
-        self._parts = []  # no batch yet: nothing to keep
+        self._sizes = np.zeros(3, dtype=np.int64)
+        self._batch = b""  # no batch yet: nothing to keep
 
     def _allocate(self, capacity: int):
-        # a field takes at least 2 bytes of the batch, a row 3, and each
-        # half may round its share up by one
-        self._values = np.empty(capacity // 2 + 2, dtype=np.float64)
-        self._lines = np.empty(capacity // 3 + 2, dtype=np.int64)
+        # a number takes at least 2 bytes of the batch, a row 3
+        self._values = np.empty(capacity // 2, dtype=np.float64)
+        self._lines = np.empty(capacity // 3, dtype=np.int64)
         self._tokens = np.empty(capacity, dtype=np.uint8)
         self._capacity = capacity
 
-    def start(self, batch: bytes):
-        """Split ``batch`` into its head and tail, to be read by :meth:`parse`."""
+    def parse(self, batch: bytes):
+        """Read ``batch``, a non-empty run of whole lines, into the buffers."""
         if len(batch) > self._capacity:
             self._allocate(len(batch) + _BATCH_BYTES // 4)
-        split = batch.find(b"\n", int(len(batch) * _HEAD_SHARE)) + 1 or len(batch)
-        # room for the head's numbers and rows; the tail has the rest
-        v, r = split // 2 + 1, split // 3 + 1
-        self._parts = [
-            (0, split, self._values[:v], self._tokens[:split], self._lines[:r]),
-            (split, len(batch), self._values[v:], self._tokens[split:], self._lines[r:]),
-        ]
         self._batch = batch  # the parsers read it
-        self._begin = np.frombuffer(batch, dtype=np.uint8).ctypes.data
-        self._rows = [-1, -1]  # declined, until read
-
-    def parse(self, half: int):
-        """Read the head (0) or the tail (1) of the batch."""
-        first, last, values, tokens, lines = self._parts[half]
-        self._rows[half] = self._lib.claimdist_parse_batch(
-            self._begin + first, self._begin + last,
-            values.ctypes.data, values.size,
-            tokens.ctypes.data, tokens.size,
-            lines.ctypes.data, lines.size,
-            self._sizes[half].ctypes.data,
+        begin = np.frombuffer(batch, dtype=np.uint8).ctypes.data
+        self._rows = self._lib.claimdist_parse_batch(
+            begin, begin + len(batch),
+            self._values.ctypes.data, self._values.size,
+            self._tokens.ctypes.data, self._tokens.size,
+            self._lines.ctypes.data, self._lines.size,
+            self._sizes.ctypes.data,
         )
 
-    def result(self, half: int, lineno: int) -> _Parsed | None:
-        """The rows of a half, the first on line ``lineno``, as :func:`_line_rows` gives them.
+    def result(self, lineno: int) -> _Parsed | None:
+        """The rows of the batch, the first on line ``lineno``, as :func:`_line_rows` gives them.
 
-        None where the half is declined. The compiled parser declines a
-        half unless every line is blank or a token and plain decimals it
+        None where the batch is declined. The compiled parser declines a
+        batch unless every line is blank or a token and plain decimals it
         rounds exactly as ``float`` does (``claimdist_parse_batch`` in
-        :mod:`claimdist.native`), so a half it takes has no bad line. A
-        half is declined here too when its tokens are not UTF-8 or one
+        :mod:`claimdist.native`), so a batch it takes has no bad line. A
+        batch is declined here too when its tokens are not UTF-8 or one
         holds whitespace that ``str.split`` splits on. The numbers are a
         view of the buffer, valid until this object reads its next batch.
         """
-        rows = self._rows[half]
+        rows = self._rows
         if rows < 0:
             return None
-        _, _, values, tokens, lines = self._parts[half]
-        dim, token_bytes, newlines = self._sizes[half].tolist()
+        dim, token_bytes, newlines = self._sizes.tolist()
         try:
-            blob = str(tokens[:token_bytes], "utf-8")
+            blob = str(self._tokens[:token_bytes], "utf-8")
         except UnicodeDecodeError:
             return None
         words = blob.split("\n") if rows else []
         if words != blob.split():
             return None
-        return words, values[: rows * dim].reshape(rows, dim), lines[:rows] + lineno, newlines, None
+        values = self._values[: rows * dim].reshape(rows, dim)
+        return words, values, self._lines[:rows] + lineno, newlines, None
 
     def add_to(self, rows: _Rows, lineno: int) -> int:
-        """Keep the head's rows, then the tail's, the first on line ``lineno``; returns the next line."""
-        for half, (first, last, *_) in enumerate(self._parts):
-            parsed = self.result(half, lineno) or _line_rows(self._batch[first:last], lineno)
-            lineno += rows.add(*parsed)
-        return lineno
+        """Keep the batch's rows, the first on line ``lineno``; returns the next line."""
+        if not self._batch:
+            return lineno
+        return lineno + rows.add(*(self.result(lineno) or _line_rows(self._batch, lineno)))
 
 
 def _header_bytes(batch: bytes) -> int:
@@ -816,16 +793,21 @@ def _read_entry(
 def _cache_sink(entry: Path, name: str) -> tuple[BinaryIO, str, Path | None]:
     """A file for parsed rows, its directory, and the unfinished entry holding it.
 
-    The file is ``matrix.f64`` in a new directory beside ``entry``. When
-    the cache cannot be written, one WARNING is logged and the file is a
-    temporary one outside the cache, with no entry.
+    The file is ``matrix.f64`` in a new directory beside ``entry``, locked
+    while open (:func:`_abandoned`). When the cache cannot be written, one
+    WARNING is logged and the file is a temporary one outside the cache,
+    with no entry.
     """
-    tmp = None
+    tmp = sink = None
     try:
         entry.parent.mkdir(parents=True, exist_ok=True)
         tmp = Path(tempfile.mkdtemp(prefix=f".{entry.name}.", dir=entry.parent))
-        return open(tmp / "matrix.f64", "w+b"), str(tmp), tmp
+        sink = open(tmp / "matrix.f64", "w+b")
+        fcntl.flock(sink, fcntl.LOCK_EX)
+        return sink, str(tmp), tmp
     except OSError as exc:
+        if sink is not None:
+            sink.close()
         if tmp is not None:
             shutil.rmtree(tmp, ignore_errors=True)
         log.warning("%s: cannot write embedding cache %s: %s", name, entry, exc)
@@ -855,14 +837,30 @@ def _stale(meta_file: Path, source: str | None = None) -> bool:
     return meta["source"] == source or _stat_key(st) != recorded
 
 
+def _abandoned(partial: Path) -> bool:
+    """Whether no live parse writes the unfinished entry ``partial``.
+
+    A parse locks its ``matrix.f64`` until it ends (:func:`_cache_sink`);
+    one caught before it locks loses its entry (a WARNING), not its rows.
+    """
+    try:
+        with open(partial / "matrix.f64", "rb") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except FileNotFoundError:
+        return True
+    except OSError:  # locked by a live parse, or unreadable
+        return False
+    return True
+
+
 def _write_entry(
     entry: Path, tmp: Path, digest: str, st: os.stat_result, rows: _Rows, table: EmbeddingTable
 ):
     """Complete the entry whose rows were parsed into ``tmp``; rename it into place.
 
     ``st`` is the status of the file parsed, as it was opened. Then
-    remove every other entry, and every digest memo, that can no longer
-    be hit (``_stale``).
+    remove every other entry and digest memo that can no longer be hit
+    (``_stale``), and every unfinished entry a parse left (``_abandoned``).
     """
     source = os.path.realpath(table.source_name)
     try:
@@ -893,6 +891,9 @@ def _write_entry(
     for other in entry.parent.glob("v[0-9]*-*"):  # entries of every format
         if other != entry and _stale(other / "meta.json", source):
             shutil.rmtree(other, ignore_errors=True)
+    for partial in entry.parent.glob(".v[0-9]*-*"):
+        if _abandoned(partial):
+            shutil.rmtree(partial, ignore_errors=True)
     for memo in entry.parent.glob("memo-*.json"):
         if _stale(memo):
             with contextlib.suppress(OSError):
@@ -902,17 +903,15 @@ def _write_entry(
 def _add_batches(stream: BinaryIO, rows: _Rows, lib) -> str:
     """Add every batch of whole lines in ``stream`` to ``rows``, in order; returns their SHA-256.
 
-    With the compiled library ``lib``, each batch is split in two
-    (:class:`_CompiledBatch`). The one worker of a thread pool, for the
-    whole load, reads the head of a batch while the main thread keeps
-    the rows of the batch before and then reads the tail; waiting for
-    the head raises what its read raised. A batch's head is kept before
-    its tail, and the worker has ended before this returns or raises,
-    so no head is still being read into a buffer. Without the library,
-    :func:`_line_rows` reads every batch here. Each batch is hashed as
-    it is read, so the digest covers exactly the bytes parsed. A
-    byte-order mark and a header line are then cut off the first batch,
-    before either parser sees it.
+    With the compiled library ``lib``, the one worker of a thread pool,
+    for the whole load, reads each batch (:class:`_CompiledBatch`) while
+    the main thread keeps the rows of the batch before and reads the
+    next; waiting for the read raises what it raised. The worker has
+    ended before this returns or raises, so no batch is still being read
+    into a buffer. Without the library, :func:`_line_rows` reads every
+    batch here. Each batch is hashed as it is read, so the digest covers
+    exactly the bytes parsed. A byte-order mark and a header line are
+    then cut off the first batch, before either parser sees it.
     """
     digest = hashlib.sha256()
 
@@ -939,12 +938,10 @@ def _add_batches(stream: BinaryIO, rows: _Rows, lib) -> str:
     current, previous = _CompiledBatch(lib), _CompiledBatch(lib)
     with ThreadPoolExecutor(1, thread_name_prefix="claimdist-parse") as helper:
         while batch:
-            current.start(batch)
-            head = helper.submit(current.parse, 0)
+            parsing = helper.submit(current.parse, batch)
             lineno = previous.add_to(rows, lineno)
-            current.parse(1)
             batch = read()
-            head.result()
+            parsing.result()
             current, previous = previous, current
         previous.add_to(rows, lineno)
     return digest.hexdigest()

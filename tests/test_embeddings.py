@@ -466,6 +466,35 @@ class TestEmbeddingCache:
         assert {f.name: (f.stat().st_ino, f.stat().st_mtime_ns) for f in entry.iterdir()} == before
         assert _entries(private_cache_home) == [entry]
 
+    def test_the_partial_entry_of_a_killed_parse_is_removed_and_a_live_one_kept(
+        self, tmp_path, private_cache_home
+    ):
+        root = private_cache_home / "claimdist"
+        # a parse that dies, as by SIGKILL, skipping its cleanup
+        killed = (
+            "import os, sys; from pathlib import Path; from claimdist import embeddings; "
+            "sink, _, tmp = embeddings._cache_sink(Path(sys.argv[1]), 'emb.txt'); "
+            "sink.write(bytes(4096)); sink.flush(); print(tmp, flush=True); os._exit(0)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(embeddings.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-c", killed, str(root / _entry_name("a" * 64))],
+            env=env, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        dead = Path(done.stdout.strip())
+        empty = root / f".{_entry_name('b' * 64)}.made"  # a parse that died before its file
+        empty.mkdir()
+        # a parse still running in this process
+        sink, _, live = embeddings._cache_sink(root / _entry_name("c" * 64), "emb.txt")
+        assert (dead / "matrix.f64").stat().st_size == 4096
+        load_embeddings(_table_file(tmp_path / "a.txt", n_words=20, seed=3))
+        assert not dead.exists() and not empty.exists()
+        assert live.exists()
+        sink.close()  # the parse ends without its cleanup
+        load_embeddings(_table_file(tmp_path / "b.txt", n_words=20, seed=4))
+        assert not live.exists()
+
     def test_expected_dim_mismatch_on_a_hit_gives_the_parse_error(self, tmp_path):
         path = _table_file(tmp_path / "emb.txt", n_words=20)
         load_embeddings(path)
@@ -587,7 +616,7 @@ class TestRowReader:
         ] in ([], ["native-"])
 
 
-def _declined(self, half, lineno):
+def _declined(self, lineno):
     return None
 
 
@@ -606,7 +635,7 @@ def _use_parser(monkeypatch, parser: str):
 
 @pytest.fixture
 def compiled_batches(request, monkeypatch):
-    """Record, in the order they are kept, whether each batch's head and tail were read by the compiled parser.
+    """Record, in the order they are kept, whether each batch was read by the compiled parser.
 
     It needs the library, unless the test's ``parser`` is ``no-library``.
     """
@@ -616,8 +645,8 @@ def compiled_batches(request, monkeypatch):
     taken = []
     real = embeddings._CompiledBatch.result
 
-    def recording(self, half, lineno):
-        got = real(self, half, lineno)
+    def recording(self, lineno):
+        got = real(self, lineno)
         taken.append(got is not None)
         return got
 
@@ -720,8 +749,7 @@ class TestParsersAgainstReference:
             for parser in parsers:
                 with monkeypatch.context() as m:
                     _use_parser(m, parser)
-                    # a whole table in one batch split between the threads,
-                    # and one or two lines per batch
+                    # a whole table in one batch, and one or two lines per batch
                     for batch_bytes in (1 << 20, 8):
                         m.setattr(embeddings, "_BATCH_BYTES", batch_bytes)
                         got = _load_as_reference(path)
@@ -732,15 +760,14 @@ class TestParsersAgainstReference:
 
     @pytest.mark.parametrize("chunk", range(8))
     def test_odd_tables(self, tmp_path, monkeypatch, compiled_batches, chunk):
-        # every half the compiled parser takes gives the rows the line
+        # every batch the compiled parser takes gives the rows the line
         # parser gives for the same bytes
         result, compared = embeddings._CompiledBatch.result, []
 
-        def compared_with_the_line_parser(self, half, lineno):
-            got = result(self, half, lineno)
+        def compared_with_the_line_parser(self, lineno):
+            got = result(self, lineno)
             if got is not None:
-                first, last, *_ = self._parts[half]
-                want = embeddings._line_rows(self._batch[first:last], lineno)
+                want = embeddings._line_rows(self._batch, lineno)
                 assert (got[0], got[3], got[4]) == (want[0], want[3], want[4])
                 assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
                 compared.append(len(got[0]))
@@ -749,10 +776,11 @@ class TestParsersAgainstReference:
         monkeypatch.setattr(embeddings._CompiledBatch, "result", compared_with_the_line_parser)
         # 8 chunks of 40 tables, each loaded four ways
         self._check_chunk(tmp_path, monkeypatch, chunk, ["compiled", "declined"])
-        # with halves that the compiled parser read and declined, and
-        # compared halves with rows and without
+        # with batches that the compiled parser read and declined, and
+        # compared batches with rows (batches of blank lines only are in
+        # test_header_and_blank_lines_keep_line_numbers)
         assert set(compiled_batches) == {True, False}
-        assert min(compared) == 0 and max(compared) > 0
+        assert max(compared) > 0
 
     @pytest.mark.parametrize("chunk", range(8), ids=lambda chunk: f"no-library-{chunk}")
     def test_odd_tables_without_the_library(self, tmp_path, monkeypatch, chunk):
@@ -789,8 +817,8 @@ class TestLateBatches:
         self, tmp_path, monkeypatch, compiled_batches, bad_line, message
     ):
         self._check(tmp_path, monkeypatch, bad_line, message, ["compiled", "declined"])
-        # every half batch before the bad one was read by the compiled parser
-        assert len(compiled_batches) > 100 and all(compiled_batches[:-1])
+        # every batch before the bad one was read by the compiled parser
+        assert len(compiled_batches) > 50 and all(compiled_batches[:-1])
 
     @pytest.mark.parametrize(
         "bad_line, message", LATE_BAD_ROWS, ids=["no-library-non-numeric", "no-library-short-row"]
@@ -863,13 +891,13 @@ class TestBatchOrder:
             got = self._load(tmp_path / "emb.txt", data, monkeypatch, 1)
         assert got.words == ("a", "b", "c") and got.matrix[0].tolist() == [1.0, 2.0]
         assert caplog.messages == [f"{tmp_path / 'emb.txt'}: duplicate tokens ignored: 2 (lines 2, 5)"]
-        assert compiled_batches == [True] * 10  # the head and the empty tail of each line
+        assert compiled_batches == [True] * 5  # a batch per line
 
     def test_declined_batch_between_compiled_batches(self, tmp_path, monkeypatch, compiled_batches):
         data = b"a 1 2\nb 3 4\nc 1_0 2\nd 5 6\ne 7 8\n"
         got = self._load(tmp_path / "emb.txt", data, monkeypatch, 1)
         assert got.matrix[2].tolist() == [10.0, 2.0]
-        assert compiled_batches == [True, True] * 2 + [False, True] + [True, True] * 2
+        assert compiled_batches == [True, True, False, True, True]
 
     def test_bad_row_after_a_compiled_batch_names_the_first_bad_line(
         self, tmp_path, monkeypatch, compiled_batches
@@ -881,7 +909,7 @@ class TestBatchOrder:
         with pytest.raises(EmbeddingParseError) as info:
             load_embeddings(path)
         assert str(info.value) == f"{path}: line 3: non-numeric field in row for 'c'"
-        assert compiled_batches == [True, True] * 2 + [False]
+        assert compiled_batches == [True, True, False]
 
     @pytest.mark.parametrize("parser", PARSERS)
     @pytest.mark.parametrize("batch_bytes", [1 << 20, 1, 12])
@@ -914,36 +942,32 @@ class TestBatchOrder:
         self, tmp_path, monkeypatch, compiled_batches, caplog, parser
     ):
         _use_parser(monkeypatch, parser)
-        halves = []
-        start = embeddings._CompiledBatch.start
+        batches = []
+        parse = embeddings._CompiledBatch.parse
 
         def recording(self, batch):
-            start(self, batch)
-            halves.append([batch[first:last] for first, last, *_ in self._parts])
+            batches.append(batch)
+            parse(self, batch)
 
-        monkeypatch.setattr(embeddings._CompiledBatch, "start", recording)
+        monkeypatch.setattr(embeddings._CompiledBatch, "parse", recording)
         monkeypatch.setattr(embeddings, "_read_entry", lambda *args: None)  # parse every load
         path = tmp_path / "emb.txt"
         for batch_bytes in (1, 8, 16, 20, 1 << 20):
             caplog.clear()
             compiled_batches.clear()
+            batches.clear()
             with caplog.at_level(logging.WARNING):
                 self._load(path, self.SPLIT_TABLE, monkeypatch, batch_bytes)
             assert caplog.messages == [
                 f"{path}: duplicate tokens ignored: 2 (lines 7, 10); "
                 "all-zero vectors dropped: 2 (lines 6, 11)"
             ], batch_bytes
+            # every line after the header, each in one batch, in file order
+            assert b"".join(batches) == self.SPLIT_TABLE[4:], batch_bytes
             if parser == "compiled":
-                assert compiled_batches and all(compiled_batches)
+                assert compiled_batches == [True] * len(batches)
             # a row of another length on line 12
             self._load(path, self.SPLIT_TABLE + b"d 1 2 3\n", monkeypatch, batch_bytes)
-        assert b"".join(halves[0]) == self.SPLIT_TABLE[4:10]  # the batch after the header
-        # among the splits: a batch of one line, all head; a head ending in
-        # a CRLF line before a tail of a blank line; a tail that is a row
-        assert [b"a 1 2\n", b""] in halves
-        assert [b"a 1 2\n\nb 3 4\r\n", b" \t\n"] in halves
-        assert [b" \t\nz 0 0\na 5 5\r\n", b"\n"] in halves
-        assert any(tail.startswith(b"y 0 0") for _, tail in halves)
 
     def test_a_load_allocates_two_buffer_sets(self, tmp_path, monkeypatch, compiled_batches):
         allocated = []
@@ -958,24 +982,48 @@ class TestBatchOrder:
         path = tmp_path / "emb.txt"
         path.write_text("".join(f"w{i} {i + 1} 0.5 -2e-3\n" for i in range(5000)))
         assert len(load_embeddings(path)) == 5000
-        # some fifty batches, each head and tail in its region of one of two sets
-        assert len(compiled_batches) > 50 and all(compiled_batches)
+        # some fifty batches, each read into one of two buffer sets
+        assert len(compiled_batches) > 40 and all(compiled_batches)
         assert len(allocated) == 2
 
-    def test_an_error_in_a_head_read_ends_the_load(
+    def test_a_compiled_batch_is_one_parse_call_and_one_add(
+        self, tmp_path, monkeypatch, compiled_batches
+    ):
+        lib, calls, adds = native.library(), [], []
+        add = embeddings._Rows.add
+
+        def counted_add(self, *args):
+            adds.append(1)
+            return add(self, *args)
+
+        monkeypatch.setattr(native, "library", lambda: _Counted(lib, calls))
+        monkeypatch.setattr(embeddings._Rows, "add", counted_add)
+        monkeypatch.setattr(embeddings, "_BATCH_BYTES", 2 << 10)
+        path = tmp_path / "emb.txt"
+        path.write_text("".join(f"w{i} {i + 1} 0.5 -2e-3\n" for i in range(5000)))
+        n_batches = 0
+        with open(path, "rb") as fh:  # the batches as the load reads them
+            while fh.read(2 << 10):
+                fh.readline()
+                n_batches += 1
+        assert len(load_embeddings(path)) == 5000
+        assert n_batches > 40
+        assert len(calls) == len(adds) == n_batches
+        assert compiled_batches == [True] * n_batches
+
+    def test_an_error_in_a_batch_read_ends_the_load(
         self, tmp_path, private_cache_home, monkeypatch
     ):
         require_library()
         monkeypatch.setattr(embeddings, "_BATCH_BYTES", 16 << 10)
-        heads, sinks = [], []
+        readers, sinks = [], []
         parse, cache_sink = embeddings._CompiledBatch.parse, embeddings._cache_sink
 
-        def failing(self, half):
-            if half == 0:
-                heads.append(threading.current_thread())
-                if len(heads) == 3:
-                    raise _Failure("head of batch 3")
-            parse(self, half)
+        def failing(self, batch):
+            readers.append(threading.current_thread())
+            if len(readers) == 3:
+                raise _Failure("read of batch 3")
+            parse(self, batch)
 
         def recording(entry, name):
             sinks.append(cache_sink(entry, name))
@@ -984,34 +1032,51 @@ class TestBatchOrder:
         monkeypatch.setattr(embeddings._CompiledBatch, "parse", failing)
         monkeypatch.setattr(embeddings, "_cache_sink", recording)
         threads = threading.active_count()
-        with pytest.raises(_Failure, match="head of batch 3"):
+        with pytest.raises(_Failure, match="read of batch 3"):
             load_embeddings(_table_file(tmp_path / "emb.txt"))
-        assert len(heads) == 3 and threading.main_thread() not in heads
+        assert len(readers) == 3 and threading.main_thread() not in readers
         assert threading.active_count() == threads
         assert len(sinks) == 1 and sinks[0][0].closed
         assert list((private_cache_home / "claimdist").glob("." + _entry_name("*"))) == []
 
-    def test_an_error_in_a_tail_read_waits_for_its_head(self, tmp_path, monkeypatch):
+    def test_an_error_in_keeping_a_batch_waits_for_the_next_read(self, tmp_path, monkeypatch):
         require_library()
         monkeypatch.setattr(embeddings, "_BATCH_BYTES", 16 << 10)
-        reads, tail_failed, head_done = [0, 0], threading.Event(), threading.Event()
-        parse = embeddings._CompiledBatch.parse
+        reads, adds = [], []
+        keep_failed, read_done = threading.Event(), threading.Event()
+        parse, add = embeddings._CompiledBatch.parse, embeddings._Rows.add
 
-        def failing(self, half):
-            reads[half] += 1
-            if reads[half] == 3 and half == 1:
-                tail_failed.set()
-                raise _Failure("tail of batch 3")
-            if reads[half] == 3:  # the head of batch 3 ends after its tail failed
-                tail_failed.wait(timeout=10)
+        def slow(self, batch):
+            reads.append(batch)
+            if len(reads) == 4:  # the read of batch 4 ends after keeping batch 3 failed
+                keep_failed.wait(timeout=10)
                 time.sleep(0.05)
-                head_done.set()
-            parse(self, half)
+                read_done.set()
+            parse(self, batch)
 
-        monkeypatch.setattr(embeddings._CompiledBatch, "parse", failing)
-        with pytest.raises(_Failure, match="tail of batch 3"):
+        def failing(self, *args):
+            adds.append(1)
+            if len(adds) == 3:
+                keep_failed.set()
+                raise _Failure("keeping batch 3")
+            return add(self, *args)
+
+        monkeypatch.setattr(embeddings._CompiledBatch, "parse", slow)
+        monkeypatch.setattr(embeddings._Rows, "add", failing)
+        with pytest.raises(_Failure, match="keeping batch 3"):
             load_embeddings(_table_file(tmp_path / "emb.txt"))
-        assert head_done.is_set()
+        assert read_done.is_set()
+
+
+class _Counted:
+    """A compiled library whose ``claimdist_parse_batch`` calls are recorded in ``calls``."""
+
+    def __init__(self, lib, calls):
+        self._lib, self._calls = lib, calls
+
+    def claimdist_parse_batch(self, *args):
+        self._calls.append(args)
+        return self._lib.claimdist_parse_batch(*args)
 
 
 BOM = b"\xef\xbb\xbf"  # a UTF-8 byte-order mark
